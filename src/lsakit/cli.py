@@ -59,7 +59,6 @@ from .deformations import (
 from .errors import (
     LsakitError,
     NonConstantDeterminant,
-    ParseError,
     SchemaError,
 )
 from .instances import (
@@ -340,8 +339,7 @@ def derive(instance: InstanceFile, what: str) -> dict:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _payload(instance: InstanceFile, report: Report,
-             timestamp: bool) -> dict:
+def _header(instance: InstanceFile, timestamp: bool) -> dict:
     payload = {
         "tool": "lsakit",
         "version": __version__,
@@ -350,6 +348,12 @@ def _payload(instance: InstanceFile, report: Report,
     }
     if timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return payload
+
+
+def _payload(instance: InstanceFile, report: Report,
+             timestamp: bool) -> dict:
+    payload = _header(instance, timestamp)
     payload["status"] = "pass" if report.passed else "fail"
     payload["checks"] = [rec.to_dict() for rec in report.records]
     return payload
@@ -429,8 +433,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         instance = parse_instance(args.file)
-    except (SchemaError, ParseError, OSError) as err:
+    except (LsakitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    needs_deformation = (args.command == "cohomology" and not args.point
+                         or args.command == "deform" and not args.nijenhuis)
+    if needs_deformation and instance.deformation is None:
+        print("error: deformation: missing", file=sys.stderr)
         return 2
 
     timestamp = not args.no_timestamp
@@ -445,42 +454,22 @@ def main(argv=None) -> int:
             what = ("sub-adjacent" if args.sub_adjacent else
                     "phase-space" if args.phase_space else
                     "semidirect" if args.semidirect else "action")
-            try:
-                derived = derive(instance, what)
-            except SchemaError as err:
-                print(f"error: {err}", file=sys.stderr)
-                return 2
-            payload = {
-                "tool": "lsakit",
-                "version": __version__,
-                "instance": instance.name,
-                "digest": instance.digest,
-            }
-            if timestamp:
-                payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-            payload["derived"] = derived
+            payload = _header(instance, timestamp)
+            payload["derived"] = derive(instance, what)
             print(json.dumps(payload, indent=2))
             return 0
         elif args.command == "cohomology":
             report = Report(instance.name)
             alg = instance.algebroid
             if args.point:
-                suite_report = run_suite(instance, "cohomology",
-                                         seed=args.seed,
-                                         max_degree=args.max_degree)
-                report = suite_report
+                report = run_suite(instance, "cohomology", seed=args.seed,
+                                   max_degree=args.max_degree)
             elif args.cocycle:
-                if instance.deformation is None:
-                    print("error: deformation: missing", file=sys.stderr)
-                    return 2
                 report.add("cocycle",
                            "deformation differential of the candidate "
                            "vanishes",
                            def_d(alg, instance.deformation).is_zero())
             else:
-                if instance.deformation is None:
-                    print("error: deformation: missing", file=sys.stderr)
-                    return 2
                 endo = _named_endo(instance, args.coboundary)
                 image = def_d(alg,
                               MultiDerivation.from_endomorphism(alg, endo))
@@ -502,14 +491,8 @@ def main(argv=None) -> int:
                     _, trivial_report = trivial_deformation(alg, endo)
                     report.merge(trivial_report)
             elif args.deformation:
-                if instance.deformation is None:
-                    print("error: deformation: missing", file=sys.stderr)
-                    return 2
                 report = check_deformation(alg, instance.deformation)
             else:
-                if instance.deformation is None:
-                    print("error: deformation: missing", file=sys.stderr)
-                    return 2
                 endo = _named_endo(instance, args.equivalence)
                 prime = instance.deformation_prime
                 if prime is None:

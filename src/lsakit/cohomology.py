@@ -31,24 +31,27 @@ from .core import (
     rep_rho_frame,
     rep_rho_section,
     section_mult,
-    sort_with_sign,
 )
 from .errors import (
     ArityError,
-    DegreeError,
     DimensionMismatch,
+    InvalidDegree,
     NotARepresentation,
     NotPointCase,
 )
 from .polyring import (
     Poly,
+    SparseModule,
     VectorField,
+    _accumulate,
+    _add_scaled,
+    _index_tuple,
     rational_kernel_and_rank,
     vf_bracket,
 )
 
 
-class RepCochain:
+class RepCochain(SparseModule):
     """E-valued cochain: alternating in all slots except the last, and
     function-linear in every slot.
 
@@ -56,109 +59,63 @@ class RepCochain:
     tuple plus a free last index; ``degree`` counts all arguments.
     """
 
-    __slots__ = ("coords", "rank", "s", "degree", "comps")
+    __slots__ = ("coords", "rank", "s", "degree")
+    _SHAPE = ("coords", "rank", "s", "degree")
 
     def __init__(self, coords, rank: int, s: int, degree: int, comps: dict):
         if degree < 1:
-            raise DegreeError("cochain degree must be at least 1")
-        coords = tuple(coords)
-        clean = {}
-        for key, value in comps.items():
-            lead, last = tuple(key[0]), key[1]
-            if len(lead) != degree - 1:
-                raise DimensionMismatch(f"leading tuple {lead} has wrong length")
-            if list(lead) != sorted(set(lead)):
-                raise DimensionMismatch(
-                    f"leading tuple {lead} must be strictly increasing")
-            if any(not 0 <= i < rank for i in (*lead, last)):
-                raise DimensionMismatch("cochain index out of range")
-            if not isinstance(value, Section):
-                value = Section(coords, value)
-            if value.rank != s:
-                raise DimensionMismatch("cochain value has wrong rank")
-            if not value.is_zero():
-                clean[(lead, last)] = value
-        self.coords = coords
-        self.rank = rank
-        self.s = s
-        self.degree = degree
-        self.comps = clean
+            raise InvalidDegree(
+                f"{type(self).__name__} degree must be at least 1")
+        self.coords, self.rank, self.s, self.degree = \
+            tuple(coords), rank, s, degree
+        self._fill(comps.items())
+
+    def _entry(self, key, value):
+        lead, last = key
+        lead = _index_tuple(lead, self.rank, self.degree - 1)
+        if not 0 <= last < self.rank:
+            raise DimensionMismatch("cochain index out of range")
+        if not isinstance(value, Section):
+            value = Section(self.coords, value)
+        if value.coords != self.coords or value.rank != self.s:
+            raise DimensionMismatch("cochain value has wrong shape")
+        return (lead, last), value
 
     @classmethod
     def zero(cls, coords, rank: int, s: int, degree: int) -> "RepCochain":
         return cls(coords, rank, s, degree, {})
 
     def component(self, lead: Sequence[int], last: int) -> Section:
-        key, sign = sort_with_sign(lead)
-        if sign == 0:
-            return Section.zero(self.coords, self.s)
-        value = self.comps.get((key, last))
-        if value is None:
-            return Section.zero(self.coords, self.s)
-        return value if sign == 1 else -value
+        value = self._lookup(lead, last)
+        return Section.zero(self.coords, self.s) if value is None else value
+
+    def evaluate_last(self, lead: Sequence[int], last: Section) -> Section:
+        """Evaluate with frame leading slots and an arbitrary last slot."""
+        out: dict = {}
+        for j, g in last.terms.items():
+            value = self._lookup(lead, j)
+            if value is not None:
+                _add_scaled(out, value, g)
+        return Section._from((self.coords, self.s), out)
 
     def evaluate(self, sections: Sequence[Section]) -> Section:
-        """Multilinear evaluation on arbitrary sections."""
+        """Multilinear evaluation on arbitrary sections: the leading slots
+        expand over frame tuples, the last through ``evaluate_last``."""
         if len(sections) != self.degree:
             raise ArityError(
-                f"degree {self.degree} cochain applied to {len(sections)} "
-                f"sections")
-        total = Section.zero(self.coords, self.s)
-        last = sections[-1]
-        lead = sections[:-1]
+                f"degree {self.degree} {type(self).__name__} applied to "
+                f"{len(sections)} sections")
+        out: dict = {}
         for idx in iter_product(range(self.rank), repeat=self.degree - 1):
             coeff = Poly.constant(1, self.coords)
-            for sec, i in zip(lead, idx):
-                coeff = coeff * sec.components[i]
-                if coeff.is_zero():
+            for sec, i in zip(sections, idx):
+                factor = sec.terms.get(i)
+                if factor is None:
                     break
-            if coeff.is_zero():
-                continue
-            for j in range(self.rank):
-                gj = last.components[j]
-                if gj.is_zero():
-                    continue
-                value = self.component(idx, j)
-                if not value.is_zero():
-                    total = total + value.scale(coeff * gj)
-        return total
-
-    def _binary(self, other, op):
-        if (self.coords, self.rank, self.s, self.degree) != \
-                (other.coords, other.rank, other.s, other.degree):
-            raise DimensionMismatch("cochain shape mismatch")
-        comps = dict(self.comps)
-        for key, value in other.comps.items():
-            base = comps.get(key, Section.zero(self.coords, self.s))
-            acc = op(base, value)
-            if acc.is_zero():
-                comps.pop(key, None)
+                coeff = coeff * factor
             else:
-                comps[key] = acc
-        return RepCochain(self.coords, self.rank, self.s, self.degree, comps)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def scale(self, factor) -> "RepCochain":
-        return RepCochain(self.coords, self.rank, self.s, self.degree,
-                          {k: v.scale(factor) for k, v in self.comps.items()})
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        if not isinstance(other, RepCochain):
-            return NotImplemented
-        return (self.coords, self.rank, self.s, self.degree, self.comps) == \
-            (other.coords, other.rank, other.s, other.degree, other.comps)
-
-    def __hash__(self):
-        return hash((self.coords, self.rank, self.s, self.degree,
-                     frozenset(self.comps.items())))
+                _add_scaled(out, self.evaluate_last(idx, sections[-1]), coeff)
+        return Section._from((self.coords, self.s), out)
 
 
 def rep_d(alg: LSAlgebroid, rep: Representation, cochain: RepCochain,
@@ -177,34 +134,27 @@ def rep_d(alg: LSAlgebroid, rep: Representation, cochain: RepCochain,
     comps = {}
     for lead in combinations(range(alg.rank), n):
         for last in range(alg.rank):
-            total = Section.zero(alg.coords, rep.s)
+            total: dict = {}
             for a, i_a in enumerate(lead):
                 sign = 1 if a % 2 == 0 else -1
                 rest = lead[:a] + lead[a + 1:]
-                term = rep_rho_frame(alg, rep, i_a,
-                                     cochain.component(rest, last))
-                term = term + rep_mu_frame(rep, last,
-                                           cochain.component(rest, i_a))
-                inserted = Section.zero(alg.coords, rep.s)
-                for k, comp in enumerate(alg.c[i_a][last].components):
-                    if not comp.is_zero():
-                        inserted = inserted \
-                            + cochain.component(rest, k).scale(comp)
-                term = term - inserted
-                total = total + term.scale(sign)
+                _add_scaled(total, rep_rho_frame(
+                    alg, rep, i_a, cochain.component(rest, last)), sign)
+                _add_scaled(total, rep_mu_frame(
+                    rep, last, cochain.component(rest, i_a)), sign)
+                for k, comp in alg.c[i_a][last].terms.items():
+                    _add_scaled(total, cochain.component(rest, k),
+                                comp * -sign)
             for a, b in combinations(range(n), 2):
                 sign = 1 if (a + b) % 2 == 0 else -1
                 rest = tuple(lead[p] for p in range(n) if p not in (a, b))
                 bracket = frame_commutator(alg, lead[a], lead[b])
-                term = Section.zero(alg.coords, rep.s)
-                for k, comp in enumerate(bracket.components):
-                    if not comp.is_zero():
-                        term = term + cochain.component((k,) + rest,
-                                                        last).scale(comp)
-                total = total + term.scale(sign)
-            if not total.is_zero():
-                comps[(lead, last)] = total
-    return RepCochain(alg.coords, alg.rank, rep.s, n + 1, comps)
+                for k, comp in bracket.terms.items():
+                    _add_scaled(total, cochain.component((k,) + rest, last),
+                                comp * sign)
+            if total:
+                comps[(lead, last)] = Section._from((alg.coords, rep.s), total)
+    return RepCochain._from((alg.coords, alg.rank, rep.s, n + 1), comps)
 
 
 def rep_d0(alg: LSAlgebroid, rep: Representation, element: Section) \
@@ -238,49 +188,33 @@ def check_c0(alg: LSAlgebroid, rep: Representation, element: Section) -> bool:
 # Multiderivations and the deformation differential
 # ---------------------------------------------------------------------------
 
-class MultiDerivation:
+class MultiDerivation(RepCochain):
     """Multilinear operator on sections of the bundle, alternating and
     function-linear in its leading slots and a derivation in the last
-    slot through a vector-field-valued symbol."""
+    slot through a vector-field-valued symbol.
 
-    __slots__ = ("coords", "rank", "degree", "values", "symbols")
+    The function-linear part is a bundle-valued ``RepCochain`` (values of
+    rank ``rank``); the symbol of each leading tuple ``lead`` is stored
+    beside it under the key ``(lead, None)``.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coords, rank: int, degree: int, values: dict,
                  symbols: dict):
-        if degree < 1:
-            raise DegreeError("multiderivation degree must be at least 1")
-        coords = tuple(coords)
-        clean_values = {}
-        for key, value in values.items():
-            lead, last = tuple(key[0]), key[1]
-            if len(lead) != degree - 1:
-                raise DimensionMismatch(f"leading tuple {lead} has wrong length")
-            if list(lead) != sorted(set(lead)):
-                raise DimensionMismatch(
-                    f"leading tuple {lead} must be strictly increasing")
-            if not isinstance(value, Section):
-                value = Section(coords, value)
-            if value.rank != rank:
-                raise DimensionMismatch("value has wrong rank")
-            if not value.is_zero():
-                clean_values[(lead, last)] = value
-        clean_symbols = {}
-        for key, field in symbols.items():
-            key = tuple(key)
-            if len(key) != degree - 1:
-                raise DimensionMismatch(f"symbol tuple {key} has wrong length")
-            if list(key) != sorted(set(key)):
-                raise DimensionMismatch(
-                    f"symbol tuple {key} must be strictly increasing")
-            if not isinstance(field, VectorField):
-                field = VectorField(coords, field)
-            if not field.is_zero():
-                clean_symbols[key] = field
-        self.coords = coords
-        self.rank = rank
-        self.degree = degree
-        self.values = clean_values
-        self.symbols = clean_symbols
+        entries = dict(values)
+        entries.update(((tuple(lead), None), field)
+                       for lead, field in symbols.items())
+        RepCochain.__init__(self, coords, rank, rank, degree, entries)
+
+    def _entry(self, key, value):
+        if key[1] is not None:
+            return RepCochain._entry(self, key, value)
+        if not isinstance(value, VectorField):
+            value = VectorField(self.coords, value)
+        if value.coords != self.coords:
+            raise DimensionMismatch("symbol over the wrong coordinates")
+        return (_index_tuple(key[0], self.rank, self.degree - 1), None), value
 
     @classmethod
     def zero(cls, coords, rank: int, degree: int) -> "MultiDerivation":
@@ -293,110 +227,31 @@ class MultiDerivation:
                   for j in range(alg.rank)}
         return cls(alg.coords, alg.rank, 1, values, {})
 
-    def value(self, lead: Sequence[int], last: int) -> Section:
-        key, sign = sort_with_sign(lead)
-        if sign == 0:
-            return Section.zero(self.coords, self.rank)
-        stored = self.values.get((key, last))
-        if stored is None:
-            return Section.zero(self.coords, self.rank)
-        return stored if sign == 1 else -stored
+    @property
+    def values(self) -> dict:
+        return {k: v for k, v in self.terms.items() if k[1] is not None}
+
+    @property
+    def symbols(self) -> dict:
+        return {k[0]: v for k, v in self.terms.items() if k[1] is None}
+
+    value = RepCochain.component
 
     def symbol(self, lead: Sequence[int]) -> VectorField:
-        key, sign = sort_with_sign(lead)
-        if sign == 0:
-            return VectorField.zero(self.coords)
-        stored = self.symbols.get(key)
-        if stored is None:
-            return VectorField.zero(self.coords)
-        return stored if sign == 1 else -stored
+        field = self._lookup(lead, None)
+        return VectorField.zero(self.coords) if field is None else field
 
     def evaluate_last(self, lead: Sequence[int], last: Section) -> Section:
         """Evaluate with frame leading slots and an arbitrary last slot
         (function-linear part plus the symbol derivation)."""
-        total = Section.zero(self.coords, self.rank)
-        field = self.symbol(lead)
-        for j, gj in enumerate(last.components):
-            if gj.is_zero():
-                continue
-            total = total + self.value(lead, j).scale(gj)
-            derived = field.apply(gj)
-            if not derived.is_zero():
-                comps = [Poly.zero(self.coords)] * self.rank
-                comps[j] = derived
-                total = total + Section(self.coords, comps)
-        return total
-
-    def evaluate(self, sections: Sequence[Section]) -> Section:
-        """Full evaluation: leading slots expand multilinearly, the last
-        slot through the derivation rule."""
-        if len(sections) != self.degree:
-            raise ArityError(
-                f"degree {self.degree} multiderivation applied to "
-                f"{len(sections)} sections")
-        total = Section.zero(self.coords, self.rank)
-        lead = sections[:-1]
-        last = sections[-1]
-        for idx in iter_product(range(self.rank), repeat=self.degree - 1):
-            coeff = Poly.constant(1, self.coords)
-            for sec, i in zip(lead, idx):
-                coeff = coeff * sec.components[i]
-                if coeff.is_zero():
-                    break
-            if coeff.is_zero():
-                continue
-            total = total + self.evaluate_last(idx, last).scale(coeff)
-        return total
-
-    def _binary(self, other, op, fop):
-        if (self.coords, self.rank, self.degree) != \
-                (other.coords, other.rank, other.degree):
-            raise DimensionMismatch("multiderivation shape mismatch")
-        values = dict(self.values)
-        for key, value in other.values.items():
-            base = values.get(key, Section.zero(self.coords, self.rank))
-            acc = op(base, value)
-            if acc.is_zero():
-                values.pop(key, None)
-            else:
-                values[key] = acc
-        symbols = dict(self.symbols)
-        for key, field in other.symbols.items():
-            base = symbols.get(key, VectorField.zero(self.coords))
-            acc = fop(base, field)
-            if acc.is_zero():
-                symbols.pop(key, None)
-            else:
-                symbols[key] = acc
-        return MultiDerivation(self.coords, self.rank, self.degree,
-                               values, symbols)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b, lambda a, b: a - b)
-
-    def scale(self, factor) -> "MultiDerivation":
-        return MultiDerivation(
-            self.coords, self.rank, self.degree,
-            {k: v.scale(factor) for k, v in self.values.items()},
-            {k: f.scale(factor) for k, f in self.symbols.items()})
-
-    def is_zero(self) -> bool:
-        return not self.values and not self.symbols
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiDerivation):
-            return NotImplemented
-        return (self.coords, self.rank, self.degree, self.values,
-                self.symbols) == (other.coords, other.rank, other.degree,
-                                  other.values, other.symbols)
-
-    def __hash__(self):
-        return hash((self.coords, self.rank, self.degree,
-                     frozenset(self.values.items()),
-                     frozenset(self.symbols.items())))
+        linear = RepCochain.evaluate_last(self, lead, last)
+        field = self._lookup(lead, None)
+        if field is None:
+            return linear
+        out = dict(linear.terms)
+        for j, g in last.terms.items():
+            _accumulate(out, j, field.apply(g))
+        return linear._like(out)
 
 
 def def_d(alg: LSAlgebroid, deriv: MultiDerivation) -> MultiDerivation:
@@ -410,58 +265,54 @@ def def_d(alg: LSAlgebroid, deriv: MultiDerivation) -> MultiDerivation:
     if deriv.rank != alg.rank or deriv.coords != alg.coords:
         raise DimensionMismatch("multiderivation does not live on this bundle")
     n = deriv.degree
-    values = {}
-    symbols = {}
+    entries = {}
     for lead in combinations(range(alg.rank), n):
         for last in range(alg.rank):
-            total = Section.zero(alg.coords, alg.rank)
+            total: dict = {}
             for a, i_a in enumerate(lead):
                 sign = 1 if a % 2 == 0 else -1
                 rest = lead[:a] + lead[a + 1:]
-                term = section_mult(alg, alg.frame(i_a),
-                                    deriv.value(rest, last))
-                term = term + section_mult(alg, deriv.value(rest, i_a),
-                                           alg.frame(last))
-                term = term - deriv.evaluate_last(rest, alg.c[i_a][last])
-                total = total + term.scale(sign)
+                _add_scaled(total, section_mult(
+                    alg, alg.frame(i_a), deriv.value(rest, last)), sign)
+                _add_scaled(total, section_mult(
+                    alg, deriv.value(rest, i_a), alg.frame(last)), sign)
+                _add_scaled(total, deriv.evaluate_last(rest, alg.c[i_a][last]),
+                            -sign)
             for a, b in combinations(range(n), 2):
                 sign = 1 if (a + b) % 2 == 0 else -1
                 rest = tuple(lead[p] for p in range(n) if p not in (a, b))
                 bracket = frame_commutator(alg, lead[a], lead[b])
-                term = Section.zero(alg.coords, alg.rank)
-                for k, comp in enumerate(bracket.components):
-                    if not comp.is_zero():
-                        term = term + deriv.value((k,) + rest,
-                                                  last).scale(comp)
-                total = total + term.scale(sign)
-            if not total.is_zero():
-                values[(lead, last)] = total
+                for k, comp in bracket.terms.items():
+                    _add_scaled(total, deriv.value((k,) + rest, last),
+                                comp * sign)
+            if total:
+                entries[(lead, last)] = Section._from(
+                    (alg.coords, alg.rank), total)
 
-        field = VectorField.zero(alg.coords)
+        field: dict = {}
         for a, i_a in enumerate(lead):
             sign = 1 if a % 2 == 0 else -1
             rest = lead[:a] + lead[a + 1:]
-            part = vf_bracket(alg.anchor[i_a], deriv.symbol(rest))
-            part = part + anchor_of_section(alg, deriv.value(rest, i_a))
-            field = field + part.scale(Poly.constant(sign, alg.coords))
+            _add_scaled(field, vf_bracket(alg.anchor[i_a], deriv.symbol(rest)),
+                        sign)
+            _add_scaled(field, anchor_of_section(alg, deriv.value(rest, i_a)),
+                        sign)
         for a, b in combinations(range(n), 2):
             sign = 1 if (a + b) % 2 == 0 else -1
             rest = tuple(lead[p] for p in range(n) if p not in (a, b))
             bracket = frame_commutator(alg, lead[a], lead[b])
-            part = VectorField.zero(alg.coords)
-            for k, comp in enumerate(bracket.components):
-                if not comp.is_zero():
-                    part = part + deriv.symbol((k,) + rest).scale(comp)
-            field = field + part.scale(Poly.constant(sign, alg.coords))
-        if not field.is_zero():
-            symbols[lead] = field
-    return MultiDerivation(alg.coords, alg.rank, n + 1, values, symbols)
+            for k, comp in bracket.terms.items():
+                _add_scaled(field, deriv.symbol((k,) + rest), comp * sign)
+        if field:
+            entries[(lead, None)] = VectorField._from((alg.coords,), field)
+    return MultiDerivation._from((alg.coords, alg.rank, alg.rank, n + 1),
+                                 entries)
 
 
 def evaluate_on_sections(cochain, sections: Sequence[Section]) -> Section:
     """Evaluate a representation cochain or a multiderivation on
     arbitrary sections."""
-    if isinstance(cochain, (RepCochain, MultiDerivation)):
+    if isinstance(cochain, RepCochain):
         return cochain.evaluate(sections)
     raise TypeError(f"cannot evaluate {type(cochain).__name__}")
 
@@ -510,11 +361,9 @@ def assemble_point_differential(alg: LSAlgebroid, rep: Representation,
         unit = Section((), [1 if p == m else 0 for p in range(rep.s)])
         cochain = RepCochain((), alg.rank, rep.s, degree, {(lead, last): unit})
         image = rep_d(alg, rep, cochain, check=False)
-        for (lead2, last2), value in image.comps.items():
-            for m2, comp in enumerate(value.components):
-                coeff = comp.constant_value()
-                if coeff:
-                    matrix[index[(lead2, last2, m2)]][col] = coeff
+        for (lead2, last2), value in image.terms.items():
+            for m2, comp in value.terms.items():
+                matrix[index[(lead2, last2, m2)]][col] = comp.constant_value()
     return matrix, domain, codomain
 
 

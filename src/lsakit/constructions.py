@@ -62,9 +62,6 @@ from .polyring import (
 )
 from .report import Report
 
-BundleEndo = PolyMatrix
-
-
 class BilinearForm:
     """Symmetric bilinear form on the bundle, stored as its frame matrix."""
 
@@ -204,10 +201,8 @@ def action_algebroid(algebra: LSAlgebroid, fields: Sequence[VectorField],
 
     def field_of(constants: Section) -> VectorField:
         total = VectorField.zero(coords)
-        for k, comp in enumerate(constants.components):
-            value = comp.constant_value()
-            if value:
-                total = total + fields[k].scale(Poly.constant(value, coords))
+        for k, comp in constants.terms.items():
+            total = total + fields[k].scale(comp.constant_value())
         return total
 
     for i in range(algebra.rank):
@@ -308,11 +303,8 @@ def check_lie_nijenhuis(lie: LieAlgebroid, endo: PolyMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 def _embed(section: Section, total: int, offset: int) -> Section:
-    coords = section.coords
-    comps = [Poly.zero(coords)] * total
-    for k, comp in enumerate(section.components):
-        comps[offset + k] = comp
-    return Section(coords, comps)
+    return Section._from((section.coords, total),
+                         {offset + k: v for k, v in section.terms.items()})
 
 
 def semidirect_lie(lie: LieAlgebroid, rep: Representation) -> LieAlgebroid:
@@ -406,7 +398,7 @@ def build_phase_space(alg: LSAlgebroid) -> PhaseSpace:
     report = Report("phase space")
     d_omega = lie_form_d(P, omega)
     witnesses = [f"d omega(e_{i+1},e_{j+1},e_{k+1}) = {value}"
-                 for (i, j, k), value in sorted(d_omega.comps.items())]
+                 for (i, j, k), value in sorted(d_omega.terms.items())]
     report.add("omega-closed", "pairing 2-form is closed", not witnesses,
                witnesses)
 
@@ -451,7 +443,7 @@ def lsa_from_phase(lie: LieAlgebroid, rep: Representation) -> PhaseCompatible:
     omega = canonical_pairing_form(coords, r)
     d_omega = lie_form_d(P, omega)
     if not d_omega.is_zero():
-        triple = sorted(d_omega.comps)[0]
+        triple = sorted(d_omega.terms)[0]
         raise OmegaNotClosed(
             f"pairing form is not closed: d omega nonzero on frame triple "
             f"{tuple(t + 1 for t in triple)}", triple=triple)
@@ -635,9 +627,9 @@ def check_quadratic(alg: LSAlgebroid, form) -> Report:
         for j in range(alg.rank):
             for k in range(alg.rank):
                 left = Poly.zero(alg.coords)
-                for m, comp in enumerate(alg.c[i][j].components):
+                for m, comp in alg.c[i][j].terms.items():
                     left = left + comp * matrix.entry(m, k)
-                for m, comp in enumerate(alg.c[i][k].components):
+                for m, comp in alg.c[i][k].terms.items():
                     left = left + matrix.entry(j, m) * comp
                 right = alg.anchor[i].apply(matrix.entry(j, k))
                 if left != right:
@@ -692,8 +684,8 @@ def quadratic_kernel_descend(alg: LSAlgebroid, form,
 
     def pair(u: Section, v: Section) -> Poly:
         total = Poly.zero(alg.coords)
-        for a, ua in enumerate(u.components):
-            for b, vb in enumerate(v.components):
+        for a, ua in u.terms.items():
+            for b, vb in v.terms.items():
                 total = total + ua * matrix.entry(a, b) * vb
         return total
 

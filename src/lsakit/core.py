@@ -22,65 +22,47 @@ from .errors import (
     NotLeftSymmetric,
     NotPointCase,
 )
-from .polyring import Poly, PolyMatrix, VectorField, vf_bracket
+from .polyring import (
+    Poly,
+    PolyMatrix,
+    SparseModule,
+    VectorField,
+    _accumulate,
+    _add_scaled,
+    _index_tuple,
+    _poly_value,
+    sort_with_sign,
+    vf_bracket,
+)
 from .report import Report
 
 
-class Section:
-    """Section of a trivial bundle: one polynomial per frame element."""
+class Section(SparseModule):
+    """Section of a trivial bundle: one polynomial per frame element,
+    stored sparsely by frame index."""
 
-    __slots__ = ("coords", "components")
+    __slots__ = ("coords", "rank")
+    _SHAPE = ("coords", "rank")
 
     def __init__(self, coords: Sequence[str], components: Sequence[Poly]):
-        coords = tuple(coords)
-        comps = []
-        for comp in components:
-            if not isinstance(comp, Poly):
-                comp = Poly.constant(comp, coords)
-            elif comp.coords != coords:
-                raise DimensionMismatch(
-                    f"component over {comp.coords}, expected {coords}")
-            comps.append(comp)
-        self.coords = coords
-        self.components = tuple(comps)
+        self.coords = tuple(coords)
+        components = tuple(components)
+        self.rank = len(components)
+        self._fill(enumerate(components))
 
     @classmethod
     def zero(cls, coords: Sequence[str], rank: int) -> "Section":
-        coords = tuple(coords)
-        return cls(coords, [Poly.zero(coords)] * rank)
+        return cls._from((tuple(coords), rank), {})
 
     @classmethod
     def unit(cls, coords: Sequence[str], rank: int, index: int) -> "Section":
         coords = tuple(coords)
-        return cls(coords, [Poly.constant(1 if k == index else 0, coords)
-                            for k in range(rank)])
+        return cls._from((coords, rank), {index: Poly.constant(1, coords)}
+                         if 0 <= index < rank else {})
 
     @property
-    def rank(self) -> int:
-        return len(self.components)
-
-    def _check(self, other: "Section"):
-        if self.coords != other.coords or self.rank != other.rank:
-            raise DimensionMismatch("section shape mismatch")
-
-    def __add__(self, other: "Section") -> "Section":
-        self._check(other)
-        return Section(self.coords, [a + b for a, b in
-                                     zip(self.components, other.components)])
-
-    def __sub__(self, other: "Section") -> "Section":
-        self._check(other)
-        return Section(self.coords, [a - b for a, b in
-                                     zip(self.components, other.components)])
-
-    def __neg__(self) -> "Section":
-        return Section(self.coords, [-a for a in self.components])
-
-    def scale(self, factor) -> "Section":
-        return Section(self.coords, [a * factor for a in self.components])
-
-    def is_zero(self) -> bool:
-        return all(comp.is_zero() for comp in self.components)
+    def components(self) -> tuple[Poly, ...]:
+        return self._dense(self.rank)
 
     def extend(self, new_coords: Sequence[str]) -> "Section":
         return Section(new_coords,
@@ -91,66 +73,87 @@ class Section:
                        [comp.substitute(name, value)
                         for comp in self.components])
 
-    def __eq__(self, other):
-        if not isinstance(other, Section):
-            return NotImplemented
-        return self.coords == other.coords \
-            and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.coords, self.components))
-
     def __str__(self):
         parts = []
-        for k, comp in enumerate(self.components, start=1):
-            if comp.is_zero():
-                continue
-            if comp == 1:
-                parts.append(f"e_{k}")
-            else:
-                parts.append(f"({comp})*e_{k}")
+        for k in sorted(self.terms):
+            comp = self.terms[k]
+            parts.append(f"e_{k + 1}" if comp == 1 else f"({comp})*e_{k + 1}")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"Section({self!s})"
 
 
-def apply_endo(matrix: PolyMatrix, section: Section) -> Section:
-    """Apply a bundle map (matrix acting on frame components)."""
+def _matvec_into(out: dict, matrix: PolyMatrix, section: Section) -> None:
     if matrix.cols != section.rank:
         raise DimensionMismatch(
             f"{matrix.rows}x{matrix.cols} matrix applied to rank "
             f"{section.rank} section")
-    return Section(section.coords, matrix.matvec(section.components))
+    for j, value in section.terms.items():
+        for i, row in enumerate(matrix.entries):
+            if not row[j].is_zero():
+                _accumulate(out, i, row[j] * value)
 
 
-def _validate_frame_tables(coords, rank, table, anchor, what):
-    coords = tuple(coords)
-    if len(table) != rank or any(len(row) != rank for row in table):
-        raise DimensionMismatch(f"{what} table must be {rank}x{rank}")
-    out = []
-    for row in table:
-        new_row = []
-        for sec in row:
-            if not isinstance(sec, Section):
-                sec = Section(coords, sec)
-            if sec.coords != coords or sec.rank != rank:
-                raise DimensionMismatch(f"bad entry in {what} table")
-            new_row.append(sec)
-        out.append(tuple(new_row))
-    if len(anchor) != rank:
-        raise DimensionMismatch(f"anchor needs {rank} vector fields")
-    fields = []
-    for field in anchor:
-        if not isinstance(field, VectorField):
-            field = VectorField(coords, field)
-        if field.coords != coords:
-            raise DimensionMismatch("anchor field over wrong coordinates")
-        fields.append(field)
-    return coords, tuple(out), tuple(fields)
+def apply_endo(matrix: PolyMatrix, section: Section) -> Section:
+    """Apply a bundle map (matrix acting on frame components)."""
+    out: dict = {}
+    _matvec_into(out, matrix, section)
+    return Section._from((section.coords, matrix.rows), out)
 
 
-class LSAlgebroid:
+class FrameAlgebroid:
+    """Shape shared by the algebroids on a trivial bundle: an r x r table
+    of frame sections (products or brackets) and one anchor vector field
+    per frame section."""
+
+    __slots__ = ("coords", "rank", "anchor")
+
+    def _tables(self, coords, rank: int, table, anchor, what: str) -> tuple:
+        """Validate and store the shape; returns the checked table."""
+        coords = tuple(coords)
+        if len(table) != rank or any(len(row) != rank for row in table):
+            raise DimensionMismatch(f"{what} table must be {rank}x{rank}")
+        rows = []
+        for row in table:
+            new_row = []
+            for sec in row:
+                if not isinstance(sec, Section):
+                    sec = Section(coords, sec)
+                if sec.coords != coords or sec.rank != rank:
+                    raise DimensionMismatch(f"bad entry in {what} table")
+                new_row.append(sec)
+            rows.append(tuple(new_row))
+        if len(anchor) != rank:
+            raise DimensionMismatch(f"anchor needs {rank} vector fields")
+        fields = []
+        for field in anchor:
+            if not isinstance(field, VectorField):
+                field = VectorField(coords, field)
+            if field.coords != coords:
+                raise DimensionMismatch("anchor field over wrong coordinates")
+            fields.append(field)
+        self.coords, self.rank, self.anchor = coords, rank, tuple(fields)
+        return tuple(rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
+    def frame(self, i: int) -> Section:
+        return Section.unit(self.coords, self.rank, i)
+
+    def section(self, components) -> Section:
+        return Section(self.coords, components)
+
+    def zero_section(self) -> Section:
+        return Section.zero(self.coords, self.rank)
+
+    def is_point(self) -> bool:
+        return self.n == 0
+
+
+class LSAlgebroid(FrameAlgebroid):
     """Left-symmetric algebroid on a trivial bundle.
 
     ``c[i][j]`` is the product of frame sections i and j; ``anchor[i]``
@@ -160,122 +163,68 @@ class LSAlgebroid:
     left-symmetric algebra over the rationals.
     """
 
-    __slots__ = ("coords", "rank", "c", "anchor")
+    __slots__ = ("c",)
 
     def __init__(self, coords, rank: int, c, anchor):
-        self.rank = rank
-        self.coords, self.c, self.anchor = _validate_frame_tables(
-            coords, rank, c, anchor, "product")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def frame(self, i: int) -> Section:
-        return Section.unit(self.coords, self.rank, i)
-
-    def section(self, components) -> Section:
-        return Section(self.coords, components)
-
-    def zero_section(self) -> Section:
-        return Section.zero(self.coords, self.rank)
-
-    def is_point(self) -> bool:
-        return self.n == 0
+        self.c = self._tables(coords, rank, c, anchor, "product")
 
 
-class LieAlgebroid:
+class LieAlgebroid(FrameAlgebroid):
     """Lie algebroid on a trivial bundle, stored via frame brackets."""
 
-    __slots__ = ("coords", "rank", "b", "anchor")
+    __slots__ = ("b",)
 
     def __init__(self, coords, rank: int, b, anchor):
-        self.rank = rank
-        self.coords, self.b, self.anchor = _validate_frame_tables(
-            coords, rank, b, anchor, "bracket")
+        self.b = self._tables(coords, rank, b, anchor, "bracket")
 
-    @property
-    def n(self) -> int:
-        return len(self.coords)
 
-    def frame(self, i: int) -> Section:
-        return Section.unit(self.coords, self.rank, i)
-
-    def section(self, components) -> Section:
-        return Section(self.coords, components)
-
-    def zero_section(self) -> Section:
-        return Section.zero(self.coords, self.rank)
-
-    def is_point(self) -> bool:
-        return self.n == 0
+def _check_on_bundle(alg: FrameAlgebroid, *sections: Section) -> None:
+    for section in sections:
+        if section.rank != alg.rank or section.coords != alg.coords:
+            raise DimensionMismatch("section does not live on this bundle")
 
 
 def anchor_of_section(alg, section: Section) -> VectorField:
     """Anchor applied to a section (componentwise combination of the
     frame anchor fields)."""
-    if section.rank != alg.rank or section.coords != alg.coords:
-        raise DimensionMismatch("section does not live on this bundle")
-    total = VectorField.zero(alg.coords)
-    for comp, field in zip(section.components, alg.anchor):
-        if not comp.is_zero():
-            total = total + field.scale(comp)
-    return total
+    _check_on_bundle(alg, section)
+    out: dict = {}
+    for i, comp in section.terms.items():
+        _add_scaled(out, alg.anchor[i], comp)
+    return VectorField._from((alg.coords,), out)
 
 
 def section_mult(alg: LSAlgebroid, left: Section, right: Section) -> Section:
     """Product of sections, extending the frame table by the two
     defining Leibniz rules."""
-    if left.rank != alg.rank or right.rank != alg.rank \
-            or left.coords != alg.coords or right.coords != alg.coords:
-        raise DimensionMismatch("sections do not live on this bundle")
-    out = [Poly.zero(alg.coords) for _ in range(alg.rank)]
-    for i, f in enumerate(left.components):
-        if f.is_zero():
-            continue
-        field = alg.anchor[i]
-        for j, g in enumerate(right.components):
-            if not g.is_zero():
-                fg = f * g
-                if not fg.is_zero():
-                    for k, comp in enumerate(alg.c[i][j].components):
-                        if not comp.is_zero():
-                            out[k] = out[k] + fg * comp
+    _check_on_bundle(alg, left, right)
+    out: dict = {}
+    for i, f in left.terms.items():
+        field, row = alg.anchor[i], alg.c[i]
+        for j, g in right.terms.items():
+            if not row[j].is_zero():
+                _add_scaled(out, row[j], f * g)
             deriv = field.apply(g)
             if not deriv.is_zero():
-                out[j] = out[j] + f * deriv
-    return Section(alg.coords, out)
+                _accumulate(out, j, f * deriv)
+    return left._like(out)
 
 
 def section_bracket(alg: LieAlgebroid, left: Section, right: Section) -> Section:
     """Bracket of sections, extending the frame table by the Leibniz rule."""
-    if left.rank != alg.rank or right.rank != alg.rank \
-            or left.coords != alg.coords or right.coords != alg.coords:
-        raise DimensionMismatch("sections do not live on this bundle")
-    out = [Poly.zero(alg.coords) for _ in range(alg.rank)]
+    _check_on_bundle(alg, left, right)
+    out: dict = {}
+    for i, f in left.terms.items():
+        for j, g in right.terms.items():
+            if not alg.b[i][j].is_zero():
+                _add_scaled(out, alg.b[i][j], f * g)
     left_field = anchor_of_section(alg, left)
+    for j, g in right.terms.items():
+        _accumulate(out, j, left_field.apply(g))
     right_field = anchor_of_section(alg, right)
-    for i, f in enumerate(left.components):
-        if f.is_zero():
-            continue
-        for j, g in enumerate(right.components):
-            if g.is_zero():
-                continue
-            fg = f * g
-            if fg.is_zero():
-                continue
-            for k, comp in enumerate(alg.b[i][j].components):
-                if not comp.is_zero():
-                    out[k] = out[k] + fg * comp
-    for j, g in enumerate(right.components):
-        deriv = left_field.apply(g)
-        if not deriv.is_zero():
-            out[j] = out[j] + deriv
-    for i, f in enumerate(left.components):
-        deriv = right_field.apply(f)
-        if not deriv.is_zero():
-            out[i] = out[i] - deriv
-    return Section(alg.coords, out)
+    for i, f in left.terms.items():
+        _accumulate(out, i, -right_field.apply(f))
+    return left._like(out)
 
 
 def associator(alg: LSAlgebroid, x: Section, y: Section, z: Section) -> Section:
@@ -418,30 +367,30 @@ def rep_rho_frame(alg, rep: Representation, i: int, u: Section) -> Section:
     """rho of frame section i applied to a section of the auxiliary
     bundle: derivation along the anchor plus the matrix part."""
     field = alg.anchor[i]
-    derived = [field.apply(comp) for comp in u.components]
-    mat = rep.rho_mat[i].matvec(u.components)
-    return Section(u.coords, [d + m for d, m in zip(derived, mat)])
+    out: dict = {}
+    for m, comp in u.terms.items():
+        _accumulate(out, m, field.apply(comp))
+    _matvec_into(out, rep.rho_mat[i], u)
+    return u._like(out)
 
 
 def rep_rho_section(alg, rep: Representation, x: Section, u: Section) -> Section:
     """rho of an arbitrary section (componentwise, rho is a bundle map)."""
-    total = Section.zero(u.coords, rep.s)
-    for i, comp in enumerate(x.components):
-        if not comp.is_zero():
-            total = total + rep_rho_frame(alg, rep, i, u).scale(comp)
-    return total
+    out: dict = {}
+    for i, comp in x.terms.items():
+        _add_scaled(out, rep_rho_frame(alg, rep, i, u), comp)
+    return Section._from((u.coords, rep.s), out)
 
 
 def rep_mu_frame(rep: Representation, j: int, u: Section) -> Section:
-    return Section(u.coords, rep.mu_mat[j].matvec(u.components))
+    return apply_endo(rep.mu_mat[j], u)
 
 
 def rep_mu_section(rep: Representation, x: Section, u: Section) -> Section:
-    total = Section.zero(u.coords, rep.s)
-    for j, comp in enumerate(x.components):
-        if not comp.is_zero():
-            total = total + rep_mu_frame(rep, j, u).scale(comp)
-    return total
+    out: dict = {}
+    for j, comp in x.terms.items():
+        _add_scaled(out, rep_mu_frame(rep, j, u), comp)
+    return Section._from((u.coords, rep.s), out)
 
 
 def build_left_mult_rep(alg: LSAlgebroid) -> Representation:
@@ -484,63 +433,30 @@ def check_lsa_homomorphism(a1: LSAlgebroid, a2: LSAlgebroid,
 # Exterior form cochains and the Lie algebroid differential
 # ---------------------------------------------------------------------------
 
-def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Sort an index tuple, returning the permutation parity (0 for a
-    repeated index)."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
-            return tuple(idx), 0
-    return tuple(idx), sign
-
-
-class FormCochain:
+class FormCochain(SparseModule):
     """Alternating multilinear form on frame sections, with polynomial
     values.  Components are stored on strictly increasing index tuples."""
 
-    __slots__ = ("coords", "rank", "degree", "comps")
+    __slots__ = ("coords", "rank", "degree")
+    _SHAPE = ("coords", "rank", "degree")
 
     def __init__(self, coords, rank: int, degree: int, comps: dict):
         if degree < 0:
             raise InvalidDegree("form degree must be non-negative")
-        coords = tuple(coords)
-        clean = {}
-        for key, value in comps.items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise DimensionMismatch(f"key {key} has wrong length")
-            if any(not 0 <= i < rank for i in key):
-                raise DimensionMismatch(f"key {key} out of range")
-            if list(key) != sorted(key) or len(set(key)) != len(key):
-                raise DimensionMismatch(f"key {key} must be strictly increasing")
-            if not isinstance(value, Poly):
-                value = Poly.constant(value, coords)
-            if not value.is_zero():
-                clean[key] = value
-        self.coords = coords
-        self.rank = rank
-        self.degree = degree
-        self.comps = clean
+        self.coords, self.rank, self.degree = tuple(coords), rank, degree
+        self._fill(comps.items())
+
+    def _entry(self, key, value):
+        return (_index_tuple(key, self.rank, self.degree),
+                _poly_value(value, self.coords))
 
     @classmethod
     def zero(cls, coords, rank: int, degree: int) -> "FormCochain":
         return cls(coords, rank, degree, {})
 
     def component(self, indices: Sequence[int]) -> Poly:
-        key, sign = sort_with_sign(indices)
-        if sign == 0:
-            return Poly.zero(self.coords)
-        value = self.comps.get(key)
-        if value is None:
-            return Poly.zero(self.coords)
-        return value if sign == 1 else -value
+        value = self._lookup(indices)
+        return Poly.zero(self.coords) if value is None else value
 
     def evaluate(self, sections: Sequence[Section]) -> Poly:
         """Full multilinear evaluation on arbitrary sections."""
@@ -548,29 +464,17 @@ class FormCochain:
             raise DimensionMismatch(
                 f"degree {self.degree} form applied to {len(sections)} sections")
         total = Poly.zero(self.coords)
-        for key, value in self.comps.items():
+        for key, value in self.terms.items():
             for perm, sign in _permutations_with_sign(key):
                 coeff = Poly.constant(sign, self.coords)
                 for sec, idx in zip(sections, perm):
-                    coeff = coeff * sec.components[idx]
-                    if coeff.is_zero():
+                    factor = sec.terms.get(idx)
+                    if factor is None:
                         break
-                if not coeff.is_zero():
+                    coeff = coeff * factor
+                else:
                     total = total + coeff * value
         return total
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        if not isinstance(other, FormCochain):
-            return NotImplemented
-        return (self.coords, self.rank, self.degree, self.comps) == \
-            (other.coords, other.rank, other.degree, other.comps)
-
-    def __hash__(self):
-        return hash((self.coords, self.rank, self.degree,
-                     frozenset(self.comps.items())))
 
 
 def _permutations_with_sign(key: tuple[int, ...]):
@@ -600,11 +504,9 @@ def lie_form_d(alg: LieAlgebroid, form: FormCochain) -> FormCochain:
             i, j = key[pos_a], key[pos_b]
             rest = tuple(key[p] for p in range(k + 1)
                          if p not in (pos_a, pos_b))
-            bracket = alg.b[i][j]
             term = Poly.zero(alg.coords)
-            for m, comp in enumerate(bracket.components):
-                if not comp.is_zero():
-                    term = term + comp * form.component((m,) + rest)
+            for m, comp in alg.b[i][j].terms.items():
+                term = term + comp * form.component((m,) + rest)
             if not term.is_zero():
                 total = total - term if (pos_a + pos_b) % 2 == 1 else total + term
         if not total.is_zero():

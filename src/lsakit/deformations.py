@@ -37,8 +37,6 @@ from .report import Report
 
 FORMAL = object()
 
-Deformation2 = MultiDerivation
-
 
 def deformation_from_tables(coords, rank: int, values, symbols) \
         -> MultiDerivation:
@@ -135,9 +133,8 @@ def check_deformation(alg: LSAlgebroid, omega: MultiDerivation) -> Report:
                 - anchor_of_section(alg, omega.value((i,), j)) \
                 + anchor_of_section(alg, omega.value((j,), i))
             bracket = frame_commutator(alg, i, j)
-            for k, comp in enumerate(bracket.components):
-                if not comp.is_zero():
-                    total = total - omega.symbol((k,)).scale(comp)
+            for k, comp in bracket.terms.items():
+                total = total - omega.symbol((k,)).scale(comp)
             if not total.is_zero():
                 sym_witnesses.append(
                     f"(e_{i+1},e_{j+1}): first-order anchor defect = {total}")
@@ -348,9 +345,8 @@ def check_equivalence(alg: LSAlgebroid, omega: MultiDerivation,
     symbol_witnesses = []
     for i in range(alg.rank):
         total = VectorField.zero(alg.coords)
-        for k, comp in enumerate(images[i].components):
-            if not comp.is_zero():
-                total = total + omega_prime.symbol((k,)).scale(comp)
+        for k, comp in images[i].terms.items():
+            total = total + omega_prime.symbol((k,)).scale(comp)
         if not total.is_zero():
             symbol_witnesses.append(f"e_{i+1}: sigma'(N x) = {total}")
     report.add("image-symbol-vanishes",

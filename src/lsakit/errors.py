@@ -63,11 +63,8 @@ class NotPointCase(LsakitError):
 
 
 class InvalidDegree(LsakitError):
-    """A cochain degree is outside the valid range."""
-
-
-class DegreeError(LsakitError):
-    """A multiderivation degree is outside the valid range."""
+    """A form, cochain or multiderivation degree is outside the valid
+    range."""
 
 
 class ArityError(LsakitError):

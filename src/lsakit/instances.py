@@ -20,8 +20,8 @@ from pathlib import Path
 from .cohomology import MultiDerivation
 from .core import LieAlgebroid, LSAlgebroid, Representation, Section
 from .deformations import deformation_from_tables
-from .errors import ParseError, SchemaError
-from .polyring import Poly, PolyMatrix, VectorField, parse_poly
+from .errors import DegreeOverflow, ParseError, SchemaError
+from .polyring import IDENTIFIER_RE, Poly, PolyMatrix, VectorField, parse_poly
 
 
 @dataclass
@@ -47,7 +47,8 @@ class InstanceFile:
 
 
 def _expect(data, kind, path: str):
-    if not isinstance(data, kind):
+    # bool is a subclass of int, but true is not a rank
+    if not isinstance(data, kind) or kind is int and isinstance(data, bool):
         raise SchemaError(path, f"expected {kind.__name__}, "
                                 f"got {type(data).__name__}")
     return data
@@ -67,6 +68,22 @@ def _poly(text, coords, path: str) -> Poly:
     except ParseError as err:
         raise ParseError(f"{path}: {err.message}", err.position,
                          err.expected) from None
+    except DegreeOverflow as err:
+        raise DegreeOverflow(f"{path}: {err}") from None
+
+
+def _coordinates(entries, path: str) -> tuple[str, ...]:
+    _expect(entries, list, path)
+    coords: list[str] = []
+    for k, name in enumerate(entries):
+        _expect(name, str, path)
+        if not IDENTIFIER_RE.fullmatch(name):
+            raise SchemaError(f"{path}[{k}]",
+                              f"{name!r} is not an identifier")
+        if name in coords:
+            raise SchemaError(f"{path}[{k}]", f"duplicate coordinate {name!r}")
+        coords.append(name)
+    return tuple(coords)
 
 
 def _section(entries, coords, rank, path: str) -> Section:
@@ -142,9 +159,7 @@ def _action_block(block, path: str) -> ActionBlock:
                                    f"{path}.algebra.structure")
     algebra = LSAlgebroid((), g_rank, g_structure,
                           [VectorField.zero(()) for _ in range(g_rank)])
-    coords_entries = _expect(block.get("coordinates"), list,
-                             f"{path}.coordinates")
-    coords = tuple(_expect(c, str, f"{path}.coordinates") for c in coords_entries)
+    coords = _coordinates(block.get("coordinates"), f"{path}.coordinates")
     fields_entries = _expect_list(block.get("vector_fields"), g_rank,
                                   f"{path}.vector_fields")
     fields = [_vector_field(fields_entries[i], coords,
@@ -155,8 +170,7 @@ def _action_block(block, path: str) -> ActionBlock:
 
 def parse_instance_dict(data: dict, digest: str = "") -> InstanceFile:
     _expect(data, dict, "$")
-    coords_entries = _expect(data.get("coordinates"), list, "coordinates")
-    coords = tuple(_expect(c, str, "coordinates") for c in coords_entries)
+    coords = _coordinates(data.get("coordinates"), "coordinates")
     if "rank" not in data:
         raise SchemaError("rank", "missing")
     rank = _expect(data["rank"], int, "rank")
@@ -211,7 +225,7 @@ def parse_instance(path) -> InstanceFile:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise SchemaError("$", f"invalid JSON: {err}") from None
     return parse_instance_dict(data, digest)
 

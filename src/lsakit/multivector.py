@@ -19,35 +19,32 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import LSAlgebroid, Section, section_mult, sort_with_sign
+from .core import LSAlgebroid, Section
 from .errors import DimensionMismatch
-from .polyring import Poly
+from .polyring import (
+    Poly,
+    SparseModule,
+    _accumulate,
+    _index_tuple,
+    _poly_value,
+    sort_with_sign,
+)
 from .report import Report
 
 
-class Multivector:
+class Multivector(SparseModule):
     """Graded exterior element: map from increasing frame-index tuples
     to polynomial coefficients (the empty tuple holds the function part)."""
 
-    __slots__ = ("coords", "rank", "terms")
+    __slots__ = ("coords", "rank")
+    _SHAPE = ("coords", "rank")
 
     def __init__(self, coords, rank: int, terms: dict):
-        coords = tuple(coords)
-        clean = {}
-        for key, value in terms.items():
-            key = tuple(key)
-            if any(not 0 <= i < rank for i in key):
-                raise DimensionMismatch(f"index tuple {key} out of range")
-            if list(key) != sorted(set(key)):
-                raise DimensionMismatch(
-                    f"index tuple {key} must be strictly increasing")
-            if not isinstance(value, Poly):
-                value = Poly.constant(value, coords)
-            if not value.is_zero():
-                clean[key] = clean.get(key, Poly.zero(coords)) + value
-        self.coords = coords
-        self.rank = rank
-        self.terms = {k: v for k, v in clean.items() if not v.is_zero()}
+        self.coords, self.rank = tuple(coords), rank
+        self._fill(terms.items())
+
+    def _entry(self, key, value):
+        return _index_tuple(key, self.rank), _poly_value(value, self.coords)
 
     @classmethod
     def zero(cls, coords, rank: int) -> "Multivector":
@@ -59,23 +56,18 @@ class Multivector:
 
     @classmethod
     def from_section(cls, section: Section) -> "Multivector":
-        return cls(section.coords, section.rank,
-                   {(i,): comp for i, comp in enumerate(section.components)
-                    if not comp.is_zero()})
+        return cls._from((section.coords, section.rank),
+                         {(i,): comp for i, comp in section.terms.items()})
 
     @classmethod
     def basis_wedge(cls, coords, rank: int, indices: Sequence[int],
                     coeff=1) -> "Multivector":
-        coeff = coeff if isinstance(coeff, Poly) else Poly.constant(coeff, coords)
         return cls(coords, rank, {tuple(indices): coeff})
 
     # -- structure ----------------------------------------------------
 
     def grades(self) -> list[int]:
         return sorted({len(k) for k in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_homogeneous(self) -> bool:
         return len(self.grades()) <= 1
@@ -88,56 +80,8 @@ class Multivector:
         return grades[0] if grades else 0
 
     def homogeneous_component(self, k: int) -> "Multivector":
-        return Multivector(self.coords, self.rank,
-                           {key: v for key, v in self.terms.items()
-                            if len(key) == k})
-
-    def function_part(self) -> Poly:
-        return self.terms.get((), Poly.zero(self.coords))
-
-    def section_part(self) -> Section:
-        comps = [Poly.zero(self.coords) for _ in range(self.rank)]
-        for key, value in self.terms.items():
-            if len(key) == 1:
-                comps[key[0]] = value
-        return Section(self.coords, comps)
-
-    # -- linear operations ---------------------------------------------
-
-    def _check(self, other: "Multivector"):
-        if self.coords != other.coords or self.rank != other.rank:
-            raise DimensionMismatch("multivectors live on different bundles")
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        terms = dict(self.terms)
-        for key, value in other.terms.items():
-            acc = terms.get(key, Poly.zero(self.coords)) + value
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return Multivector(self.coords, self.rank, terms)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.coords, self.rank,
-                           {k: -v for k, v in self.terms.items()})
-
-    def scale(self, factor) -> "Multivector":
-        return Multivector(self.coords, self.rank,
-                           {k: v * factor for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return (self.coords, self.rank, self.terms) == \
-            (other.coords, other.rank, other.terms)
-
-    def __hash__(self):
-        return hash((self.coords, self.rank, frozenset(self.terms.items())))
+        return self._like({key: v for key, v in self.terms.items()
+                           if len(key) == k})
 
     def __str__(self):
         if not self.terms:
@@ -159,22 +103,22 @@ def wedge(x: Multivector, y: Multivector) -> Multivector:
     for kx, px in x.terms.items():
         for ky, py in y.terms.items():
             merged, sign = sort_with_sign(kx + ky)
-            if sign == 0:
-                continue
-            value = px * py * sign
-            acc = terms.get(merged, Poly.zero(x.coords)) + value
-            if acc.is_zero():
-                terms.pop(merged, None)
-            else:
-                terms[merged] = acc
-    return Multivector(x.coords, x.rank, terms)
+            if sign != 0:
+                _accumulate(terms, merged, px * py * sign)
+    return x._like(terms)
 
 
 def _term_product(alg: LSAlgebroid, key_x, poly_x: Poly, key_y, poly_y: Poly,
                   out: dict) -> None:
-    """Accumulate the extended product of two wedge monomials into ``out``."""
+    """Accumulate the extended product of two wedge monomials into ``out``.
+
+    Expanding both monomials slot by slot, the pair of factors (a, b)
+    contributes the section product of e_{key_x[a]} and e_{key_y[b]}
+    wedged with the remaining factors; the coefficients multiply through
+    except where the anchor of the left factor differentiates the
+    coefficient carried by the first right slot (b == 0).
+    """
     k, l = len(key_x), len(key_y)
-    coords = alg.coords
     if k == 0:
         return  # a function acting from the left gives zero
     if l == 0:
@@ -182,49 +126,26 @@ def _term_product(alg: LSAlgebroid, key_x, poly_x: Poly, key_y, poly_y: Poly,
         # slot carrying the coefficient factors out by left linearity
         for a in range(k):
             derived = alg.anchor[key_x[a]].apply(poly_y)
-            if derived.is_zero():
-                continue
-            sign = -1 if (k - (a + 1)) % 2 else 1
-            value = poly_x * derived * sign
-            rest = key_x[:a] + key_x[a + 1:]
-            acc = out.get(rest, Poly.zero(coords)) + value
-            if acc.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = acc
+            if not derived.is_zero():
+                sign = -1 if (k - (a + 1)) % 2 else 1
+                _accumulate(out, key_x[:a] + key_x[a + 1:],
+                            poly_x * derived * sign)
         return
+    both = poly_x * poly_y
     for a in range(k):
-        left = Section(coords,
-                       [poly_x if m == key_x[a] else Poly.zero(coords)
-                        for m in range(alg.rank)]) if a == 0 else \
-            Section.unit(coords, alg.rank, key_x[a])
+        i = key_x[a]
+        derived = alg.anchor[i].apply(poly_y)
         for b in range(l):
-            right = Section(coords,
-                            [poly_y if m == key_y[b] else Poly.zero(coords)
-                             for m in range(alg.rank)]) if b == 0 else \
-                Section.unit(coords, alg.rank, key_y[b])
-            product = section_mult(alg, left, right)
-            if product.is_zero():
-                continue
-            leftover = Poly.constant(1, coords)
-            if a != 0:
-                leftover = leftover * poly_x
-            if b != 0:
-                leftover = leftover * poly_y
+            j = key_y[b]
+            product = {m: both * comp for m, comp in alg.c[i][j].terms.items()}
+            if b == 0 and not derived.is_zero():
+                _accumulate(product, j, poly_x * derived)
             pair_sign = -1 if (a + b) % 2 else 1
             rest = key_x[:a] + key_x[a + 1:] + key_y[:b] + key_y[b + 1:]
-            for m, comp in enumerate(product.components):
-                if comp.is_zero():
-                    continue
+            for m, value in product.items():
                 merged, sign = sort_with_sign((m,) + rest)
-                if sign == 0:
-                    continue
-                value = leftover * comp * (pair_sign * sign)
-                acc = out.get(merged, Poly.zero(coords)) + value
-                if acc.is_zero():
-                    out.pop(merged, None)
-                else:
-                    out[merged] = acc
+                if sign != 0:
+                    _accumulate(out, merged, value * (pair_sign * sign))
 
 
 def graded_product(alg: LSAlgebroid, x: Multivector, y: Multivector) \
@@ -237,7 +158,7 @@ def graded_product(alg: LSAlgebroid, x: Multivector, y: Multivector) \
     for key_x, poly_x in x.terms.items():
         for key_y, poly_y in y.terms.items():
             _term_product(alg, key_x, poly_x, key_y, poly_y, out)
-    return Multivector(alg.coords, alg.rank, out)
+    return x._like(out)
 
 
 def graded_bracket(alg: LSAlgebroid, x: Multivector, y: Multivector) \

@@ -39,10 +39,6 @@ Rational = Fraction
 _DEGREE_LIMIT = 16
 
 
-def degree_limit() -> int:
-    return _DEGREE_LIMIT
-
-
 def set_degree_limit(limit: int) -> None:
     """Set the global cap on the total degree of polynomial products."""
     global _DEGREE_LIMIT
@@ -333,9 +329,12 @@ class Poly:
 # Parser
 # ---------------------------------------------------------------------------
 
+IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"(?P<ws>\s+)|(?P<int>\d+)|(?P<ident>{IDENTIFIER_RE.pattern})"
     r"|(?P<op>[-+*/^()])")
+# Deepest parenthesis nesting the recursive-descent parser accepts.
+MAX_NESTING = 64
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -356,6 +355,7 @@ class _Cursor:
         self.tokens = tokens
         self.idx = 0
         self.length = length
+        self.depth = 0
 
     def peek(self):
         if self.idx < len(self.tokens):
@@ -411,22 +411,30 @@ def _parse_factor(cursor: _Cursor, coords) -> Poly:
         kind, value, pos = cursor.advance()
         if kind != "int":
             raise ParseError("invalid exponent", pos, "a non-negative integer")
-        base = base ** int(value)
+        base = base ** _int(value, pos)
     return base
+
+
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's integer-string limit
+        raise ParseError("integer literal too long", pos) from None
 
 
 def _parse_rational(cursor: _Cursor, negative: bool) -> Fraction:
     kind, value, pos = cursor.advance()
     if kind != "int":
         raise ParseError("invalid number", pos, "an integer")
-    numerator = -int(value) if negative else int(value)
+    numerator = -_int(value, pos) if negative else _int(value, pos)
     kind, value, _ = cursor.peek()
     if kind == "op" and value == "/":
         cursor.advance()
         kind, value, pos = cursor.advance()
-        if kind != "int" or int(value) == 0:
+        denominator = _int(value, pos) if kind == "int" else 0
+        if denominator == 0:
             raise ParseError("invalid denominator", pos, "a positive integer")
-        return Fraction(numerator, int(value))
+        return Fraction(numerator, denominator)
     return Fraction(numerator)
 
 
@@ -444,7 +452,12 @@ def _parse_base(cursor: _Cursor, coords) -> Poly:
         return Poly.variable(value, coords)
     if kind == "op" and value == "(":
         cursor.advance()
+        if cursor.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                             pos)
+        cursor.depth += 1
         poly = _parse_expr(cursor, coords)
+        cursor.depth -= 1
         kind, value, pos = cursor.advance()
         if kind != "op" or value != ")":
             raise ParseError("unbalanced parenthesis", pos, "')'")
@@ -454,36 +467,195 @@ def _parse_base(cursor: _Cursor, coords) -> Poly:
 
 
 # ---------------------------------------------------------------------------
+# Sparse module elements
+# ---------------------------------------------------------------------------
+
+def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Sort an index tuple, returning the permutation parity (0 for a
+    repeated index)."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(1, len(idx)):
+        if idx[i - 1] == idx[i]:
+            return tuple(idx), 0
+    return tuple(idx), sign
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """Add ``value`` into ``out[key]``, dropping the entry if it cancels."""
+    acc = out.get(key)
+    if acc is not None:
+        value = acc + value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
+
+
+def _add_scaled(out: dict, element: "SparseModule", factor=1) -> None:
+    """Accumulate ``factor`` times a polynomial-valued element into
+    ``out``."""
+    for key, value in element.terms.items():
+        _accumulate(out, key, value if factor == 1 else value * factor)
+
+
+def _index_tuple(key, rank: int, length: int | None = None) -> tuple:
+    """Validate a strictly increasing tuple of frame indices."""
+    key = tuple(key)
+    if length is not None and len(key) != length:
+        raise DimensionMismatch(f"index tuple {key} has wrong length")
+    if any(not 0 <= i < rank for i in key):
+        raise DimensionMismatch(f"index tuple {key} out of range")
+    if any(a >= b for a, b in zip(key, key[1:])):
+        raise DimensionMismatch(
+            f"index tuple {key} must be strictly increasing")
+    return key
+
+
+def _poly_value(value, coords: tuple) -> Poly:
+    if not isinstance(value, Poly):
+        return Poly.constant(value, coords)
+    if value.coords != coords:
+        raise DimensionMismatch(
+            f"component over {value.coords}, expected {coords}")
+    return value
+
+
+class SparseModule:
+    """Immutable sparse map from keys to nonzero values, over a shape.
+
+    Every section-like object is a module over the polynomial ring of the
+    base: ``terms`` maps keys to polynomials or to other module elements,
+    and zero values are never stored.  A subclass names its shape
+    attributes in ``_SHAPE`` (``coords`` first) and validates one entry
+    in ``_entry``; the linear structure, equality, hashing and the
+    alternating lookup are defined here once.
+    """
+
+    __slots__ = ("terms", "_hash")
+    _SHAPE: tuple[str, ...] = ("coords",)
+
+    def _entry(self, key, value):
+        return key, _poly_value(value, self.coords)
+
+    def _fill(self, items) -> None:
+        terms = {}
+        for key, value in items:
+            key, value = self._entry(key, value)
+            if not value.is_zero():
+                terms[key] = value
+        self.terms = terms
+        self._hash = None
+
+    @classmethod
+    def _from(cls, shape: tuple, terms: dict):
+        """Trusted constructor: ``terms`` is already clean for ``shape``."""
+        new = object.__new__(cls)
+        for name, value in zip(cls._SHAPE, shape):
+            setattr(new, name, value)
+        new.terms = terms
+        new._hash = None
+        return new
+
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SHAPE)
+
+    def _like(self, terms: dict):
+        return self._from(self._shape(), terms)
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise DimensionMismatch(f"{type(self).__name__} shape mismatch")
+
+    def _lookup(self, indices: Sequence[int], *last):
+        """Stored value at an unsorted leading index tuple (plus an
+        optional trailing key part), with the permutation sign folded
+        in; None where the alternating value vanishes."""
+        key, sign = sort_with_sign(indices)
+        if sign == 0:
+            return None
+        value = self.terms.get((key, *last) if last else key)
+        if value is None or sign == 1:
+            return value
+        return -value
+
+    def _dense(self, length: int) -> tuple:
+        zero = Poly.zero(self.coords)
+        return tuple(self.terms.get(k, zero) for k in range(length))
+
+    def _combine(self, other, negate: bool):
+        self._check(other)
+        terms = dict(self.terms)
+        for key, value in other.terms.items():
+            _accumulate(terms, key, -value if negate else value)
+        return self._like(terms)
+
+    def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scale(self, factor):
+        """Multiply every value by a polynomial or rational factor."""
+        terms = {}
+        for key, value in self.terms.items():
+            value = value.scale(factor) if isinstance(value, SparseModule) \
+                else value * factor
+            if not value.is_zero():
+                terms[key] = value
+        return self._like(terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self._shape(),
+                               frozenset(self.terms.items())))
+        return self._hash
+
+
+# ---------------------------------------------------------------------------
 # Vector fields
 # ---------------------------------------------------------------------------
 
-class VectorField:
-    """Polynomial vector field: one coefficient per coordinate direction."""
+class VectorField(SparseModule):
+    """Polynomial vector field: one coefficient per coordinate direction,
+    stored sparsely by coordinate index."""
 
-    __slots__ = ("coords", "components")
+    __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence[str], components: Sequence[Poly]):
-        coords = tuple(coords)
+        self.coords = tuple(coords)
         components = tuple(components)
-        if len(components) != len(coords):
+        if len(components) != len(self.coords):
             raise DimensionMismatch(
-                f"{len(components)} components for {len(coords)} coordinates")
-        for comp in components:
-            if comp.coords != coords:
-                raise DimensionMismatch(
-                    f"component over {comp.coords}, expected {coords}")
-        self.coords = coords
-        self.components = components
+                f"{len(components)} components for {len(self.coords)} "
+                f"coordinates")
+        self._fill(enumerate(components))
 
     @classmethod
     def zero(cls, coords: Sequence[str]) -> "VectorField":
-        coords = tuple(coords)
-        return cls(coords, tuple(Poly.zero(coords) for _ in coords))
+        return cls._from((tuple(coords),), {})
 
-    def _check(self, other: "VectorField"):
-        if self.coords != other.coords:
-            raise DimensionMismatch(
-                f"coordinate mismatch: {self.coords} vs {other.coords}")
+    @property
+    def components(self) -> tuple[Poly, ...]:
+        return self._dense(len(self.coords))
 
     def apply(self, f: Poly) -> Poly:
         """Act on a function as a derivation."""
@@ -491,69 +663,43 @@ class VectorField:
             raise DimensionMismatch(
                 f"function over {f.coords}, field over {self.coords}")
         result = Poly.zero(self.coords)
-        for mu, comp in enumerate(self.components):
-            if not comp.is_zero():
-                result = result + comp * f.partial(mu)
+        for mu, comp in self.terms.items():
+            derived = f.partial(mu)
+            if not derived.is_zero():
+                result = result + comp * derived
         return result
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Commutator of derivations."""
         self._check(other)
-        comps = tuple(self.apply(y) - other.apply(x)
-                      for x, y in zip(self.components, other.components))
-        return VectorField(self.coords, comps)
-
-    def __add__(self, other):
-        self._check(other)
-        return VectorField(self.coords,
-                           tuple(a + b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return VectorField(self.coords,
-                           tuple(a - b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __neg__(self):
-        return VectorField(self.coords, tuple(-a for a in self.components))
-
-    def scale(self, factor) -> "VectorField":
-        return VectorField(self.coords,
-                           tuple(comp * factor for comp in self.components))
-
-    def is_zero(self) -> bool:
-        return all(comp.is_zero() for comp in self.components)
+        out: dict = {}
+        for mu, y in other.terms.items():
+            _accumulate(out, mu, self.apply(y))
+        for mu, x in self.terms.items():
+            _accumulate(out, mu, -other.apply(x))
+        return self._like(out)
 
     def extend(self, new_coords: Sequence[str]) -> "VectorField":
         """Lift to a larger coordinate tuple with zero new components."""
         new_coords = tuple(new_coords)
-        comps = [Poly.zero(new_coords) for _ in new_coords]
-        for name, comp in zip(self.coords, self.components):
-            comps[new_coords.index(name)] = comp.extend(new_coords)
-        return VectorField(new_coords, comps)
+        return self._from((new_coords,), {
+            new_coords.index(self.coords[mu]): comp.extend(new_coords)
+            for mu, comp in self.terms.items()})
 
     def substitute(self, name: str, value) -> "VectorField":
         idx = self.coords.index(name)
         rest = self.coords[:idx] + self.coords[idx + 1:]
-        comps = [comp.substitute(name, value)
-                 for i, comp in enumerate(self.components) if i != idx]
-        return VectorField(rest, comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.coords == other.coords and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.coords, self.components))
+        terms = {}
+        for mu, comp in self.terms.items():
+            if mu != idx:
+                comp = comp.substitute(name, value)
+                if not comp.is_zero():
+                    terms[mu - (mu > idx)] = comp
+        return self._from((rest,), terms)
 
     def __str__(self):
-        parts = []
-        for name, comp in zip(self.coords, self.components):
-            if comp.is_zero():
-                continue
-            parts.append(f"({comp})*d/d{name}")
+        parts = [f"({self.terms[mu]})*d/d{self.coords[mu]}"
+                 for mu in sorted(self.terms)]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):

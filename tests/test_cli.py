@@ -293,3 +293,88 @@ def test_timestamp_present_by_default(capsys):
     assert main(["check", str(corpus_path("flat")), "--no-timestamp"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "timestamp" not in payload
+
+
+# ---------------------------------------------------------------------------
+# ill-posed and oversized input
+# ---------------------------------------------------------------------------
+
+ACTION = {
+    "algebra": {"rank": 1, "structure": [[["0"]]]},
+    "coordinates": ["u"],
+    "vector_fields": [["u"]],
+}
+
+
+def with_block(path: str, value) -> dict:
+    """FLAT with the dotted ``path`` set to ``value``."""
+    data = json.loads(json.dumps(dict(FLAT, action=ACTION,
+                                      representation={"rank": 1,
+                                                      "rho": [[["0"]]] * 2})))
+    *heads, last = path.split(".")
+    block = data
+    for head in heads:
+        block = block[head]
+    block[last] = value
+    return data
+
+
+@pytest.mark.parametrize("path, names, where", [
+    ("coordinates", ["x", "x"], "coordinates[1]"),
+    ("coordinates", ["x", "1y"], "coordinates[1]"),
+    ("action.coordinates", ["u", "u"], "action.coordinates[1]"),
+    ("action.coordinates", ["u v"], "action.coordinates[0]"),
+])
+def test_main_rejects_ill_posed_coordinates(tmp_path, capsys, path, names,
+                                            where):
+    data = with_block(path, names)
+    if path == "coordinates":
+        data["anchor"] = [["1", "0"], ["0", "1"]]
+    with pytest.raises(SchemaError) as err:
+        parse_instance_dict(data)
+    assert err.value.path == where
+    assert main(["check", str(write_instance(tmp_path, data))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
+@pytest.mark.parametrize("path", ["rank", "representation.rank",
+                                  "action.algebra.rank"])
+def test_main_rejects_bool_ranks(tmp_path, capsys, path):
+    data = with_block(path, True)
+    with pytest.raises(SchemaError) as err:
+        parse_instance_dict(data)
+    assert err.value.path == path
+    assert main(["check", str(write_instance(tmp_path, data))]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: expected int, got bool\n"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("x^40", "power degree 40 exceeds limit 16"),
+    ("(" * 3000 + "x" + ")" * 3000, "parentheses nested deeper than 64"),
+    ("x^" + "9" * 5000, "integer literal too long"),
+])
+def test_main_load_failures_exit_2(tmp_path, capsys, entry, message):
+    data = dict(FLAT, structure=[[[entry, "0"], ["0", "0"]],
+                                 [["0", "0"], ["0", "0"]]])
+    assert main(["check", str(write_instance(tmp_path, data))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: structure[0][0][0]: {message}")
+    assert "Traceback" not in err
+
+
+def test_main_deeply_nested_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: invalid JSON")
+
+
+def test_main_missing_deformation_exit_2(capsys):
+    flat = str(corpus_path("flat"))
+    for argv in (["cohomology", "--cocycle"], ["cohomology", "--coboundary",
+                                               "N"],
+                 ["deform", "--deformation"], ["deform", "--equivalence",
+                                               "N"]):
+        assert main([*argv, flat]) == 2
+        assert capsys.readouterr().err == "error: deformation: missing\n"

@@ -333,3 +333,12 @@ def test_extend_and_substitute():
     assert r.substitute("t", 0) == p
     assert r.substitute("t", 1) == p * 2
     assert r.substitute("t", Fraction(1, 2)) == p * Fraction(3, 2)
+
+
+def test_parser_nesting_limit():
+    from lsakit.polyring import MAX_NESTING
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(deep, ("x",)) == parse_poly("x", ("x",))
+    with pytest.raises(ParseError) as err:
+        parse_poly("(" + deep + ")", ("x",))
+    assert err.value.position == MAX_NESTING
