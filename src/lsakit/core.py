@@ -163,10 +163,12 @@ class LSAlgebroid(FrameAlgebroid):
     left-symmetric algebra over the rationals.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_products")
 
     def __init__(self, coords, rank: int, c, anchor):
         self.c = self._tables(coords, rank, c, anchor, "product")
+        # graded_product's memo of products of unit wedge monomials
+        self._products: dict = {}
 
 
 class LieAlgebroid(FrameAlgebroid):

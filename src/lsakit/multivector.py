@@ -16,7 +16,7 @@ structure; the shifted grading sigma = grade - 1 governs all signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from .core import LSAlgebroid, Section
@@ -25,6 +25,7 @@ from .polyring import (
     Poly,
     SparseModule,
     _accumulate,
+    _check_degree,
     _index_tuple,
     _poly_value,
     sort_with_sign,
@@ -108,57 +109,76 @@ def wedge(x: Multivector, y: Multivector) -> Multivector:
     return x._like(terms)
 
 
-def _term_product(alg: LSAlgebroid, key_x, poly_x: Poly, key_y, poly_y: Poly,
-                  out: dict) -> None:
-    """Accumulate the extended product of two wedge monomials into ``out``.
-
-    Expanding both monomials slot by slot, the pair of factors (a, b)
+def _term_product(alg: LSAlgebroid, key_x, exp_x, key_y, exp_y) \
+        -> tuple[int, tuple]:
+    """Extended product of the wedge monomials x^exp_x e_{key_x} and
+    x^exp_y e_{key_y}.  Slot by slot, the pair of factors (a, b)
     contributes the section product of e_{key_x[a]} and e_{key_y[b]}
     wedged with the remaining factors; the coefficients multiply through
     except where the anchor of the left factor differentiates the
-    coefficient carried by the first right slot (b == 0).
+    coefficient carried by the first right slot (b == 0).  Returns the
+    highest degree a polynomial product reaches (the degree limit must
+    admit it) and (wedge key, exponents, coefficient) triples.
     """
     k, l = len(key_x), len(key_y)
     if k == 0:
-        return  # a function acting from the left gives zero
-    if l == 0:
-        # sections differentiate the function through the anchor; the
-        # slot carrying the coefficient factors out by left linearity
-        for a in range(k):
-            derived = alg.anchor[key_x[a]].apply(poly_y)
-            if not derived.is_zero():
-                sign = -1 if (k - (a + 1)) % 2 else 1
-                _accumulate(out, key_x[:a] + key_x[a + 1:],
-                            poly_x * derived * sign)
-        return
-    both = poly_x * poly_y
+        return -1, ()  # a function acting from the left gives zero
+    poly_x, poly_y = Poly(alg.coords, {exp_x: 1}), Poly(alg.coords, {exp_y: 1})
+    both, dy, out = poly_x * poly_y if l else None, sum(exp_y), {}
+    degrees = [poly_x.total_degree + dy if l else -1]
     for a in range(k):
         i = key_x[a]
+        # the anchor multiplies each component into a partial of poly_y
+        degrees += [comp.total_degree + dy - 1
+                    for mu, comp in alg.anchor[i].terms.items() if exp_y[mu]]
         derived = alg.anchor[i].apply(poly_y)
+        if not derived.is_zero():
+            derived = poly_x * derived
+            degrees.append(derived.total_degree)
+            if l == 0:
+                # sections differentiate the function through the anchor;
+                # the coefficient slot factors out by left linearity
+                sign = -1 if (k - (a + 1)) % 2 else 1
+                _accumulate(out, key_x[:a] + key_x[a + 1:], derived * sign)
         for b in range(l):
             j = key_y[b]
-            product = {m: both * comp for m, comp in alg.c[i][j].terms.items()}
+            terms = {m: both * comp for m, comp in alg.c[i][j].terms.items()}
+            degrees += [value.total_degree for value in terms.values()]
             if b == 0 and not derived.is_zero():
-                _accumulate(product, j, poly_x * derived)
+                _accumulate(terms, j, derived)
             pair_sign = -1 if (a + b) % 2 else 1
             rest = key_x[:a] + key_x[a + 1:] + key_y[:b] + key_y[b + 1:]
-            for m, value in product.items():
+            for m, value in terms.items():
                 merged, sign = sort_with_sign((m,) + rest)
                 if sign != 0:
                     _accumulate(out, merged, value * (pair_sign * sign))
+    return max(degrees), tuple((key, exps, coeff) for key, value in out.items()
+                               for exps, coeff in value.terms.items())
 
 
 def graded_product(alg: LSAlgebroid, x: Multivector, y: Multivector) \
         -> Multivector:
-    """Extended multiplication; drops total grade by one."""
+    """Extended multiplication; drops total grade by one.  Bilinear over Q,
+    so each pair of coefficient terms scales the algebroid's memoized
+    product of unit wedge monomials, under the current degree limit."""
     x._check(y)
     if x.coords != alg.coords or x.rank != alg.rank:
         raise DimensionMismatch("multivectors do not live on this bundle")
-    out: dict = {}
-    for key_x, poly_x in x.terms.items():
-        for key_y, poly_y in y.terms.items():
-            _term_product(alg, key_x, poly_x, key_y, poly_y, out)
-    return x._like(out)
+    memo, sums = alg._products, {}
+    for (key_x, poly_x), (key_y, poly_y) in product(x.terms.items(),
+                                                    y.terms.items()):
+        for (exp_x, coeff_x), (exp_y, coeff_y) in product(
+                poly_x.terms.items(), poly_y.terms.items()):
+            pair = (key_x, exp_x, key_y, exp_y)
+            top, terms = memo.get(pair) or \
+                memo.setdefault(pair, _term_product(alg, *pair))
+            _check_degree(top)
+            scale = coeff_x * coeff_y
+            for key, exps, coeff in terms:
+                acc = sums.setdefault(key, {})
+                acc[exps] = acc.get(exps, 0) + coeff * scale
+    out = {key: Poly(alg.coords, acc) for key, acc in sums.items()}
+    return x._like({key: v for key, v in out.items() if not v.is_zero()})
 
 
 def graded_bracket(alg: LSAlgebroid, x: Multivector, y: Multivector) \

@@ -19,6 +19,7 @@ between threads.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -45,6 +46,13 @@ def set_degree_limit(limit: int) -> None:
     if limit < 1:
         raise ValueError("degree limit must be a positive integer")
     _DEGREE_LIMIT = limit
+
+
+def _check_degree(degree: int, what: str = "product") -> None:
+    """Raise DegreeOverflow when ``degree`` exceeds the current limit."""
+    if degree > _DEGREE_LIMIT:
+        raise DegreeOverflow(
+            f"{what} degree {degree} exceeds limit {_DEGREE_LIMIT}")
 
 
 def as_rational(value) -> Fraction:
@@ -189,10 +197,7 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.coords)
-        if self._degree + other._degree > _DEGREE_LIMIT:
-            raise DegreeOverflow(
-                f"product degree {self._degree + other._degree} exceeds "
-                f"limit {_DEGREE_LIMIT}")
+        _check_degree(self._degree + other._degree)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -209,13 +214,12 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if exponent > 0 and self._degree * exponent > _DEGREE_LIMIT:
-            raise DegreeOverflow(
-                f"power degree {self._degree * exponent} exceeds "
-                f"limit {_DEGREE_LIMIT}")
+        _check_degree(self._degree * exponent, "power")
         result = Poly.constant(1, self.coords)
-        for _ in range(exponent):
-            result = result * self
+        for bit in bin(exponent)[2:]:  # square and multiply
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- calculus -----------------------------------------------------
@@ -411,8 +415,23 @@ def _parse_factor(cursor: _Cursor, coords) -> Poly:
         kind, value, pos = cursor.advance()
         if kind != "int":
             raise ParseError("invalid exponent", pos, "a non-negative integer")
-        base = base ** _int(value, pos)
+        exponent, limit = _int(value, pos), sys.get_int_max_str_digits()
+        # coefficients obey the integer-string limit, as literals do; a
+        # constant's power has at least exponent * (bits - 1) bits, and
+        # 2 ** (4 * limit) > 10 ** limit: refuse it before computing it
+        if limit and base.is_constant() \
+                and exponent * (_size(base).bit_length() - 1) > 4 * limit:
+            raise ParseError("power coefficient too long", pos)
+        base = base ** exponent
+        if limit and _size(base) >= 10 ** limit:
+            raise ParseError("power coefficient too long", pos)
     return base
+
+
+def _size(poly: Poly) -> int:
+    """Largest numerator or denominator among the coefficients."""
+    return max((max(abs(c.numerator), c.denominator)
+                for c in poly.terms.values()), default=0)
 
 
 def _int(digits: str, pos: int) -> int:
@@ -538,7 +557,7 @@ class SparseModule:
     alternating lookup are defined here once.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_shape")
     _SHAPE: tuple[str, ...] = ("coords",)
 
     def _entry(self, key, value):
@@ -552,6 +571,7 @@ class SparseModule:
                 terms[key] = value
         self.terms = terms
         self._hash = None
+        self._shape = tuple(getattr(self, name) for name in self._SHAPE)
 
     @classmethod
     def _from(cls, shape: tuple, terms: dict):
@@ -561,16 +581,14 @@ class SparseModule:
             setattr(new, name, value)
         new.terms = terms
         new._hash = None
+        new._shape = shape
         return new
 
-    def _shape(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._SHAPE)
-
     def _like(self, terms: dict):
-        return self._from(self._shape(), terms)
+        return self._from(self._shape, terms)
 
     def _check(self, other) -> None:
-        if type(other) is not type(self) or other._shape() != self._shape():
+        if type(other) is not type(self) or other._shape != self._shape:
             raise DimensionMismatch(f"{type(self).__name__} shape mismatch")
 
     def _lookup(self, indices: Sequence[int], *last):
@@ -621,11 +639,11 @@ class SparseModule:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._shape() == other._shape() and self.terms == other.terms
+        return self._shape == other._shape and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((type(self).__name__, self._shape(),
+            self._hash = hash((type(self).__name__, self._shape,
                                frozenset(self.terms.items())))
         return self._hash
 

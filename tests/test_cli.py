@@ -353,6 +353,8 @@ def test_main_rejects_bool_ranks(tmp_path, capsys, path):
     ("x^40", "power degree 40 exceeds limit 16"),
     ("(" * 3000 + "x" + ")" * 3000, "parentheses nested deeper than 64"),
     ("x^" + "9" * 5000, "integer literal too long"),
+    ("2^20000", "power coefficient too long"),
+    ("2^100000", "power coefficient too long"),
 ])
 def test_main_load_failures_exit_2(tmp_path, capsys, entry, message):
     data = dict(FLAT, structure=[[[entry, "0"], ["0", "0"]],

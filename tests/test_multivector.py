@@ -1,7 +1,10 @@
 """Tests for the exterior-algebra extension of the multiplication."""
 
 import random
+import sys
+import threading
 
+import pytest
 from helpers import (
     action_instance,
     flat_instance,
@@ -21,7 +24,8 @@ from lsakit.multivector import (
     sample_generators,
     wedge,
 )
-from lsakit.polyring import Poly, parse_poly
+from lsakit.errors import DegreeOverflow
+from lsakit.polyring import Poly, parse_poly, set_degree_limit
 
 
 def mv_section(alg, i):
@@ -180,6 +184,105 @@ def test_product_matches_rule_based_oracle():
             x = gens[rng.randrange(len(gens))]
             y = gens[rng.randrange(len(gens))]
             assert graded_product(alg, x, y) == rule_based_product(alg, x, y)
+
+
+def mv_terms(alg, entries: dict) -> Multivector:
+    return Multivector(alg.coords, alg.rank,
+                       {key: parse_poly(text, alg.coords)
+                        for key, text in entries.items()})
+
+
+# (builder, [(x, y, expected product or None)]) with multi-term rational
+# coefficients; the expected products are ones whose terms cancel
+RATIONAL_PAIRS = [
+    (flat_instance, [
+        ({(): "3/2*x - y", (0,): "2/3*x*y - 1/5", (0, 1): "x + 7/3"},
+         {(0,): "1/4*y^2 + x", (1,): "-5/6*x + 1/2", (0, 1): "y - 3"},
+         None),
+        # e_1 and e_2 differentiate the function to opposite values
+        ({(0,): "1/2*x + 1/2*y + 1/3", (1,): "1/2*x + 1/2*y + 1/3"},
+         {(): "1/3*x^2 - 2/3*x*y + 1/3*y^2 + 5/7"},
+         {}),
+    ]),
+    (ladder_instance, [
+        ({(0,): "2/3*x - 1/2", (1,): "x^2 - 1/7"},
+         {(): "5/2*x^2 - x", (0,): "1/3*x + 4", (1,): "1/9 - x"},
+         None),
+        # d/dx g + g for g = x^2/2 - x + 1 leaves only x^2/2
+        ({(0,): "2/3*x - 1/2"}, {(1,): "1/2*x^2 - x + 1"},
+         {(1,): "1/3*x^3 - 1/4*x^2"}),
+    ]),
+    (action_instance, [
+        ({(): "x - 1/2", (0,): "1/2*x - 1/3"},
+         {(): "3*x^2 - 2/5", (0,): "3*x + 2"},
+         None),
+    ]),
+]
+
+
+@pytest.mark.parametrize("build, pairs", RATIONAL_PAIRS,
+                         ids=[build.__name__ for build, _ in RATIONAL_PAIRS])
+def test_product_matches_oracle_on_rational_coefficients(build, pairs):
+    cases = []
+    for x, y, expected in pairs:
+        alg = build()
+        x, y = mv_terms(alg, x), mv_terms(alg, y)
+        cases += [(x, y, expected), (y, x, None)]
+    for x, y, expected in cases:
+        alg = build()  # a cold memo for every product
+        oracle = rule_based_product(alg, x, y)
+        assert graded_product(alg, x, y) == oracle
+        if expected is not None:
+            assert oracle == mv_terms(alg, expected)
+    # one shared memo, warmed by the products and brackets in reverse
+    # order before the products are taken again
+    alg = build()
+    for x, y, _ in reversed(cases):
+        graded_bracket(alg, y, x)
+        graded_product(alg, y, x)
+    for x, y, _ in cases:
+        assert graded_product(alg, x, y) == rule_based_product(alg, x, y)
+
+
+def test_reused_product_respects_lowered_degree_limit():
+    alg = flat_instance()
+    x = mv_terms(alg, {(0,): "x^3*y"})
+    y = mv_terms(alg, {(1,): "x*y^2 + 1/2"})
+    warm = graded_product(alg, x, y)  # multiplies x^3*y by x*y^2: degree 7
+    try:
+        set_degree_limit(6)
+        with pytest.raises(DegreeOverflow):
+            graded_product(alg, x, y)
+        with pytest.raises(DegreeOverflow):
+            graded_product(flat_instance(), x, y)
+        set_degree_limit(7)
+        assert graded_product(alg, x, y) == warm
+    finally:
+        set_degree_limit(16)
+
+
+def test_graded_check_shared_across_threads():
+    spec = GradedSampleSpec(max_grade=2, max_coeff_degree=1)
+    serial = check_graded_properties(flat_instance(), spec).to_dict()
+    shared = flat_instance()
+    results = [None] * 4
+
+    def run(slot):
+        results[slot] = check_graded_properties(shared, spec).to_dict()
+
+    threads = [threading.Thread(target=run, args=(slot,))
+               for slot in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * len(results)
 
 
 def test_product_coefficient_slot_invariance():

@@ -1,5 +1,6 @@
 """Tests for the exact-arithmetic kernel."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,26 @@ def test_degree_guard():
         assert (p ** 3).total_degree == 24
     finally:
         set_degree_limit(16)
+
+
+def test_power_equals_repeated_multiplication():
+    base = parse_poly("x + 1", X)
+    expected = Poly.constant(1, X)
+    for k in range(12):
+        assert base ** k == expected
+        expected = expected * base
+
+
+def test_parser_power_coefficient_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter sets no integer-string limit")
+    assert parse_poly(f"10^{limit - 1}", X) == \
+        Poly.constant(10 ** (limit - 1), X)
+    for text in (f"10^{limit}", f"(1/10)^{limit}", f"(x + 10^{limit // 2})^3",
+                 "7^" + "9" * 1000):
+        with pytest.raises(ParseError, match="power coefficient too long"):
+            parse_poly(text, X)
 
 
 def test_extend_and_substitute():
