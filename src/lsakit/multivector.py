@@ -185,14 +185,20 @@ def graded_bracket(alg: LSAlgebroid, x: Multivector, y: Multivector) \
         -> Multivector:
     """Graded commutator of the extended multiplication (the Schouten
     bracket of the sub-adjacent structure)."""
+    return _bracket(alg, x, y, lambda a, b: graded_product(alg, a, b))
+
+
+def _bracket(alg: LSAlgebroid, x: Multivector, y: Multivector, mult) \
+        -> Multivector:
+    """Graded commutator of ``mult`` over the homogeneous components."""
     x._check(y)
     total = Multivector.zero(alg.coords, alg.rank)
     for k in x.grades():
         xk = x.homogeneous_component(k)
         for l in y.grades():
             yl = y.homogeneous_component(l)
-            first = graded_product(alg, xk, yl)
-            second = graded_product(alg, yl, xk)
+            first = mult(xk, yl)
+            second = mult(yl, xk)
             sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
             total = total + first - second.scale(sign)
     return total
@@ -286,11 +292,25 @@ def check_graded_properties(alg: LSAlgebroid,
     spec = spec or GradedSampleSpec()
     gens = sample_generators(alg, spec)
     report = Report("graded structure")
+    # products and brackets are pure functions of their (hashable, value
+    # keyed) arguments, so each distinct one is computed once per call
+    products: dict = {}
+    brackets: dict = {}
 
+    def mult(x: Multivector, y: Multivector) -> Multivector:
+        if (x, y) not in products:
+            products[(x, y)] = graded_product(alg, x, y)
+        return products[(x, y)]
+
+    def bracket(x: Multivector, y: Multivector) -> Multivector:
+        if (x, y) not in brackets:
+            brackets[(x, y)] = _bracket(alg, x, y, mult)
+        return brackets[(x, y)]
+
+    prod = [[mult(a, b) for b in gens] for a in gens]
     witnesses = []
-    for x in gens:
-        for y in gens:
-            product = graded_product(alg, x, y)
+    for x, row in zip(gens, prod):
+        for y, product in zip(gens, row):
             expected = x.grade() + y.grade() - 1
             if any(len(key) != expected for key in product.terms):
                 witnesses.append(f"|{x} . {y}| != {expected}")
@@ -302,8 +322,7 @@ def check_graded_properties(alg: LSAlgebroid,
         for j in range(alg.rank):
             x = Multivector.from_section(alg.frame(i))
             y = Multivector.from_section(alg.frame(j))
-            if graded_product(alg, x, y) != \
-                    Multivector.from_section(alg.c[i][j]):
+            if mult(x, y) != Multivector.from_section(alg.c[i][j]):
                 sec_witnesses.append(f"(e_{i+1},e_{j+1})")
     report.add("degree-one-reduction",
                "extended product restricts to the section product",
@@ -311,20 +330,16 @@ def check_graded_properties(alg: LSAlgebroid,
 
     count = len(gens)
     sigma = [g.grade() - 1 for g in gens]
-    prod = [[graded_product(alg, a, b) for b in gens] for a in gens]
-    brk = [[graded_bracket(alg, a, b) for b in gens] for a in gens]
+    brk = [[bracket(a, b) for b in gens] for a in gens]
+    assoc: dict = {}  # (i, j, k) -> associator of gens i, j, k
 
-    def assoc(i: int, j: int, k: int) -> Multivector:
-        return graded_product(alg, prod[i][j], gens[k]) \
-            - graded_product(alg, gens[i], prod[j][k])
-
-    def defect(i: int, j: int, k: int, cache: dict) -> Multivector:
-        if (i, j, k) not in cache:
-            cache[(i, j, k)] = assoc(i, j, k)
-        if (j, i, k) not in cache:
-            cache[(j, i, k)] = assoc(j, i, k)
+    def defect(i: int, j: int, k: int) -> Multivector:
+        for a, b, c in ((i, j, k), (j, i, k)):
+            if (a, b, c) not in assoc:
+                assoc[(a, b, c)] = mult(prod[a][b], gens[c]) \
+                    - mult(gens[a], prod[b][c])
         sign = -1 if (sigma[i] * sigma[j]) % 2 else 1
-        return cache[(i, j, k)] - cache[(j, i, k)].scale(sign)
+        return assoc[(i, j, k)] - assoc[(j, i, k)].scale(sign)
 
     ci_witnesses = []
     leib_witnesses = []
@@ -337,10 +352,9 @@ def check_graded_properties(alg: LSAlgebroid,
             bracket_xy = brk[i][j]
             for k in range(count):
                 z = gens[k]
-                cache: dict = {}
-                d_xyz = defect(i, j, k, cache)
-                d_yzx = defect(j, k, i, cache)
-                d_zxy = defect(k, i, j, cache)
+                d_xyz = defect(i, j, k)
+                d_yzx = defect(j, k, i)
+                d_zxy = defect(k, i, j)
                 s1 = -1 if (sx * sigma[k]) % 2 else 1
                 s2 = -1 if (sy * sx) % 2 else 1
                 s3 = -1 if (sigma[k] * sy) % 2 else 1
@@ -348,21 +362,21 @@ def check_graded_properties(alg: LSAlgebroid,
                 if not ci.is_zero():
                     ci_witnesses.append(f"CI({x}, {y}, {z}) = {ci}")
 
-                lhs = graded_bracket(alg, x, wedge(y, z))
+                lhs = bracket(x, wedge(y, z))
                 sign = -1 if (sx * y.grade()) % 2 else 1
                 rhs = wedge(bracket_xy, z) + wedge(y, brk[i][k]).scale(sign)
                 if lhs != rhs:
                     leib_witnesses.append(f"[{x}, {y}^{z}]")
 
                 jac_sign = -1 if (sx * sy) % 2 else 1
-                jac_lhs = graded_bracket(alg, x, brk[j][k])
-                jac_rhs = graded_bracket(alg, bracket_xy, z) \
-                    + graded_bracket(alg, y, brk[i][k]).scale(jac_sign)
+                jac_lhs = bracket(x, brk[j][k])
+                jac_rhs = bracket(bracket_xy, z) \
+                    + bracket(y, brk[i][k]).scale(jac_sign)
                 if jac_lhs != jac_rhs:
                     jac_witnesses.append(f"[{x}, [{y}, {z}]]")
 
                 swap_sign = -1 if (sx * sy) % 2 else 1
-                d_yxz = defect(j, i, k, cache)
+                d_yxz = defect(j, i, k)
                 if d_xyz != d_yxz.scale(-swap_sign):
                     anti_witnesses.append(f"({x}, {y}, {z})")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import sys
+from contextvars import ContextVar
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -37,22 +38,23 @@ from .errors import (
 
 Rational = Fraction
 
-_DEGREE_LIMIT = 16
+# per context, so each thread (which starts at the default) has its own
+_DEGREE_LIMIT: ContextVar[int] = ContextVar("degree_limit", default=16)
 
 
 def set_degree_limit(limit: int) -> None:
-    """Set the global cap on the total degree of polynomial products."""
-    global _DEGREE_LIMIT
+    """Set the current context's cap on the total degree of polynomial
+    products."""
     if limit < 1:
         raise ValueError("degree limit must be a positive integer")
-    _DEGREE_LIMIT = limit
+    _DEGREE_LIMIT.set(limit)
 
 
 def _check_degree(degree: int, what: str = "product") -> None:
     """Raise DegreeOverflow when ``degree`` exceeds the current limit."""
-    if degree > _DEGREE_LIMIT:
-        raise DegreeOverflow(
-            f"{what} degree {degree} exceeds limit {_DEGREE_LIMIT}")
+    limit = _DEGREE_LIMIT.get()
+    if degree > limit:
+        raise DegreeOverflow(f"{what} degree {degree} exceeds limit {limit}")
 
 
 def as_rational(value) -> Fraction:
@@ -387,11 +389,11 @@ def parse_poly(text: str, coords: Sequence[str]) -> Poly:
 def _parse_expr(cursor: _Cursor, coords) -> Poly:
     poly = _parse_term(cursor, coords)
     while True:
-        kind, value, _ = cursor.peek()
+        kind, value, pos = cursor.peek()
         if kind == "op" and value in "+-":
             cursor.advance()
             rhs = _parse_term(cursor, coords)
-            poly = poly + rhs if value == "+" else poly - rhs
+            poly = _sized(poly + rhs if value == "+" else poly - rhs, pos)
         else:
             return poly
 
@@ -399,10 +401,10 @@ def _parse_expr(cursor: _Cursor, coords) -> Poly:
 def _parse_term(cursor: _Cursor, coords) -> Poly:
     poly = _parse_factor(cursor, coords)
     while True:
-        kind, value, _ = cursor.peek()
+        kind, value, pos = cursor.peek()
         if kind == "op" and value == "*":
             cursor.advance()
-            poly = poly * _parse_factor(cursor, coords)
+            poly = _sized(poly * _parse_factor(cursor, coords), pos)
         else:
             return poly
 
@@ -422,9 +424,7 @@ def _parse_factor(cursor: _Cursor, coords) -> Poly:
         if limit and base.is_constant() \
                 and exponent * (_size(base).bit_length() - 1) > 4 * limit:
             raise ParseError("power coefficient too long", pos)
-        base = base ** exponent
-        if limit and _size(base) >= 10 ** limit:
-            raise ParseError("power coefficient too long", pos)
+        base = _sized(base ** exponent, pos, "power coefficient too long")
     return base
 
 
@@ -432,6 +432,17 @@ def _size(poly: Poly) -> int:
     """Largest numerator or denominator among the coefficients."""
     return max((max(abs(c.numerator), c.denominator)
                 for c in poly.terms.values()), default=0)
+
+
+def _sized(poly: Poly, pos: int, message: str = "coefficient too long") \
+        -> Poly:
+    """``poly``, unless a coefficient's numerator or denominator passes the
+    interpreter's integer-string limit (it could not be printed back)."""
+    limit, size = sys.get_int_max_str_digits(), _size(poly)
+    # 2 ** (3 * limit) < 10 ** limit: only long coefficients pay for 10 ** limit
+    if limit and size.bit_length() > 3 * limit and size >= 10 ** limit:
+        raise ParseError(message, pos)
+    return poly
 
 
 def _int(digits: str, pos: int) -> int:

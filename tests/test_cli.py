@@ -355,6 +355,7 @@ def test_main_rejects_bool_ranks(tmp_path, capsys, path):
     ("x^" + "9" * 5000, "integer literal too long"),
     ("2^20000", "power coefficient too long"),
     ("2^100000", "power coefficient too long"),
+    ("10^4000*10^4000", "coefficient too long"),
 ])
 def test_main_load_failures_exit_2(tmp_path, capsys, entry, message):
     data = dict(FLAT, structure=[[[entry, "0"], ["0", "0"]],

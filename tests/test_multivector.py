@@ -13,7 +13,15 @@ from helpers import (
     random_poly,
     zero_point_algebra,
 )
-from lsakit.core import Section, section_mult, sub_adjacent, section_bracket
+import lsakit.multivector as multivector
+from lsakit.core import (
+    LSAlgebroid,
+    Section,
+    section_mult,
+    sub_adjacent,
+    section_bracket,
+)
+from lsakit.instances import load_corpus
 from lsakit.multivector import (
     GradedSampleSpec,
     Multivector,
@@ -25,7 +33,8 @@ from lsakit.multivector import (
     wedge,
 )
 from lsakit.errors import DegreeOverflow
-from lsakit.polyring import Poly, parse_poly, set_degree_limit
+from lsakit.polyring import Poly, VectorField, parse_poly, set_degree_limit
+from lsakit.report import Report
 
 
 def mv_section(alg, i):
@@ -381,6 +390,153 @@ def test_graded_properties_ladder_with_coefficients():
                                      GradedSampleSpec(max_grade=2,
                                                       max_coeff_degree=1))
     assert report.passed
+
+
+def reference_graded_check(alg, spec: GradedSampleSpec) -> Report:
+    """The graded check computed naively: every product, bracket and
+    associator is recomputed wherever it occurs.  Oracle for the reuse in
+    check_graded_properties (same checks, witnesses and witness order)."""
+    gens = sample_generators(alg, spec)
+    report = Report("graded structure")
+
+    witnesses = []
+    for x in gens:
+        for y in gens:
+            product = graded_product(alg, x, y)
+            expected = x.grade() + y.grade() - 1
+            if any(len(key) != expected for key in product.terms):
+                witnesses.append(f"|{x} . {y}| != {expected}")
+    report.add("grade-rule", "extended product drops total grade by one",
+               not witnesses, witnesses[:5])
+
+    sec_witnesses = []
+    for i in range(alg.rank):
+        for j in range(alg.rank):
+            x = Multivector.from_section(alg.frame(i))
+            y = Multivector.from_section(alg.frame(j))
+            if graded_product(alg, x, y) != \
+                    Multivector.from_section(alg.c[i][j]):
+                sec_witnesses.append(f"(e_{i+1},e_{j+1})")
+    report.add("degree-one-reduction",
+               "extended product restricts to the section product",
+               not sec_witnesses, sec_witnesses)
+
+    count = len(gens)
+    sigma = [g.grade() - 1 for g in gens]
+    prod = [[graded_product(alg, a, b) for b in gens] for a in gens]
+    brk = [[graded_bracket(alg, a, b) for b in gens] for a in gens]
+
+    def assoc(i, j, k):
+        return graded_product(alg, prod[i][j], gens[k]) \
+            - graded_product(alg, gens[i], prod[j][k])
+
+    def defect(i, j, k, cache):
+        if (i, j, k) not in cache:
+            cache[(i, j, k)] = assoc(i, j, k)
+        if (j, i, k) not in cache:
+            cache[(j, i, k)] = assoc(j, i, k)
+        sign = -1 if (sigma[i] * sigma[j]) % 2 else 1
+        return cache[(i, j, k)] - cache[(j, i, k)].scale(sign)
+
+    ci_witnesses = []
+    leib_witnesses = []
+    jac_witnesses = []
+    anti_witnesses = []
+    for i in range(count):
+        x, sx = gens[i], sigma[i]
+        for j in range(count):
+            y, sy = gens[j], sigma[j]
+            bracket_xy = brk[i][j]
+            for k in range(count):
+                z = gens[k]
+                cache = {}
+                d_xyz = defect(i, j, k, cache)
+                d_yzx = defect(j, k, i, cache)
+                d_zxy = defect(k, i, j, cache)
+                s1 = -1 if (sx * sigma[k]) % 2 else 1
+                s2 = -1 if (sy * sx) % 2 else 1
+                s3 = -1 if (sigma[k] * sy) % 2 else 1
+                ci = d_xyz.scale(s1) + d_yzx.scale(s2) + d_zxy.scale(s3)
+                if not ci.is_zero():
+                    ci_witnesses.append(f"CI({x}, {y}, {z}) = {ci}")
+
+                lhs = graded_bracket(alg, x, wedge(y, z))
+                sign = -1 if (sx * y.grade()) % 2 else 1
+                rhs = wedge(bracket_xy, z) + wedge(y, brk[i][k]).scale(sign)
+                if lhs != rhs:
+                    leib_witnesses.append(f"[{x}, {y}^{z}]")
+
+                jac_sign = -1 if (sx * sy) % 2 else 1
+                jac_lhs = graded_bracket(alg, x, brk[j][k])
+                jac_rhs = graded_bracket(alg, bracket_xy, z) \
+                    + graded_bracket(alg, y, brk[i][k]).scale(jac_sign)
+                if jac_lhs != jac_rhs:
+                    jac_witnesses.append(f"[{x}, [{y}, {z}]]")
+
+                swap_sign = -1 if (sx * sy) % 2 else 1
+                d_yxz = defect(j, i, k, cache)
+                if d_xyz != d_yxz.scale(-swap_sign):
+                    anti_witnesses.append(f"({x}, {y}, {z})")
+
+    report.add("lie-admissible",
+               "graded Lie-admissibility defect vanishes on sampled triples",
+               not ci_witnesses, ci_witnesses[:5])
+    report.add("graded-leibniz",
+               "bracket satisfies the graded Leibniz rule on sampled triples",
+               not leib_witnesses, leib_witnesses[:5])
+    report.add("graded-jacobi",
+               "bracket satisfies the graded Jacobi identity on sampled "
+               "triples", not jac_witnesses, jac_witnesses[:5])
+    report.add("defect-antisymmetry",
+               "left-symmetry defect is shifted-antisymmetric in its first "
+               "two slots", not anti_witnesses, anti_witnesses[:5])
+    return report
+
+
+def euler_pair_instance() -> LSAlgebroid:
+    """Rank 2 over one coordinate with zero products and anchors x d/dx
+    and d/dx: the anchor does not preserve brackets, so graded
+    identities fail."""
+    coords = ("x",)
+    zero = Section.zero(coords, 2)
+    anchor = [VectorField(coords, (parse_poly("x", coords),)),
+              VectorField(coords, (Poly.constant(1, coords),))]
+    return LSAlgebroid(coords, 2, [[zero, zero], [zero, zero]], anchor)
+
+
+@pytest.mark.parametrize("name", ["flat", "double_e1e2", "ladder", "action",
+                                  "point_e1e2"])
+def test_graded_check_matches_reference_on_corpus(name):
+    alg = load_corpus(name).algebroid
+    spec = GradedSampleSpec(max_grade=2, max_coeff_degree=1)
+    assert check_graded_properties(alg, spec).to_dict() == \
+        reference_graded_check(alg, spec).to_dict()
+
+
+def test_graded_check_matches_reference_on_failures():
+    spec = GradedSampleSpec(max_grade=2, max_coeff_degree=1)
+    expected = reference_graded_check(euler_pair_instance(), spec).to_dict()
+    failed = [rec["name"] for rec in expected["records"]
+              if rec["status"] == "fail"]
+    assert {"lie-admissible", "graded-jacobi"} <= set(failed)
+    assert check_graded_properties(euler_pair_instance(), spec).to_dict() \
+        == expected
+
+
+def test_graded_check_computes_each_product_once(monkeypatch):
+    # flat at (2, 1) takes 369 distinct products of its arguments
+    calls = []
+
+    def counted(alg, x, y):
+        calls.append((x, y))
+        return graded_product(alg, x, y)
+
+    monkeypatch.setattr(multivector, "graded_product", counted)
+    report = check_graded_properties(
+        load_corpus("flat").algebroid,
+        GradedSampleSpec(max_grade=2, max_coeff_degree=1))
+    assert report.passed
+    assert len(calls) == len(set(calls)) <= 369
 
 
 def test_defect_grade_bookkeeping():

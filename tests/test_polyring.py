@@ -1,6 +1,7 @@
 """Tests for the exact-arithmetic kernel."""
 
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -325,6 +326,42 @@ def test_degree_guard():
         set_degree_limit(16)
 
 
+def test_degree_limit_is_per_thread():
+    # a thread that lowers the limit leaves the main thread's limit alone,
+    # and a new thread starts at the default whatever its starter set
+    p, x = parse_poly("x^8", X), Poly.variable("x", X)
+    lowered, computed = threading.Event(), threading.Event()
+    seen = {}
+
+    def lower():
+        try:
+            seen["start"] = (p * p).total_degree
+            set_degree_limit(6)
+        finally:
+            lowered.set()
+        computed.wait(timeout=60)
+        try:
+            p * x
+        except DegreeOverflow as err:
+            seen["thread"] = str(err)
+
+    thread = threading.Thread(target=lower)
+    set_degree_limit(15)
+    try:
+        thread.start()
+        assert lowered.wait(timeout=60)
+        seen["main"] = (p * x).total_degree
+        with pytest.raises(DegreeOverflow, match="exceeds limit 15"):
+            p * p
+    finally:
+        computed.set()
+        thread.join(timeout=60)
+        set_degree_limit(16)
+    assert not thread.is_alive()
+    assert seen == {"start": 16, "main": 9,
+                    "thread": "product degree 9 exceeds limit 6"}
+
+
 def test_power_equals_repeated_multiplication():
     base = parse_poly("x + 1", X)
     expected = Poly.constant(1, X)
@@ -343,6 +380,23 @@ def test_parser_power_coefficient_limit():
                  "7^" + "9" * 1000):
         with pytest.raises(ParseError, match="power coefficient too long"):
             parse_poly(text, X)
+
+
+def test_parser_coefficient_limit():
+    # sums and products of allowed literals obey the same limit
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter sets no integer-string limit")
+    assert parse_poly(f"10^{limit - 2}*10*x + 1", X) == \
+        Poly.constant(10 ** (limit - 1), X) * parse_poly("x", X) + 1
+    half = f"10^{limit // 2}"
+    nines = "9" * limit
+    for text, position in ((f"x + {half}*10*{half}", len(half) + 7),
+                           (f"{nines} + {nines}", limit + 1),
+                           (f"1/{nines} - 1/{nines[1:]}8", limit + 3)):
+        with pytest.raises(ParseError, match="coefficient too long") as err:
+            parse_poly(text, X)
+        assert err.value.position == position
 
 
 def test_extend_and_substitute():
