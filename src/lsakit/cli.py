@@ -431,6 +431,10 @@ def _named_endo(instance: InstanceFile, name: str) -> PolyMatrix:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.max_degree < 0:
+        print(f"error: --max-degree must be at least 0, got "
+              f"{args.max_degree}", file=sys.stderr)
+        return 2
     try:
         instance = parse_instance(args.file)
     except (LsakitError, OSError) as err:

@@ -47,6 +47,7 @@ from .polyring import (
     _add_scaled,
     _index_tuple,
     rational_kernel_and_rank,
+    sort_with_sign,
     vf_bracket,
 )
 
@@ -350,20 +351,66 @@ def assemble_point_differential(alg: LSAlgebroid, rep: Representation,
                                 degree: int) \
         -> tuple[list[list[Fraction]], list, list]:
     """Rational matrix of the representation differential from degree
-    ``degree`` to ``degree`` + 1 over a point base, with its bases."""
+    ``degree`` to ``degree`` + 1 over a point base, with its bases.
+
+    Each block of rows (one codomain key, all value indices) receives the
+    four terms of :func:`rep_d` straight from the constant structure
+    constants: rho on the omitted argument, mu on the last slot, the
+    product inserted into the last slot and the commutator inserted into
+    the leading slots.
+    """
     if not alg.is_point():
         raise NotPointCase("dense assembly requires a point base")
-    domain = cochain_basis(alg.rank, rep.s, degree)
-    codomain = cochain_basis(alg.rank, rep.s, degree + 1)
-    index = {key: pos for pos, key in enumerate(codomain)}
+    r, s = alg.rank, rep.s
+    domain = cochain_basis(r, s, degree)
+    codomain = cochain_basis(r, s, degree + 1)
+    position = {lead: pos
+                for pos, lead in enumerate(combinations(range(r), degree - 1))}
+
+    def block(lead, last):
+        """First column of the domain block (lead, last, 0..s-1)."""
+        return (position[lead] * r + last) * s
+
+    def entries(mat):
+        return [(row, col, v) for row, values in enumerate(mat.to_rational())
+                for col, v in enumerate(values) if v]
+
+    rho = [entries(mat) for mat in rep.rho_mat]
+    mu = [entries(mat) for mat in rep.mu_mat]
+    prod = [[{k: v.constant_value() for k, v in alg.c[i][j].terms.items()}
+             for j in range(r)] for i in range(r)]
+    comm = {(i, j): [(k, v.constant_value())
+                     for k, v in frame_commutator(alg, i, j).terms.items()]
+            for i, j in combinations(range(r), 2)}
+
     matrix = [[Fraction(0)] * len(domain) for _ in codomain]
-    for col, (lead, last, m) in enumerate(domain):
-        unit = Section((), [1 if p == m else 0 for p in range(rep.s)])
-        cochain = RepCochain((), alg.rank, rep.s, degree, {(lead, last): unit})
-        image = rep_d(alg, rep, cochain, check=False)
-        for (lead2, last2), value in image.terms.items():
-            for m2, comp in value.terms.items():
-                matrix[index[(lead2, last2, m2)]][col] = comp.constant_value()
+    top = 0
+    for lead in combinations(range(r), degree):
+        for last in range(r):
+            rows = matrix[top:top + s]
+            top += s
+            for a, i_a in enumerate(lead):
+                sign = 1 if a % 2 == 0 else -1
+                rest = lead[:a] + lead[a + 1:]
+                base = block(rest, last)
+                for m2, p, v in rho[i_a]:
+                    rows[m2][base + p] += sign * v
+                base = block(rest, i_a)
+                for m2, p, v in mu[last]:
+                    rows[m2][base + p] += sign * v
+                for k, v in prod[i_a][last].items():
+                    base = block(rest, k)
+                    for m2, row in enumerate(rows):
+                        row[base + m2] -= sign * v
+            for a, b in combinations(range(degree), 2):
+                sign = 1 if (a + b) % 2 == 0 else -1
+                rest = tuple(lead[p] for p in range(degree) if p not in (a, b))
+                for k, v in comm[lead[a], lead[b]]:
+                    key, perm = sort_with_sign((k,) + rest)
+                    if perm:
+                        base = block(key, last)
+                        for m2, row in enumerate(rows):
+                            row[base + m2] += sign * perm * v
     return matrix, domain, codomain
 
 
@@ -396,6 +443,8 @@ def point_cohomology_dims(alg: LSAlgebroid, rep: Representation,
     membership condition; both its dimension and the dimension of its
     kernel under the degree-zero differential are reported.
     """
+    if n_max < 0:
+        raise InvalidDegree(f"maximum degree must be at least 0, got {n_max}")
     if not alg.is_point():
         raise NotPointCase("cohomology dimensions require a point base")
     if check and not check_representation_lsa(alg, rep):

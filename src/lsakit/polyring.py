@@ -22,7 +22,8 @@ import re
 import sys
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -973,6 +974,43 @@ def _rational_det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
+_EXACT_TYPES = {Fraction, int}
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _integer_row(row: list) -> dict:
+    """Nonzero entries of a rational row as coprime integers (the row
+    scaled by its common denominator, then divided by its content)."""
+    entries = {j: row[j] for j in compress(range(len(row)), row)}
+    den = lcm(*(v.denominator for v in entries.values()))
+    ints = {j: v.numerator * (den // v.denominator)
+            for j, v in entries.items()}
+    return _primitive(ints)
+
+
+def _primitive(row: dict) -> dict:
+    content = gcd(*row.values())
+    if content > 1:
+        return {j: v // content for j, v in row.items()}
+    return row
+
+
+def _eliminate(row: dict, pivot: dict, col: int) -> dict:
+    """Integer combination of ``row`` and ``pivot`` with no entry in
+    ``col``, made primitive."""
+    a, b = pivot[col], row[col]
+    common = gcd(a, b)
+    a, b = a // common, b // common
+    out = {j: a * v for j, v in row.items()}
+    for j, v in pivot.items():
+        total = out.get(j, 0) - b * v
+        if total:
+            out[j] = total
+        else:
+            del out[j]
+    return _primitive(out)
+
+
 def rational_kernel_and_rank(matrix: Sequence[Sequence],
                              cols: int | None = None) \
         -> tuple[int, list[tuple[Fraction, ...]]]:
@@ -980,48 +1018,64 @@ def rational_kernel_and_rank(matrix: Sequence[Sequence],
 
     Returns ``(rank, basis)`` where each basis vector spans the null
     space; rank + len(basis) equals the number of columns.  Total on all
-    inputs; pass ``cols`` for matrices with no rows.
+    inputs; pass ``cols`` for matrices with no rows (it must match the
+    row length when there are rows).
+
+    The basis is read off the reduced row echelon form, so it is unique.
+    Rows are eliminated sparsely as primitive integer vectors: pivot
+    columns are taken left to right, each from the shortest row reaching
+    it (Markowitz), by integer cross-multiplication followed by back
+    substitution.
     """
-    rows = [list(map(as_rational, row)) for row in matrix]
-    nrows = len(rows)
+    rows = []
+    for row in matrix:
+        row = list(row)
+        if not set(map(type, row)) <= _EXACT_TYPES:
+            row = list(map(as_rational, row))
+        rows.append(row)
     ncols = len(rows[0]) if rows else (cols or 0)
     for row in rows:
         if len(row) != ncols:
             raise DimensionMismatch("ragged matrix rows")
+    if rows and cols is not None and cols != ncols:
+        raise DimensionMismatch(f"rows have {ncols} columns, expected {cols}")
 
-    mat = [row[:] for row in rows]
-    pivot_cols: list[int] = []
-    r = 0
+    # rows by leading column; every row in the bucket of column c has
+    # nothing left of c once the columns before c are eliminated
+    buckets: dict[int, list[dict]] = {}
+    for row in rows:
+        sparse = _integer_row(row)
+        if sparse:
+            buckets.setdefault(min(sparse), []).append(sparse)
+    pivots: dict[int, dict] = {}
     for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+        hits = buckets.pop(col, None)
+        if hits is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == nrows:
-            break
+        pivot = min(hits, key=len)
+        for row in hits:
+            if row is not pivot:
+                row = _eliminate(row, pivot, col)
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
+        pivots[col] = pivot
+    for col in reversed(list(pivots)):
+        row = pivots[col]
+        for other in [j for j in row if j != col and j in pivots]:
+            row = _eliminate(row, pivots[other], other)
+        pivots[col] = row
 
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row_idx, pcol in enumerate(pivot_cols):
-            vec[pcol] = -mat[row_idx][free]
-        basis.append(tuple(vec))
-    return rank, basis
+    free = [j for j in range(ncols) if j not in pivots]
+    slot = {j: pos for pos, j in enumerate(free)}
+    basis = [[_ZERO] * ncols for _ in free]
+    for j, vec in zip(free, basis):
+        vec[j] = _ONE
+    for col, row in pivots.items():
+        den = row[col]
+        for j, v in row.items():
+            if j != col:
+                basis[slot[j]][col] = Fraction(-v, den)
+    return len(pivots), [tuple(vec) for vec in basis]
 
 
 def find_constant_invertible_submatrix(matrix: PolyMatrix) \

@@ -11,7 +11,8 @@ from lsakit.core import (
     anchor_of_section,
     section_bracket,
 )
-from lsakit.polyring import Poly, VectorField, parse_poly
+from lsakit.errors import DimensionMismatch
+from lsakit.polyring import Poly, VectorField, as_rational, parse_poly
 
 
 def flat_instance() -> LSAlgebroid:
@@ -166,3 +167,50 @@ def two_form_d_oracle(alg: LieAlgebroid, form: FormCochain,
             - w(section_bracket(alg, x, y), z)
             + w(section_bracket(alg, x, z), y)
             - w(section_bracket(alg, y, z), x))
+
+
+def dense_kernel_oracle(matrix, cols=None):
+    """Dense Gauss-Jordan rank and kernel basis: the library's former
+    ``rational_kernel_and_rank``, kept as the reference for its sparse
+    integer elimination (both read the basis off the unique reduced
+    row echelon form)."""
+    rows = [list(map(as_rational, row)) for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else (cols or 0)
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionMismatch("ragged matrix rows")
+
+    mat = [row[:] for row in rows]
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if mat[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == nrows:
+            break
+
+    rank = len(pivot_cols)
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for free in free_cols:
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row_idx, pcol in enumerate(pivot_cols):
+            vec[pcol] = -mat[row_idx][free]
+        basis.append(tuple(vec))
+    return rank, basis

@@ -215,6 +215,26 @@ def test_main_cohomology_point_dims(capsys):
     assert any("cohomology 4" in w for w in dims["witnesses"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--point", "--max-degree", "-1"],
+    ["verify-all", "--max-degree", "-2"],
+])
+def test_main_negative_max_degree_exit_2(capsys, argv):
+    assert main([*argv, str(corpus_path("zero_r2")), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree must be at least 0" in captured.err
+
+
+def test_main_max_degree_zero_reports_degree_zero(capsys):
+    assert main(["cohomology", "--point", "--max-degree", "0",
+                 str(corpus_path("zero_r2")), "--no-timestamp"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    dims = next(rec for rec in payload["checks"]
+                if rec["name"] == "cohomology/point-dims")
+    assert dims["witnesses"] == ["degree-0 space 1, closed 1"]
+
+
 def test_main_cohomology_cocycle_and_coboundary(capsys):
     assert main(["cohomology", "--cocycle", str(corpus_path("point_e1e2")),
                  "--no-timestamp"]) == 0

@@ -1,10 +1,12 @@
 """Tests for the exact-arithmetic kernel."""
 
+import random
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
+from helpers import dense_kernel_oracle
 from hypothesis import given, settings, strategies as st
 
 from lsakit.errors import (
@@ -307,6 +309,60 @@ def test_kernel_rank_plus_nullity():
     for v in basis:
         for row in m:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+
+
+def test_kernel_cols_must_match_rows():
+    with pytest.raises(DimensionMismatch):
+        rational_kernel_and_rank([[1, 2]], cols=3)
+    assert rational_kernel_and_rank([[1, 2]], cols=2) == \
+        rational_kernel_and_rank([[1, 2]])
+    assert rational_kernel_and_rank([], cols=3) == dense_kernel_oracle([], 3)
+
+
+def random_sparse_matrix(rng, rows, cols):
+    """Sparse rational matrix with negative and non-integer entries,
+    occasionally a duplicated, combined or zero row and a zero column."""
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    matrix = [[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7)))
+               if rng.random() < density else 0 for _ in range(cols)]
+              for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        matrix.append(list(rng.choice(matrix)))
+    if rows > 1 and rng.random() < 0.3:
+        a, b = rng.sample(matrix, 2)
+        matrix.append([Fraction(3, 2) * x - 5 * y for x, y in zip(a, b)])
+    if rng.random() < 0.2:
+        matrix.append([0] * cols)
+    if cols and rng.random() < 0.3:
+        dead = rng.randrange(cols)
+        for row in matrix:
+            row[dead] = 0
+    rng.shuffle(matrix)
+    return matrix
+
+
+def test_kernel_matches_dense_oracle():
+    rng = random.Random(41)
+    shapes = [(0, c) for c in range(4)] + [(r, 0) for r in range(1, 4)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(400)]
+    for rows, cols in shapes:
+        matrix = random_sparse_matrix(rng, rows, cols)
+        size = None if matrix else cols
+        got = rational_kernel_and_rank(matrix, size)
+        assert got == dense_kernel_oracle(matrix, size), matrix
+        assert all(type(x) is Fraction for vec in got[1] for x in vec)
+
+
+def test_kernel_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        matrix = random_sparse_matrix(rng, rows, cols)
+        rank, _ = rational_kernel_and_rank(matrix)
+        assert rank == sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row]
+             for row in matrix]).rank()
 
 
 # ---------------------------------------------------------------------------
