@@ -61,15 +61,15 @@ class RepCochain(SparseModule):
     """
 
     __slots__ = ("coords", "rank", "s", "degree")
-    _SHAPE = ("coords", "rank", "s", "degree")
 
     def __init__(self, coords, rank: int, s: int, degree: int, comps: dict):
         if degree < 1:
             raise InvalidDegree(
                 f"{type(self).__name__} degree must be at least 1")
-        self.coords, self.rank, self.s, self.degree = \
-            tuple(coords), rank, s, degree
-        self._fill(comps.items())
+        self._fill((tuple(coords), rank, s, degree), comps.items())
+
+    def _set_shape(self, shape: tuple) -> None:
+        self.coords, self.rank, self.s, self.degree = self._shape = shape
 
     def _entry(self, key, value):
         lead, last = key
@@ -107,8 +107,9 @@ class RepCochain(SparseModule):
                 f"degree {self.degree} {type(self).__name__} applied to "
                 f"{len(sections)} sections")
         out: dict = {}
+        one = Poly.constant(1, self.coords)
         for idx in iter_product(range(self.rank), repeat=self.degree - 1):
-            coeff = Poly.constant(1, self.coords)
+            coeff = one
             for sec, i in zip(sections, idx):
                 factor = sec.terms.get(i)
                 if factor is None:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidDegree,
     NotLeftSymmetric,
     NotPointCase,
@@ -37,18 +38,24 @@ from .polyring import (
 from .report import Report
 
 
+def _frame_index(index: int, rank: int) -> None:
+    if not 0 <= index < rank:
+        raise IndexOutOfRange(
+            f"frame index {index} out of range for rank {rank}")
+
+
 class Section(SparseModule):
     """Section of a trivial bundle: one polynomial per frame element,
     stored sparsely by frame index."""
 
     __slots__ = ("coords", "rank")
-    _SHAPE = ("coords", "rank")
 
     def __init__(self, coords: Sequence[str], components: Sequence[Poly]):
-        self.coords = tuple(coords)
         components = tuple(components)
-        self.rank = len(components)
-        self._fill(enumerate(components))
+        self._fill((tuple(coords), len(components)), enumerate(components))
+
+    def _set_shape(self, shape: tuple) -> None:
+        self.coords, self.rank = self._shape = shape
 
     @classmethod
     def zero(cls, coords: Sequence[str], rank: int) -> "Section":
@@ -56,9 +63,9 @@ class Section(SparseModule):
 
     @classmethod
     def unit(cls, coords: Sequence[str], rank: int, index: int) -> "Section":
+        _frame_index(index, rank)
         coords = tuple(coords)
-        return cls._from((coords, rank), {index: Poly.constant(1, coords)}
-                         if 0 <= index < rank else {})
+        return cls._from((coords, rank), {index: Poly.constant(1, coords)})
 
     @property
     def components(self) -> tuple[Poly, ...]:
@@ -107,7 +114,7 @@ class FrameAlgebroid:
     of frame sections (products or brackets) and one anchor vector field
     per frame section."""
 
-    __slots__ = ("coords", "rank", "anchor")
+    __slots__ = ("coords", "rank", "anchor", "_frames")
 
     def _tables(self, coords, rank: int, table, anchor, what: str) -> tuple:
         """Validate and store the shape; returns the checked table."""
@@ -134,6 +141,7 @@ class FrameAlgebroid:
                 raise DimensionMismatch("anchor field over wrong coordinates")
             fields.append(field)
         self.coords, self.rank, self.anchor = coords, rank, tuple(fields)
+        self._frames = None
         return tuple(rows)
 
     @property
@@ -141,7 +149,14 @@ class FrameAlgebroid:
         return len(self.coords)
 
     def frame(self, i: int) -> Section:
-        return Section.unit(self.coords, self.rank, i)
+        _frame_index(i, self.rank)
+        frames = self._frames
+        if frames is None:
+            # filled once; a thread that races here stores equal sections
+            frames = self._frames = tuple(
+                Section.unit(self.coords, self.rank, k)
+                for k in range(self.rank))
+        return frames[i]
 
     def section(self, components) -> Section:
         return Section(self.coords, components)
@@ -440,13 +455,14 @@ class FormCochain(SparseModule):
     values.  Components are stored on strictly increasing index tuples."""
 
     __slots__ = ("coords", "rank", "degree")
-    _SHAPE = ("coords", "rank", "degree")
 
     def __init__(self, coords, rank: int, degree: int, comps: dict):
         if degree < 0:
             raise InvalidDegree("form degree must be non-negative")
-        self.coords, self.rank, self.degree = tuple(coords), rank, degree
-        self._fill(comps.items())
+        self._fill((tuple(coords), rank, degree), comps.items())
+
+    def _set_shape(self, shape: tuple) -> None:
+        self.coords, self.rank, self.degree = self._shape = shape
 
     def _entry(self, key, value):
         return (_index_tuple(key, self.rank, self.degree),

@@ -38,11 +38,12 @@ class Multivector(SparseModule):
     to polynomial coefficients (the empty tuple holds the function part)."""
 
     __slots__ = ("coords", "rank")
-    _SHAPE = ("coords", "rank")
 
     def __init__(self, coords, rank: int, terms: dict):
-        self.coords, self.rank = tuple(coords), rank
-        self._fill(terms.items())
+        self._fill((tuple(coords), rank), terms.items())
+
+    def _set_shape(self, shape: tuple) -> None:
+        self.coords, self.rank = self._shape = shape
 
     def _entry(self, key, value):
         return _index_tuple(key, self.rank), _poly_value(value, self.coords)
@@ -176,8 +177,12 @@ def graded_product(alg: LSAlgebroid, x: Multivector, y: Multivector) \
             scale = coeff_x * coeff_y
             for key, exps, coeff in terms:
                 acc = sums.setdefault(key, {})
-                acc[exps] = acc.get(exps, 0) + coeff * scale
-    out = {key: Poly(alg.coords, acc) for key, acc in sums.items()}
+                value = acc.get(exps)
+                acc[exps] = coeff * scale if value is None \
+                    else value + coeff * scale
+    # the memoized terms are clean: only cancelled coefficients drop out
+    out = {key: Poly._from(alg.coords, {e: c for e, c in acc.items() if c})
+           for key, acc in sums.items()}
     return x._like({key: v for key, v in out.items() if not v.is_zero()})
 
 

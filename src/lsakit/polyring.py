@@ -12,8 +12,15 @@ grammar:
     rational := int ('/' posint)?
 
 Whitespace is insignificant; implicit multiplication is not allowed.
+
 Everything here is immutable after construction and safe to share
-between threads.
+between threads.  Public constructors validate their input; arithmetic
+builds its results through the private trusted constructors
+(``Poly._from``, ``SparseModule._from``), since operands that are
+already valid give valid results.  The only writes after construction
+are the cached ``_hash`` and ``_degree`` fields, each filled on first
+use with a pure function of the value: threads that race on one write
+equal values.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from itertools import combinations, compress
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -86,7 +94,7 @@ class Poly:
         n = len(coords)
         for exps, coeff in terms.items():
             coeff = as_rational(coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
             exps = tuple(exps)
             if len(exps) != n:
@@ -98,22 +106,31 @@ class Poly:
             clean[exps] = coeff
         self.coords = coords
         self.terms = clean
-        self._degree = max((sum(e) for e in clean), default=-1)
+        self._degree = None
         self._hash = None
+
+    @classmethod
+    def _from(cls, coords: tuple, terms: dict) -> "Poly":
+        """Trusted constructor: ``terms`` maps exponent tuples of length
+        ``len(coords)`` with no negative entry to nonzero Fractions."""
+        new = object.__new__(cls)
+        new.coords = coords
+        new.terms = terms
+        new._degree = None
+        new._hash = None
+        return new
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, coords: Sequence[str]) -> "Poly":
-        return cls(coords, {})
+        return cls._from(tuple(coords), {})
 
     @classmethod
     def constant(cls, value, coords: Sequence[str]) -> "Poly":
         value = as_rational(value)
         coords = tuple(coords)
-        if value == 0:
-            return cls(coords, {})
-        return cls(coords, {(0,) * len(coords): value})
+        return cls._from(coords, {(0,) * len(coords): value} if value else {})
 
     @classmethod
     def variable(cls, name: str, coords: Sequence[str]) -> "Poly":
@@ -121,7 +138,7 @@ class Poly:
         if name not in coords:
             raise IndexOutOfRange(f"'{name}' is not among coordinates {coords}")
         exps = tuple(1 if c == name else 0 for c in coords)
-        return cls(coords, {exps: Fraction(1)})
+        return cls._from(coords, {exps: Fraction(1)})
 
     # -- predicates and views ----------------------------------------
 
@@ -129,7 +146,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return self._degree <= 0
+        return self.total_degree <= 0
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -140,13 +157,20 @@ class Poly:
 
     @property
     def total_degree(self) -> int:
-        return self._degree
+        # filled on first use; every thread computes the same value
+        degree = self._degree
+        if degree is None:
+            degree = self._degree = max(map(sum, self.terms), default=-1)
+        return degree
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
                       reverse=True)
 
     # -- arithmetic ---------------------------------------------------
+    # Results are built with ``_from``: operands are clean, exact
+    # arithmetic keeps coefficients Fractions, and a coefficient that
+    # cancels to zero is dropped where it arises.
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -162,19 +186,27 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, 0) + coeff
-            if acc:
-                terms[exps] = acc
+            acc = terms.get(exps)
+            if acc is None:
+                terms[exps] = coeff
             else:
-                terms.pop(exps, None)
-        return Poly(self.coords, terms)
+                acc += coeff
+                if acc:
+                    terms[exps] = acc
+                else:
+                    del terms[exps]
+        return Poly._from(self.coords, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.coords, {e: -c for e, c in self.terms.items()})
+        return Poly._from(self.coords, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -190,34 +222,37 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = as_rational(other)
-            if other == 0:
-                return Poly.zero(self.coords)
-            return Poly(self.coords,
-                        {e: c * other for e, c in self.terms.items()})
+            # Fraction times int or Fraction is a Fraction, nonzero here
+            if not other:
+                return Poly._from(self.coords, {})
+            return Poly._from(self.coords,
+                              {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.coords)
-        _check_degree(self._degree + other._degree)
+        if not self.terms or not other.terms:
+            return Poly._from(self.coords, {})
+        _check_degree(self.total_degree + other.total_degree)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(key, 0) + c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        return Poly(self.coords, terms)
+                key = tuple(map(add, e1, e2))
+                coeff = c1 * c2
+                acc = terms.get(key)
+                if acc is not None:
+                    coeff += acc
+                    if not coeff:
+                        del terms[key]
+                        continue
+                terms[key] = coeff
+        return Poly._from(self.coords, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        _check_degree(self._degree * exponent, "power")
+        _check_degree(self.total_degree * exponent, "power")
         result = Poly.constant(1, self.coords)
         for bit in bin(exponent)[2:]:  # square and multiply
             result = result * result
@@ -232,18 +267,11 @@ class Poly:
         if not 0 <= index < len(self.coords):
             raise IndexOutOfRange(
                 f"coordinate index {index} out of range for {self.coords}")
-        terms: dict = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            key = exps[:index] + (e - 1,) + exps[index + 1:]
-            acc = terms.get(key, 0) + coeff * e
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return Poly(self.coords, terms)
+        # lowering one exponent is injective on the terms it keeps
+        return Poly._from(self.coords, {
+            exps[:index] + (exps[index] - 1,) + exps[index + 1:]:
+                coeff * exps[index]
+            for exps, coeff in self.terms.items() if exps[index]})
 
     # -- coordinate surgery -------------------------------------------
 
@@ -262,7 +290,7 @@ class Poly:
             for pos, e in zip(positions, exps):
                 new_exps[pos] = e
             terms[tuple(new_exps)] = coeff
-        return Poly(new_coords, terms)
+        return Poly._from(new_coords, terms)
 
     def substitute(self, name: str, value) -> "Poly":
         """Evaluate one coordinate at a rational value; drops that
@@ -275,18 +303,26 @@ class Poly:
         terms: dict = {}
         for exps, coeff in self.terms.items():
             key = exps[:idx] + exps[idx + 1:]
-            acc = terms.get(key, 0) + coeff * value ** exps[idx]
-            if acc:
-                terms[key] = acc
+            acc = terms.get(key)
+            coeff = coeff * value ** exps[idx]
+            if acc is not None:
+                coeff += acc
+            if coeff:
+                terms[key] = coeff
             else:
                 terms.pop(key, None)
-        return Poly(rest, terms)
+        return Poly._from(rest, terms)
 
     # -- comparison, hashing, printing --------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
+            if not self.terms:
+                return other == 0
+            if len(self.terms) > 1:
+                return False
+            (exps, coeff), = self.terms.items()
+            return coeff == other and not any(exps)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.coords == other.coords and self.terms == other.terms
@@ -563,19 +599,22 @@ class SparseModule:
 
     Every section-like object is a module over the polynomial ring of the
     base: ``terms`` maps keys to polynomials or to other module elements,
-    and zero values are never stored.  A subclass names its shape
-    attributes in ``_SHAPE`` (``coords`` first) and validates one entry
-    in ``_entry``; the linear structure, equality, hashing and the
-    alternating lookup are defined here once.
+    and zero values are never stored.  A subclass unpacks its shape
+    tuple (``coords`` first) into named attributes in ``_set_shape`` and
+    validates one entry in ``_entry``; the linear structure, equality,
+    hashing and the alternating lookup are defined here once.
     """
 
     __slots__ = ("terms", "_hash", "_shape")
-    _SHAPE: tuple[str, ...] = ("coords",)
+
+    def _set_shape(self, shape: tuple) -> None:
+        (self.coords,) = self._shape = shape
 
     def _entry(self, key, value):
         return key, _poly_value(value, self.coords)
 
-    def _fill(self, items) -> None:
+    def _fill(self, shape: tuple, items) -> None:
+        self._set_shape(shape)
         terms = {}
         for key, value in items:
             key, value = self._entry(key, value)
@@ -583,17 +622,14 @@ class SparseModule:
                 terms[key] = value
         self.terms = terms
         self._hash = None
-        self._shape = tuple(getattr(self, name) for name in self._SHAPE)
 
     @classmethod
     def _from(cls, shape: tuple, terms: dict):
         """Trusted constructor: ``terms`` is already clean for ``shape``."""
         new = object.__new__(cls)
-        for name, value in zip(cls._SHAPE, shape):
-            setattr(new, name, value)
+        new._set_shape(shape)
         new.terms = terms
         new._hash = None
-        new._shape = shape
         return new
 
     def _like(self, terms: dict):
@@ -621,6 +657,11 @@ class SparseModule:
 
     def _combine(self, other, negate: bool):
         self._check(other)
+        # values are immutable, so a zero operand hands back the other one
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other if negate else other
         terms = dict(self.terms)
         for key, value in other.terms.items():
             _accumulate(terms, key, -value if negate else value)
@@ -637,6 +678,8 @@ class SparseModule:
 
     def scale(self, factor):
         """Multiply every value by a polynomial or rational factor."""
+        if not self.terms:
+            return self
         terms = {}
         for key, value in self.terms.items():
             value = value.scale(factor) if isinstance(value, SparseModule) \
@@ -671,13 +714,13 @@ class VectorField(SparseModule):
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence[str], components: Sequence[Poly]):
-        self.coords = tuple(coords)
+        coords = tuple(coords)
         components = tuple(components)
-        if len(components) != len(self.coords):
+        if len(components) != len(coords):
             raise DimensionMismatch(
-                f"{len(components)} components for {len(self.coords)} "
+                f"{len(components)} components for {len(coords)} "
                 f"coordinates")
-        self._fill(enumerate(components))
+        self._fill((coords,), enumerate(components))
 
     @classmethod
     def zero(cls, coords: Sequence[str]) -> "VectorField":

@@ -2,6 +2,8 @@
 differential."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,7 +41,7 @@ from lsakit.core import (
     section_mult,
     sub_adjacent,
 )
-from lsakit.errors import NotLeftSymmetric, NotPointCase
+from lsakit.errors import IndexOutOfRange, NotLeftSymmetric, NotPointCase
 from lsakit.polyring import Poly, PolyMatrix, VectorField, parse_poly
 
 
@@ -60,6 +62,66 @@ def test_section_mult_flat_instance():
     target = alg.section([Poly.zero(alg.coords), x])
     result = section_mult(alg, alg.frame(0), target)
     assert result == alg.frame(1)
+
+
+def test_frame_index_out_of_range():
+    flat = flat_instance()
+    for alg in (flat, sub_adjacent(flat), point_e1e2()):
+        for i in (alg.rank, 7, -1):
+            with pytest.raises(IndexOutOfRange):
+                alg.frame(i)
+            with pytest.raises(IndexOutOfRange):
+                Section.unit(alg.coords, alg.rank, i)
+        for i in range(alg.rank):
+            expected = Section(alg.coords, [int(k == i)
+                                            for k in range(alg.rank)])
+            assert alg.frame(i) == expected
+            assert Section.unit(alg.coords, alg.rank, i) == expected
+
+
+def test_lazy_fields_are_safe_to_share_across_threads():
+    # total_degree, hashes and the frame cache are filled on first use;
+    # threads that race on fresh shared values must see the serial results
+    def fresh():
+        rng = random.Random(11)
+        coords = ("x", "y")
+        polys = []
+        for _ in range(40):
+            p = random_poly(rng, coords, 2) * random_poly(rng, coords, 2)
+            polys.append(p + random_poly(rng, coords, 3))
+        algs = [flat_instance(), point_e1e2(), ladder_instance()]
+        return polys, algs
+
+    def read(polys, algs):
+        return ([(p.total_degree, hash(p), p.is_constant()) for p in polys],
+                [[alg.frame(i) for i in range(alg.rank)] for alg in algs],
+                [hash(alg.frame(i)) for alg in algs for i in range(alg.rank)])
+
+    serial = read(*fresh())
+    shared = fresh()
+    assert all(p._degree is None and p._hash is None for p in shared[0])
+    assert all(alg._frames is None for alg in shared[1])
+    workers = 6
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(slot):
+        barrier.wait(timeout=60)
+        results[slot] = read(*shared)
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so the first reads race
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == serial for result in results)
 
 
 def test_section_mult_point_bilinear():

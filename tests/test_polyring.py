@@ -136,6 +136,63 @@ def test_mixed_partials_commute(terms):
     assert p.partial(0).partial(1) == p.partial(1).partial(0)
 
 
+def assert_clean(p: Poly) -> None:
+    """``p`` holds exactly what the validating constructor makes of it:
+    nonzero Fractions on non-negative exponent tuples of the right
+    length, and the degree the eager formula gives."""
+    assert type(p.coords) is tuple
+    assert p == Poly(p.coords, dict(p.terms))
+    for exps, coeff in p.terms.items():
+        assert type(exps) is tuple and len(exps) == len(p.coords)
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+    assert p.total_degree == max((sum(e) for e in p.terms), default=-1)
+
+
+scalars = coeffs | st.integers(-3, 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_terms, poly_terms, scalars, st.integers(0, 3))
+def test_arithmetic_results_are_clean(ta, tb, scalar, power):
+    # every operation that builds its result without re-validating it
+    a, b = mkpoly(ta), mkpoly(tb)
+    results = [a + b, a - b, a + scalar, scalar + a, scalar - a, -a, a - a,
+               a * b, a * scalar, scalar * a, a * 0, a ** power,
+               a.partial(0), a.partial(1), a.extend(("t", "y", "x")),
+               a.substitute("x", scalar), a.substitute("y", 0),
+               Poly.zero(XY), Poly.constant(scalar, XY),
+               Poly.variable("y", XY)]
+    for result in results:
+        assert_clean(result)
+    # and their values, against the dict-level oracle and the definitions
+    assert (a * b).terms == naive_terms_mul(a.terms, b.terms)
+    assert a * scalar == Poly(XY, {e: c * scalar for e, c in a.terms.items()})
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+    assert a.extend(("t", "y", "x")).terms == {
+        (0, y, x): c for (x, y), c in a.terms.items()}
+
+
+def test_degree_limit_fires_on_lazily_filled_degrees():
+    x, y = Poly.variable("x", XY), Poly.variable("y", XY)
+    p = x * x * y + y      # built by arithmetic: degree 3, not yet read
+    q = x * y + 1          # degree 2
+    assert p._degree is None and q._degree is None
+    set_degree_limit(4)
+    try:
+        with pytest.raises(DegreeOverflow,
+                           match="product degree 5 exceeds limit 4"):
+            p * q
+        with pytest.raises(DegreeOverflow,
+                           match="power degree 6 exceeds limit 4"):
+            p ** 2
+        assert (p * x).total_degree == 4
+        assert (q ** 2).total_degree == 4
+    finally:
+        set_degree_limit(16)
+    assert (p * q).total_degree == 5
+
+
 # ---------------------------------------------------------------------------
 # derivatives and vector fields
 # ---------------------------------------------------------------------------
