@@ -8,9 +8,14 @@ deformation complex consists of multiderivations: alternating in their
 leading slots, function-linear there, and differentiating through a
 vector-field-valued symbol in the last slot.
 
-Over a zero-dimensional base both complexes are finite dimensional and
-exact rational linear algebra computes cocycle, coboundary and
-cohomology dimensions.
+Over a zero-dimensional base both complexes are finite dimensional.
+The structure constants and the representation matrices are then read
+once into integer tables over one common denominator; each differential
+is emitted from them as sparse integer rows, and exact integer
+elimination to echelon form gives its rank, hence the cocycle,
+coboundary and cohomology dimensions.  No dense matrix and no kernel
+basis is built on that path; ``assemble_point_differential`` gives the
+dense rational view of the same rows.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Sequence
+from math import comb, lcm
+from typing import Iterator, NamedTuple, Sequence
 
-from .constructions import check_representation_lsa
+from .constructions import _require_rank_domain, check_representation_lsa
 from .core import (
     LSAlgebroid,
     Representation,
@@ -45,8 +51,8 @@ from .polyring import (
     VectorField,
     _accumulate,
     _add_scaled,
+    _forward_pivots,
     _index_tuple,
-    rational_kernel_and_rank,
     sort_with_sign,
     vf_bracket,
 )
@@ -348,101 +354,169 @@ def cochain_basis(rank: int, s: int, degree: int) \
             for last in range(rank) for m in range(s)]
 
 
+class _PointTables(NamedTuple):
+    """Structure tables of a point-base pair, all scaled by ``den``:
+    ``rho[i][m]`` and ``mu[i][m]`` are row m of the matrices as
+    ``{col: int}``, ``prod[i][j]`` the product e_i.e_j as ``{k: int}``,
+    ``comm[i, j]`` the commutator (i < j) as ``[(k, int)]``."""
+    den: int
+    rank: int
+    s: int
+    rho: list
+    mu: list
+    prod: list
+    comm: dict
+
+
+def _point_tables(alg: LSAlgebroid, rep: Representation) -> _PointTables:
+    """Integer tables of a point-base pair, computed once per call.
+
+    Every rho, mu and product entry is scaled by one common denominator;
+    each differential is linear in them, so scaling changes no rank.
+    """
+    _require_rank_domain(rep, alg.rank)
+    r = alg.rank
+    rho = [mat.to_rational() for mat in rep.rho_mat]
+    mu = [mat.to_rational() for mat in rep.mu_mat]
+    prod = [[{k: v.constant_value() for k, v in alg.c[i][j].terms.items()}
+             for j in range(r)] for i in range(r)]
+    den = lcm(*{v.denominator for mats in (rho, mu) for mat in mats
+                for row in mat for v in row},
+              *{v.denominator for row in prod for table in row
+                for v in table.values()})
+
+    def scaled(mat):
+        return [{p: v.numerator * (den // v.denominator)
+                 for p, v in enumerate(row) if v} for row in mat]
+
+    prod = [[{k: v.numerator * (den // v.denominator)
+              for k, v in table.items()} for table in row] for row in prod]
+    comm = {}
+    for i, j in combinations(range(r), 2):
+        total = dict(prod[i][j])
+        for k, v in prod[j][i].items():
+            total[k] = total.get(k, 0) - v
+        comm[i, j] = [(k, v) for k, v in total.items() if v]
+    return _PointTables(den, r, rep.s, [scaled(m) for m in rho],
+                        [scaled(m) for m in mu], prod, comm)
+
+
+def _point_rows(tables: _PointTables, degree: int) -> Iterator[dict]:
+    """Rows of the representation differential from degree ``degree``
+    to ``degree`` + 1, in ``cochain_basis`` order, as ``{col: int}``
+    with no zero entries (the entries times ``tables.den``).
+
+    Each block of rows (one codomain key, all value indices) receives the
+    four terms of :func:`rep_d`: rho on the omitted argument, mu on the
+    last slot, the product inserted into the last slot and the
+    commutator inserted into the leading slots.
+    """
+    r, s = tables.rank, tables.s
+    rho, mu, prod, comm = tables.rho, tables.mu, tables.prod, tables.comm
+    position = {lead: pos
+                for pos, lead in enumerate(combinations(range(r), degree - 1))}
+    for lead in combinations(range(r), degree):
+        # (sign, first column of the domain block (rest, 0, 0), i_a)
+        omitted = [(1 if a % 2 == 0 else -1,
+                    position[lead[:a] + lead[a + 1:]] * r * s, i_a)
+                   for a, i_a in enumerate(lead)]
+        inserted = []
+        for a, b in combinations(range(degree), 2):
+            sign = 1 if (a + b) % 2 == 0 else -1
+            rest = tuple(lead[p] for p in range(degree) if p not in (a, b))
+            for k, v in comm[lead[a], lead[b]]:
+                key, perm = sort_with_sign((k,) + rest)
+                if perm:
+                    inserted.append((position[key] * r * s, sign * perm * v))
+        for last in range(r):
+            rows = [{} for _ in range(s)]
+            for sign, start, i_a in omitted:
+                base = start + last * s
+                for row, entries in zip(rows, rho[i_a]):
+                    for p, v in entries.items():
+                        row[base + p] = row.get(base + p, 0) + sign * v
+                base = start + i_a * s
+                for row, entries in zip(rows, mu[last]):
+                    for p, v in entries.items():
+                        row[base + p] = row.get(base + p, 0) + sign * v
+                for k, v in prod[i_a][last].items():
+                    base = start + k * s
+                    for m2, row in enumerate(rows):
+                        row[base + m2] = row.get(base + m2, 0) - sign * v
+            for start, v in inserted:
+                base = start + last * s
+                for m2, row in enumerate(rows):
+                    row[base + m2] = row.get(base + m2, 0) + v
+            for row in rows:
+                yield {col: v for col, v in row.items() if v}
+
+
 def assemble_point_differential(alg: LSAlgebroid, rep: Representation,
                                 degree: int) \
         -> tuple[list[list[Fraction]], list, list]:
     """Rational matrix of the representation differential from degree
     ``degree`` to ``degree`` + 1 over a point base, with its bases.
 
-    Each block of rows (one codomain key, all value indices) receives the
-    four terms of :func:`rep_d` straight from the constant structure
-    constants: rho on the omitted argument, mu on the last slot, the
-    product inserted into the last slot and the commutator inserted into
-    the leading slots.
+    A dense view of the integer rows :func:`point_cohomology_dims`
+    eliminates, built straight from the constant structure constants.
     """
     if not alg.is_point():
         raise NotPointCase("dense assembly requires a point base")
-    r, s = alg.rank, rep.s
-    domain = cochain_basis(r, s, degree)
-    codomain = cochain_basis(r, s, degree + 1)
-    position = {lead: pos
-                for pos, lead in enumerate(combinations(range(r), degree - 1))}
-
-    def block(lead, last):
-        """First column of the domain block (lead, last, 0..s-1)."""
-        return (position[lead] * r + last) * s
-
-    def entries(mat):
-        return [(row, col, v) for row, values in enumerate(mat.to_rational())
-                for col, v in enumerate(values) if v]
-
-    rho = [entries(mat) for mat in rep.rho_mat]
-    mu = [entries(mat) for mat in rep.mu_mat]
-    prod = [[{k: v.constant_value() for k, v in alg.c[i][j].terms.items()}
-             for j in range(r)] for i in range(r)]
-    comm = {(i, j): [(k, v.constant_value())
-                     for k, v in frame_commutator(alg, i, j).terms.items()]
-            for i, j in combinations(range(r), 2)}
-
-    matrix = [[Fraction(0)] * len(domain) for _ in codomain]
-    top = 0
-    for lead in combinations(range(r), degree):
-        for last in range(r):
-            rows = matrix[top:top + s]
-            top += s
-            for a, i_a in enumerate(lead):
-                sign = 1 if a % 2 == 0 else -1
-                rest = lead[:a] + lead[a + 1:]
-                base = block(rest, last)
-                for m2, p, v in rho[i_a]:
-                    rows[m2][base + p] += sign * v
-                base = block(rest, i_a)
-                for m2, p, v in mu[last]:
-                    rows[m2][base + p] += sign * v
-                for k, v in prod[i_a][last].items():
-                    base = block(rest, k)
-                    for m2, row in enumerate(rows):
-                        row[base + m2] -= sign * v
-            for a, b in combinations(range(degree), 2):
-                sign = 1 if (a + b) % 2 == 0 else -1
-                rest = tuple(lead[p] for p in range(degree) if p not in (a, b))
-                for k, v in comm[lead[a], lead[b]]:
-                    key, perm = sort_with_sign((k,) + rest)
-                    if perm:
-                        base = block(key, last)
-                        for m2, row in enumerate(rows):
-                            row[base + m2] += sign * perm * v
+    tables = _point_tables(alg, rep)
+    domain = cochain_basis(alg.rank, rep.s, degree)
+    codomain = cochain_basis(alg.rank, rep.s, degree + 1)
+    matrix = []
+    for entries in _point_rows(tables, degree):
+        row = [Fraction(0)] * len(domain)
+        for col, v in entries.items():
+            row[col] = Fraction(v, tables.den)
+        matrix.append(row)
     return matrix, domain, codomain
 
 
-def _c0_condition_matrix(alg: LSAlgebroid, rep: Representation) \
-        -> list[list[Fraction]]:
+def _c0_rows(tables: _PointTables) -> list[dict]:
+    """Rows of the degree-zero membership condition: for every frame
+    pair, the rows of rho_i rho_j - sum_k c_ij^k rho_k (times den^2)."""
+    rho, r = tables.rho, tables.rank
     rows = []
-    for i in range(alg.rank):
-        for j in range(alg.rank):
-            images = []
-            for m in range(rep.s):
-                unit = Section((), [1 if p == m else 0 for p in range(rep.s)])
-                lhs = rep_rho_frame(alg, rep, i,
-                                    rep_rho_frame(alg, rep, j, unit))
-                rhs = rep_rho_section(alg, rep, alg.c[i][j], unit)
-                defect = lhs - rhs
-                images.append([comp.constant_value()
-                               for comp in defect.components])
-            # one linear condition per defect component
-            for comp in range(rep.s):
-                rows.append([images[m][comp] for m in range(rep.s)])
+    for i in range(r):
+        for j in range(r):
+            for m2, entries in enumerate(rho[i]):
+                row: dict = {}
+                for q, a in entries.items():
+                    for p, b in rho[j][q].items():
+                        row[p] = row.get(p, 0) + a * b
+                for k, c in tables.prod[i][j].items():
+                    for p, b in rho[k][m2].items():
+                        row[p] = row.get(p, 0) - c * b
+                rows.append({p: v for p, v in row.items() if v})
+    return rows
+
+
+def _d0_rows(tables: _PointTables) -> list[dict]:
+    """Rows of the degree-zero differential x -> mu(x)e - rho(x)e, one
+    per degree-1 basis key (times den)."""
+    rows = []
+    for mu_rows, rho_rows in zip(tables.mu, tables.rho):
+        for mu_row, rho_row in zip(mu_rows, rho_rows):
+            row = dict(mu_row)
+            for p, v in rho_row.items():
+                row[p] = row.get(p, 0) - v
+            rows.append({p: v for p, v in row.items() if v})
     return rows
 
 
 def point_cohomology_dims(alg: LSAlgebroid, rep: Representation,
                           n_max: int, check: bool = True) -> PointCohomology:
     """Cocycle, coboundary and cohomology dimensions in degrees 1..n_max
-    over a point base, via exact rational elimination.
+    over a point base, via exact rank computations.
 
     The degree-zero space is the subspace cut out by the curvature-style
     membership condition; both its dimension and the dimension of its
-    kernel under the degree-zero differential are reported.
+    kernel under the degree-zero differential are reported.  Each
+    dimension is a column count minus the rank of integer rows built
+    from the structure tables; no matrix is stored densely and no kernel
+    basis is formed.
     """
     if n_max < 0:
         raise InvalidDegree(f"maximum degree must be at least 0, got {n_max}")
@@ -451,46 +525,23 @@ def point_cohomology_dims(alg: LSAlgebroid, rep: Representation,
     if check and not check_representation_lsa(alg, rep):
         raise NotARepresentation("(rho, mu) fails the representation identities")
 
-    s = rep.s
-    # degree-0 subspace
-    condition = _c0_condition_matrix(alg, rep)
-    if condition:
-        _, c0_basis = rational_kernel_and_rank(condition)
-    else:
-        c0_basis = [tuple(Fraction(1 if p == m else 0) for p in range(s))
-                    for m in range(s)]
-    c0_dim = len(c0_basis)
-
-    # degree-0 differential restricted to the subspace
-    d0_cols = []
-    for vec in c0_basis:
-        element = Section((), list(vec))
-        image = rep_d0(alg, rep, element)
-        col = []
-        for (lead, last, m) in cochain_basis(alg.rank, s, 1):
-            col.append(image.component(lead, last).components[m]
-                       .constant_value())
-        d0_cols.append(col)
-    if d0_cols:
-        d0_matrix = [[d0_cols[c][r] for c in range(len(d0_cols))]
-                     for r in range(len(d0_cols[0]))]
-        d0_rank, d0_kernel = rational_kernel_and_rank(d0_matrix)
-    else:
-        d0_rank, d0_kernel = 0, []
-    c0_closed_dim = len(d0_kernel)
+    tables = _point_tables(alg, rep)
+    r, s = alg.rank, rep.s
+    # degree 0: C0 is the kernel of the condition rows, its closed part
+    # the kernel of those rows stacked on the rows of d0
+    condition = _c0_rows(tables)
+    condition_rank = len(_forward_pivots(condition, s))
+    closed_rank = len(_forward_pivots(condition + _d0_rows(tables), s))
+    c0_dim = s - condition_rank
+    c0_closed_dim = s - closed_rank
 
     degrees = []
-    previous_rank = d0_rank
+    previous_rank = closed_rank - condition_rank   # rank of d0 on C0
     for k in range(1, n_max + 1):
-        matrix, domain, _ = assemble_point_differential(alg, rep, k)
-        dim_c = len(domain)
-        if dim_c == 0:
-            degrees.append(DegreeDims(k, 0, 0, 0, 0))
-            previous_rank = 0
-            continue
-        rank, kernel = rational_kernel_and_rank(matrix, cols=dim_c)
-        dim_z = len(kernel)
-        dim_b = previous_rank
-        degrees.append(DegreeDims(k, dim_c, dim_z, dim_b, dim_z - dim_b))
+        dim_c = comb(r, k - 1) * r * s
+        rank = len(_forward_pivots(_point_rows(tables, k), dim_c))
+        dim_z = dim_c - rank
+        degrees.append(DegreeDims(k, dim_c, dim_z, previous_rank,
+                                  dim_z - previous_rank))
         previous_rank = rank
     return PointCohomology(c0_dim, c0_closed_dim, degrees)

@@ -83,6 +83,13 @@ def _form_matrix(form) -> PolyMatrix:
 # Representation checks and duals
 # ---------------------------------------------------------------------------
 
+def _require_rank_domain(rep: Representation, rank: int) -> None:
+    if rep.rank_domain != rank:
+        raise DimensionMismatch(
+            f"representation indexed by {rep.rank_domain} frame sections "
+            f"on a rank {rank} algebroid")
+
+
 def check_representation_lie(lie: LieAlgebroid, rep: Representation) -> bool:
     """Does rho send frame brackets to operator commutators?
 
@@ -90,10 +97,7 @@ def check_representation_lie(lie: LieAlgebroid, rep: Representation) -> bool:
     frame section, so the symbols agree by construction; the residual
     defect is a bundle map and is decided on frame pairs.
     """
-    if rep.rank_domain != lie.rank:
-        raise DimensionMismatch(
-            f"representation indexed by {rep.rank_domain} frame sections "
-            f"on a rank {lie.rank} algebroid")
+    _require_rank_domain(rep, lie.rank)
     units = [Section.unit(lie.coords, rep.s, m) for m in range(rep.s)]
     for i in range(lie.rank):
         for j in range(i + 1, lie.rank):

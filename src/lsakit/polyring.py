@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 from math import gcd, lcm
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegreeOverflow,
@@ -844,13 +844,21 @@ class PolyMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
+        # zero entries add nothing and a zero product returns before the
+        # degree check, so skipping them changes neither the value nor
+        # where DegreeOverflow is raised
+        columns = [[(k, b) for k, b in enumerate(col) if b.terms]
+                   for col in zip(*other.entries)]
+        zero = Poly.zero(self.coords)
         out = []
-        for i in range(self.rows):
+        for left in self.entries:
             row = []
-            for j in range(other.cols):
-                acc = Poly.zero(self.coords)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
+            for col in columns:
+                acc = zero
+                for k, b in col:
+                    a = left[k]
+                    if a.terms:
+                        acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return PolyMatrix(self.coords, out)
@@ -1022,13 +1030,12 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _integer_row(row: list) -> dict:
-    """Nonzero entries of a rational row as coprime integers (the row
-    scaled by its common denominator, then divided by its content)."""
+    """Nonzero entries of a rational row as integers (the row scaled by
+    its common denominator)."""
     entries = {j: row[j] for j in compress(range(len(row)), row)}
     den = lcm(*(v.denominator for v in entries.values()))
-    ints = {j: v.numerator * (den // v.denominator)
+    return {j: v.numerator * (den // v.denominator)
             for j, v in entries.items()}
-    return _primitive(ints)
 
 
 def _primitive(row: dict) -> dict:
@@ -1054,6 +1061,36 @@ def _eliminate(row: dict, pivot: dict, col: int) -> dict:
     return _primitive(out)
 
 
+def _forward_pivots(rows: Iterable[dict], ncols: int) -> dict[int, dict]:
+    """Row echelon form of sparse integer rows (``{col: int}``, zero
+    entries absent), as pivot column -> primitive pivot row; its length
+    is the rank.
+
+    Pivot columns are taken left to right, each from the shortest row
+    reaching it (Markowitz), by integer cross-multiplication.
+    """
+    # rows by leading column; every row in the bucket of column c has
+    # nothing left of c once the columns before c are eliminated
+    buckets: dict[int, list[dict]] = {}
+    for row in rows:
+        if row:
+            row = _primitive(row)
+            buckets.setdefault(min(row), []).append(row)
+    pivots: dict[int, dict] = {}
+    for col in range(ncols):
+        hits = buckets.pop(col, None)
+        if hits is None:
+            continue
+        pivot = min(hits, key=len)
+        for row in hits:
+            if row is not pivot:
+                row = _eliminate(row, pivot, col)
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
+        pivots[col] = pivot
+    return pivots
+
+
 def rational_kernel_and_rank(matrix: Sequence[Sequence],
                              cols: int | None = None) \
         -> tuple[int, list[tuple[Fraction, ...]]]:
@@ -1065,10 +1102,9 @@ def rational_kernel_and_rank(matrix: Sequence[Sequence],
     row length when there are rows).
 
     The basis is read off the reduced row echelon form, so it is unique.
-    Rows are eliminated sparsely as primitive integer vectors: pivot
-    columns are taken left to right, each from the shortest row reaching
-    it (Markowitz), by integer cross-multiplication followed by back
-    substitution.
+    Rows are cleared of denominators, brought to echelon form sparsely
+    as primitive integer vectors by :func:`_forward_pivots`, then
+    reduced by back substitution.
     """
     rows = []
     for row in matrix:
@@ -1083,25 +1119,7 @@ def rational_kernel_and_rank(matrix: Sequence[Sequence],
     if rows and cols is not None and cols != ncols:
         raise DimensionMismatch(f"rows have {ncols} columns, expected {cols}")
 
-    # rows by leading column; every row in the bucket of column c has
-    # nothing left of c once the columns before c are eliminated
-    buckets: dict[int, list[dict]] = {}
-    for row in rows:
-        sparse = _integer_row(row)
-        if sparse:
-            buckets.setdefault(min(sparse), []).append(sparse)
-    pivots: dict[int, dict] = {}
-    for col in range(ncols):
-        hits = buckets.pop(col, None)
-        if hits is None:
-            continue
-        pivot = min(hits, key=len)
-        for row in hits:
-            if row is not pivot:
-                row = _eliminate(row, pivot, col)
-                if row:
-                    buckets.setdefault(min(row), []).append(row)
-        pivots[col] = pivot
+    pivots = _forward_pivots(map(_integer_row, rows), ncols)
     for col in reversed(list(pivots)):
         row = pivots[col]
         for other in [j for j in row if j != col and j in pivots]:

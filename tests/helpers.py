@@ -3,16 +3,31 @@
 import random
 from fractions import Fraction
 
+from lsakit.cohomology import (
+    DegreeDims,
+    PointCohomology,
+    assemble_point_differential,
+    cochain_basis,
+    rep_d0,
+)
 from lsakit.core import (
     FormCochain,
     LieAlgebroid,
     LSAlgebroid,
     Section,
     anchor_of_section,
+    rep_rho_frame,
+    rep_rho_section,
     section_bracket,
 )
 from lsakit.errors import DimensionMismatch
-from lsakit.polyring import Poly, VectorField, as_rational, parse_poly
+from lsakit.polyring import (
+    Poly,
+    VectorField,
+    as_rational,
+    parse_poly,
+    rational_kernel_and_rank,
+)
 
 
 def flat_instance() -> LSAlgebroid:
@@ -43,6 +58,14 @@ def point_algebra(rank: int, products: dict) -> LSAlgebroid:
 def point_e1e2() -> LSAlgebroid:
     """The rank-2 algebra with e_1 * e_2 = e_2 and all other products zero."""
     return point_algebra(2, {(0, 1): [0, 1]})
+
+
+def sum_of_e1e2(copies):
+    """Direct sum of ``copies`` copies of point_e1e2."""
+    rank = 2 * copies
+    return point_algebra(rank, {
+        (2 * b, 2 * b + 1): [1 if p == 2 * b + 1 else 0 for p in range(rank)]
+        for b in range(copies)})
 
 
 def zero_point_algebra(rank: int = 2) -> LSAlgebroid:
@@ -214,3 +237,58 @@ def dense_kernel_oracle(matrix, cols=None):
             vec[pcol] = -mat[row_idx][free]
         basis.append(tuple(vec))
     return rank, basis
+
+
+def c0_condition_oracle(alg: LSAlgebroid, rep) -> list[list[Fraction]]:
+    """The degree-zero membership condition over a point as a rational
+    matrix, one row per defect component of rho(e_i)rho(e_j)u -
+    rho(e_i.e_j)u, read off Section round trips on the unit vectors u."""
+    rows = []
+    for i in range(alg.rank):
+        for j in range(alg.rank):
+            images = []
+            for m in range(rep.s):
+                unit = Section((), [1 if p == m else 0 for p in range(rep.s)])
+                lhs = rep_rho_frame(alg, rep, i,
+                                    rep_rho_frame(alg, rep, j, unit))
+                rhs = rep_rho_section(alg, rep, alg.c[i][j], unit)
+                defect = lhs - rhs
+                images.append([comp.constant_value()
+                               for comp in defect.components])
+            # one linear condition per defect component
+            for comp in range(rep.s):
+                rows.append([images[m][comp] for m in range(rep.s)])
+    return rows
+
+
+def c0_basis_oracle(alg: LSAlgebroid, rep) -> list[tuple[Fraction, ...]]:
+    """Kernel basis of :func:`c0_condition_oracle` (all of E when there
+    are no conditions)."""
+    return rational_kernel_and_rank(c0_condition_oracle(alg, rep),
+                                    cols=rep.s)[1]
+
+
+def dense_point_dims(alg: LSAlgebroid, rep, n_max: int) -> PointCohomology:
+    """Point cohomology dimensions the dense way: a kernel basis of the
+    c0 condition, the image of each basis vector under ``rep_d0``, and
+    ``rational_kernel_and_rank`` of every dense
+    ``assemble_point_differential`` matrix."""
+    c0_basis = c0_basis_oracle(alg, rep)
+    keys = cochain_basis(alg.rank, rep.s, 1)
+    d0_rows = [[] for _ in keys]
+    for vec in c0_basis:
+        image = rep_d0(alg, rep, Section((), list(vec)))
+        for row, (lead, last, m) in zip(d0_rows, keys):
+            row.append(image.component(lead, last).components[m]
+                       .constant_value())
+    d0_rank, d0_kernel = rational_kernel_and_rank(d0_rows,
+                                                  cols=len(c0_basis))
+    degrees = []
+    previous_rank = d0_rank
+    for k in range(1, n_max + 1):
+        matrix, domain, _ = assemble_point_differential(alg, rep, k)
+        rank, kernel = rational_kernel_and_rank(matrix, cols=len(domain))
+        degrees.append(DegreeDims(k, len(domain), len(kernel), previous_rank,
+                                  len(kernel) - previous_rank))
+        previous_rank = rank
+    return PointCohomology(len(c0_basis), len(d0_kernel), degrees)

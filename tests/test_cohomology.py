@@ -1,26 +1,37 @@
 """Tests for the representation and deformation cochain complexes."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lsakit
 from helpers import (
     action_instance,
+    c0_basis_oracle,
     dense_kernel_oracle,
+    dense_point_dims,
     flat_instance,
     ladder_instance,
     point_algebra,
     point_e1e2,
     random_poly,
     random_section,
+    sum_of_e1e2,
     zero_point_algebra,
 )
 from lsakit.cohomology import (
     MultiDerivation,
     RepCochain,
+    _point_rows,
+    _point_tables,
     assemble_point_differential,
     check_c0,
     cochain_basis,
@@ -40,7 +51,12 @@ from lsakit.core import (
     section_mult,
     sub_adjacent,
 )
-from lsakit.errors import ArityError, InvalidDegree, NotPointCase
+from lsakit.errors import (
+    ArityError,
+    DimensionMismatch,
+    InvalidDegree,
+    NotPointCase,
+)
 from lsakit.instances import load_corpus
 from lsakit.polyring import (
     Poly,
@@ -478,14 +494,6 @@ def rep_d_assembly_oracle(alg, rep, degree):
     return matrix, domain, codomain
 
 
-def sum_of_e1e2(copies):
-    """Direct sum of ``copies`` copies of point_e1e2."""
-    rank = 2 * copies
-    return point_algebra(rank, {
-        (2 * b, 2 * b + 1): [1 if p == 2 * b + 1 else 0 for p in range(rank)]
-        for b in range(copies)})
-
-
 def left_right_pair():
     """The regular representation (L, R) of e_1*e_1 = e_1, e_1*e_2 = e_2;
     its mu (right multiplication) is nonzero."""
@@ -536,3 +544,136 @@ def test_point_cohomology_rank6():
     matrix, domain, _ = assemble_point_differential(alg, rep, 2)
     assert rational_kernel_and_rank(matrix, len(domain)) == \
         dense_kernel_oracle(matrix, len(domain))
+
+
+def all_dims(result):
+    return (result.c0_dim, result.c0_closed_dim,
+            [(d.degree, d.dim_cochains, d.dim_cocycles, d.dim_coboundaries,
+              d.dim_cohomology) for d in result.degrees])
+
+
+def test_point_cohomology_matches_dense_path():
+    for alg, rep in assembly_cases():
+        assert all_dims(point_cohomology_dims(alg, rep, 3)) == \
+            all_dims(dense_point_dims(alg, rep, 3))
+
+
+def test_c0_basis_vectors_pass_check_c0():
+    # rho(e) = 2 on e.e = e leaves the defect 4 - 2 everywhere: C^0 = 0
+    cases = assembly_cases() + [(point_algebra(1, {(0, 0): [1]}),
+                                 Representation(1, [PolyMatrix((), [[2]])]))]
+    for alg, rep in cases:
+        basis = c0_basis_oracle(alg, rep)
+        assert point_cohomology_dims(alg, rep, 0, check=False).c0_dim == \
+            len(basis)
+        for vec in basis:
+            assert check_c0(alg, rep, Section((), list(vec)))
+
+
+def test_point_cohomology_rank_zero_closed_space():
+    # over a rank-0 algebra C^1 is zero, so d0 kills all of C^0
+    alg, rep = point_algebra(0, {}), Representation(2, [])
+    result = point_cohomology_dims(alg, rep, 2)
+    assert (result.c0_dim, result.c0_closed_dim) == (2, 2)
+    assert all_dims(result) == all_dims(dense_point_dims(alg, rep, 2))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_wrong_number_of_representation_matrices(count):
+    alg = point_e1e2()
+    rep = Representation(2, [PolyMatrix.identity(2, ())] * count)
+    message = (f"representation indexed by {count} frame sections "
+               f"on a rank 2 algebroid")
+    for check in (True, False):
+        with pytest.raises(DimensionMismatch, match=message):
+            point_cohomology_dims(alg, rep, 2, check=check)
+    with pytest.raises(DimensionMismatch, match=message):
+        assemble_point_differential(alg, rep, 1)
+
+
+entry = st.one_of(st.just(0), st.just(0), st.fractions(
+    min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def random_point_pairs(draw):
+    """Constant tables with no axiom imposed: products c[i][j], and rho
+    and mu matrices, of rank at most 3 and fibre rank at most 2."""
+    rank = draw(st.integers(1, 3))
+    s = draw(st.integers(0, 2))
+    products = {(i, j): draw(st.lists(entry, min_size=rank, max_size=rank))
+                for i in range(rank) for j in range(rank)}
+
+    def matrices():
+        return [PolyMatrix((), [draw(st.lists(entry, min_size=s, max_size=s))
+                                for _ in range(s)]) for _ in range(rank)]
+
+    return point_algebra(rank, products), Representation(s, matrices(),
+                                                         matrices())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_point_pairs())
+def test_sparse_ranks_match_dense_on_random_tables(pair):
+    alg, rep = pair
+    n_max = alg.rank + 1
+    assert all_dims(point_cohomology_dims(alg, rep, n_max, check=False)) == \
+        all_dims(dense_point_dims(alg, rep, n_max))
+
+
+RANK8_DEGREE4 = (4, 4, [(1, 64, 20, 0, 20), (2, 512, 140, 44, 96),
+                        (3, 1792, 556, 372, 184), (4, 3584, 1412, 1236, 176)])
+RANK10_DEGREE3 = (5, 5, [(1, 100, 30, 0, 30), (2, 1000, 245, 70, 175),
+                         (3, 4500, 1180, 755, 425)])
+
+
+def test_point_cohomology_rank8_degree4():
+    # four copies of point_e1e2; the dense path took 4.5 s and 354 MB
+    alg = sum_of_e1e2(4)
+    rep = lrep(alg)
+    start = time.perf_counter()
+    result = point_cohomology_dims(alg, rep, 4)
+    assert time.perf_counter() - start < 1.0
+    assert all_dims(result) == RANK8_DEGREE4
+
+
+def test_point_cohomology_rank8_degree4_peak_rss():
+    script = (
+        "import resource, sys\n"
+        "from helpers import sum_of_e1e2\n"
+        "from lsakit.cohomology import point_cohomology_dims\n"
+        "from lsakit.core import build_left_mult_rep\n"
+        "alg = sum_of_e1e2(4)\n"
+        "point_cohomology_dims(alg, build_left_mult_rep(alg), 4)\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak / 2 ** 20 if sys.platform == 'darwin' else peak / 1024)\n")
+    paths = [str(Path(lsakit.__file__).parents[1]), str(Path(__file__).parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout) < 60
+
+
+def test_point_cohomology_rank10_degree3():
+    alg = sum_of_e1e2(5)
+    assert all_dims(point_cohomology_dims(alg, lrep(alg), 3)) == \
+        RANK10_DEGREE3
+
+
+def test_rank10_rows_match_sympy_rank():
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    alg = sum_of_e1e2(5)
+    tables = _point_tables(alg, lrep(alg))
+    ranks = []
+    for degree in (1, 2, 3):
+        rows = {i: {j: QQ(v) for j, v in row.items()}
+                for i, row in enumerate(_point_rows(tables, degree)) if row}
+        shape = (len(cochain_basis(10, 10, degree + 1)),
+                 len(cochain_basis(10, 10, degree)))
+        ranks.append(DomainMatrix(rows, shape, QQ).rank())
+    assert ranks == [70, 755, 3320]
+    assert [dims[1] - dims[2] for dims in RANK10_DEGREE3[2]] == ranks

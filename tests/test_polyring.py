@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from helpers import dense_kernel_oracle
+from helpers import dense_kernel_oracle, random_poly
 from hypothesis import given, settings, strategies as st
 
 from lsakit.errors import (
@@ -330,6 +330,44 @@ def test_matrix_associativity():
     b = PolyMatrix(XY, [[1, 2], [parse_poly("x*y", XY), 0]])
     c = PolyMatrix(XY, [[0, 1], [1, 1]])
     assert (a @ b) @ c == a @ (b @ c)
+
+
+def naive_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Every entry pair multiplied, zeros included."""
+    return PolyMatrix(a.coords, [
+        [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)),
+             Poly.zero(a.coords)) for j in range(b.cols)]
+        for i in range(a.rows)])
+
+
+def random_sparse_poly_matrix(rng, rows, cols):
+    density = rng.choice((0.0, 0.2, 0.5, 1.0))
+    return PolyMatrix(XY, [[random_poly(rng, XY) if rng.random() < density
+                            else Poly.zero(XY) for _ in range(cols)]
+                           for _ in range(rows)])
+
+
+def test_matmul_matches_naive_triple_loop():
+    rng = random.Random(47)
+    for _ in range(200):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        a = random_sparse_poly_matrix(rng, n, k)
+        b = random_sparse_poly_matrix(rng, k, m)
+        assert a @ b == naive_matmul(a, b)
+
+
+def test_matmul_degree_overflow_only_on_nonzero_products():
+    x = parse_poly("x^3", XY)
+    a = PolyMatrix(XY, [[x, 0], [0, 1]])
+    set_degree_limit(4)
+    try:
+        # x^3 only ever meets zero entries or constants
+        assert a @ PolyMatrix(XY, [[0, 1], [x, 0]]) == \
+            PolyMatrix(XY, [[0, x], [x, 0]])
+        with pytest.raises(DegreeOverflow):
+            a @ a
+    finally:
+        set_degree_limit(16)
 
 
 # ---------------------------------------------------------------------------
