@@ -96,10 +96,7 @@ def _matvec_into(out: dict, matrix: PolyMatrix, section: Section) -> None:
         raise DimensionMismatch(
             f"{matrix.rows}x{matrix.cols} matrix applied to rank "
             f"{section.rank} section")
-    for j, value in section.terms.items():
-        for i, row in enumerate(matrix.entries):
-            if not row[j].is_zero():
-                _accumulate(out, i, row[j] * value)
+    matrix._apply_into(out, section.terms)
 
 
 def apply_endo(matrix: PolyMatrix, section: Section) -> Section:

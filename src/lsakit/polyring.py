@@ -597,8 +597,9 @@ def _poly_value(value, coords: tuple) -> Poly:
 class SparseModule:
     """Immutable sparse map from keys to nonzero values, over a shape.
 
-    Every section-like object is a module over the polynomial ring of the
-    base: ``terms`` maps keys to polynomials or to other module elements,
+    Each of the seven value types (the section-like objects and
+    ``PolyMatrix``) is a module over the polynomial ring of the base:
+    ``terms`` maps keys to polynomials or to other module elements,
     and zero values are never stored.  A subclass unpacks its shape
     tuple (``coords`` first) into named attributes in ``_set_shape`` and
     validates one entry in ``_entry``; the linear structure, equality,
@@ -795,45 +796,64 @@ def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
 # Polynomial matrices
 # ---------------------------------------------------------------------------
 
-class PolyMatrix:
-    """Dense matrix with polynomial entries over shared coordinates."""
+class PolyMatrix(SparseModule):
+    """Matrix with polynomial entries over shared coordinates, stored
+    sparsely by ``(row, col)``; ``entries`` is the dense view."""
 
-    __slots__ = ("coords", "entries", "rows", "cols")
+    __slots__ = ("coords", "rows", "cols")
 
     def __init__(self, coords: Sequence[str], entries: Sequence[Sequence]):
-        coords = tuple(coords)
-        rows = []
-        width = None
-        for row in entries:
-            prow = []
-            for entry in row:
-                if not isinstance(entry, Poly):
-                    entry = Poly.constant(entry, coords)
-                elif entry.coords != coords:
-                    raise DimensionMismatch(
-                        f"entry over {entry.coords}, expected {coords}")
-                prow.append(entry)
-            if width is None:
-                width = len(prow)
-            elif len(prow) != width:
-                raise DimensionMismatch("ragged matrix rows")
-            rows.append(tuple(prow))
-        self.coords = coords
-        self.entries = tuple(rows)
-        self.rows = len(rows)
-        self.cols = width if width is not None else 0
+        entries = [tuple(row) for row in entries]
+        cols = len(entries[0]) if entries else 0
+        if any(len(row) != cols for row in entries):
+            raise DimensionMismatch("ragged matrix rows")
+        self._fill((tuple(coords), len(entries), cols),
+                   (((i, j), value) for i, row in enumerate(entries)
+                    for j, value in enumerate(row)))
+
+    def _set_shape(self, shape: tuple) -> None:
+        self.coords, self.rows, self.cols = self._shape = shape
 
     @classmethod
     def identity(cls, n: int, coords: Sequence[str]) -> "PolyMatrix":
-        return cls(coords, [[1 if i == j else 0 for j in range(n)]
-                            for i in range(n)])
+        coords = tuple(coords)
+        one = Poly.constant(1, coords)
+        return cls._from((coords, n, n), {(i, i): one for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int, coords: Sequence[str]) -> "PolyMatrix":
-        return cls(coords, [[0] * cols for _ in range(rows)])
+        return cls._from((tuple(coords), rows, cols), {})
+
+    @property
+    def entries(self) -> tuple[tuple[Poly, ...], ...]:
+        zero = Poly.zero(self.coords)
+        get = self.terms.get
+        return tuple(tuple(get((i, j), zero) for j in range(self.cols))
+                     for i in range(self.rows))
+
+    def _index(self, index: int, size: int, what: str) -> None:
+        if not 0 <= index < size:
+            raise IndexOutOfRange(
+                f"{what} index {index} out of range for "
+                f"{self.rows}x{self.cols} matrix")
 
     def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
+        self._index(i, self.rows, "row")
+        self._index(j, self.cols, "column")
+        return self.terms.get((i, j)) or Poly.zero(self.coords)
+
+    def column(self, j: int) -> tuple[Poly, ...]:
+        self._index(j, self.cols, "column")
+        zero = Poly.zero(self.coords)
+        return tuple(self.terms.get((i, j), zero) for i in range(self.rows))
+
+    def _apply_into(self, out: dict, values: dict) -> None:
+        """Accumulate this matrix times the sparse vector ``values``
+        (column index -> nonzero polynomial) into ``out`` by row."""
+        for (i, j), entry in self.terms.items():
+            value = values.get(j)
+            if value is not None:
+                _accumulate(out, i, entry * value)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -844,75 +864,31 @@ class PolyMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
-        # zero entries add nothing and a zero product returns before the
-        # degree check, so skipping them changes neither the value nor
-        # where DegreeOverflow is raised
-        columns = [[(k, b) for k, b in enumerate(col) if b.terms]
-                   for col in zip(*other.entries)]
-        zero = Poly.zero(self.coords)
-        out = []
-        for left in self.entries:
-            row = []
-            for col in columns:
-                acc = zero
-                for k, b in col:
-                    a = left[k]
-                    if a.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.coords, out)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other)
-        return PolyMatrix(self.coords,
-                          [[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other)
-        return PolyMatrix(self.coords,
-                          [[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return PolyMatrix(self.coords,
-                          [[-a for a in row] for row in self.entries])
-
-    def scale(self, factor) -> "PolyMatrix":
-        return PolyMatrix(self.coords,
-                          [[a * factor for a in row] for row in self.entries])
-
-    def _check_shape(self, other: "PolyMatrix"):
-        if self.coords != other.coords or self.rows != other.rows \
-                or self.cols != other.cols:
-            raise DimensionMismatch("matrix shape or coordinate mismatch")
+        by_row: dict = {}
+        for (k, j), value in other.terms.items():
+            by_row.setdefault(k, []).append((j, value))
+        out: dict = {}
+        for (i, k), left in self.terms.items():
+            for j, value in by_row.get(k, ()):
+                _accumulate(out, (i, j), left * value)
+        return self._from((self.coords, self.rows, other.cols), out)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.coords,
-                          [[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)])
+        return self._from((self.coords, self.cols, self.rows),
+                          {(j, i): v for (i, j), v in self.terms.items()})
 
     def matvec(self, vector: Sequence[Poly]) -> tuple[Poly, ...]:
         if len(vector) != self.cols:
             raise DimensionMismatch(
                 f"vector of length {len(vector)} for {self.cols} columns")
-        out = []
-        for i in range(self.rows):
-            acc = Poly.zero(self.coords)
-            for j, v in enumerate(vector):
-                acc = acc + self.entries[i][j] * v
-            out.append(acc)
-        return tuple(out)
-
-    def column(self, j: int) -> tuple[Poly, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        out: dict = {}
+        self._apply_into(out, {j: v for j, v in enumerate(vector)
+                               if not v.is_zero()})
+        zero = Poly.zero(self.coords)
+        return tuple(out.get(i, zero) for i in range(self.rows))
 
     def is_constant(self) -> bool:
-        return all(e.is_constant() for row in self.entries for e in row)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return all(e.is_constant() for e in self.terms.values())
 
     def to_rational(self) -> list[list[Fraction]]:
         if not self.is_constant():
@@ -938,8 +914,8 @@ class PolyMatrix:
             return cache[key]
         acc = Poly.zero(self.coords)
         for pos, i in enumerate(rows):
-            entry = self.entries[i][col]
-            if entry.is_zero():
+            entry = self.terms.get((i, col))
+            if entry is None:
                 continue
             rest = rows[:pos] + rows[pos + 1:]
             minor = self._symbolic_det(rest, col + 1, cache)
@@ -952,23 +928,16 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise NotSquare("adjugate requires a square matrix")
         n = self.rows
+        entries = self.entries
         cof = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                sub = [[self.entries[r][c] for c in range(n) if c != j]
+                sub = [[entries[r][c] for c in range(n) if c != j]
                        for r in range(n) if r != i]
                 minor = PolyMatrix(self.coords, sub).det() if n > 1 \
                     else Poly.constant(1, self.coords)
                 cof[i][j] = minor if (i + j) % 2 == 0 else -minor
         return PolyMatrix(self.coords, cof).transpose()
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.coords == other.coords and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.coords, self.entries))
 
     def __str__(self):
         return "[" + "; ".join(
@@ -1146,11 +1115,9 @@ def find_constant_invertible_submatrix(matrix: PolyMatrix) \
     Searches row subsets of size ``matrix.cols`` in lexicographic order;
     returns None when no such subset exists.
     """
-    size = matrix.cols
+    size, entries = matrix.cols, matrix.entries
     for rows in combinations(range(matrix.rows), size):
-        sub = PolyMatrix(matrix.coords,
-                         [[matrix.entries[i][j] for j in range(size)]
-                          for i in rows])
+        sub = PolyMatrix(matrix.coords, [entries[i] for i in rows])
         det = sub.det()
         if det.is_constant() and not det.is_zero():
             return rows

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from lsakit.cli import derive, main, run_suite
+from lsakit import cli
+from lsakit.cli import build_parser, derive, main, run_suite
 from lsakit.constructions import semidirect_lsa
 from lsakit.core import build_left_mult_rep, check_left_symmetric
 from lsakit.errors import ParseError, SchemaError
@@ -132,6 +133,17 @@ def test_run_suite_rejects_unknown_suite():
         run_suite(load_corpus("flat"), "everything")
 
 
+def test_run_suite_cohomology_skips_the_sub_adjacent(monkeypatch):
+    def refuse(alg):
+        raise AssertionError("the cohomology suite needs no sub-adjacent")
+
+    monkeypatch.setattr(cli, "sub_adjacent", refuse)
+    report = run_suite(load_corpus("zero_r2"), "cohomology")
+    assert report.passed
+    assert {rec.name.split("/")[0] for rec in report.records} \
+        == {"axioms", "cohomology"}
+
+
 # ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------
@@ -190,6 +202,19 @@ def test_main_check_exit_codes(capsys):
     assert payload["status"] == "fail"
     witnesses = [w for rec in payload["checks"] for w in rec["witnesses"]]
     assert any("(e_1,e_2,e_2)" in w for w in witnesses)
+
+
+def test_main_after_a_bad_flag_in_the_same_process(capsys):
+    argv = ["verify-all", str(corpus_path("flat")), "--no-timestamp"]
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before
+    assert build_parser() is build_parser()
 
 
 def test_main_schema_error_exit_2(tmp_path, capsys):

@@ -370,6 +370,42 @@ def test_matmul_degree_overflow_only_on_nonzero_products():
         set_degree_limit(16)
 
 
+def test_matvec_matches_naive():
+    rng = random.Random(53)
+    for _ in range(200):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        a = random_sparse_poly_matrix(rng, n, k)
+        vector = random_sparse_poly_matrix(rng, k, 1)
+        assert a.matvec(vector.column(0)) == \
+            naive_matmul(a, vector).column(0)
+
+
+def test_matvec_degree_overflow_only_on_nonzero_products():
+    x = parse_poly("x^3", XY)
+    zero = Poly.zero(XY)
+    a = PolyMatrix(XY, [[x, 0], [0, 1]])
+    set_degree_limit(4)
+    try:
+        # x^3 only ever meets zero entries or constants
+        assert a.matvec([zero, x]) == (zero, x)
+        with pytest.raises(DegreeOverflow):
+            a.matvec([x, zero])
+    finally:
+        set_degree_limit(16)
+
+
+def test_matrix_indices_are_range_checked():
+    ident = PolyMatrix.identity(2, XY)
+    assert ident.entry(1, 1) == 1 and ident.entry(1, 0).is_zero()
+    assert ident.column(1) == (Poly.zero(XY), Poly.constant(1, XY))
+    for i, j in ((-1, -1), (-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(IndexOutOfRange):
+            ident.entry(i, j)
+    for j in (-1, 2):
+        with pytest.raises(IndexOutOfRange):
+            ident.column(j)
+
+
 # ---------------------------------------------------------------------------
 # rational linear algebra
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Table-driven laws shared by the six section-like value types.
+"""Table-driven laws shared by the seven sparse value types.
 
-Section, VectorField, Multivector, FormCochain, RepCochain and
-MultiDerivation are all sparse maps over one module core; every row of
-the table is checked against the same linear-algebra laws.
+Section, VectorField, Multivector, FormCochain, RepCochain,
+MultiDerivation and PolyMatrix are all sparse maps over one module core;
+every row of the table is checked against the same linear-algebra laws.
 """
 
 from dataclasses import dataclass
@@ -15,6 +15,7 @@ from lsakit import (
     MultiDerivation,
     Multivector,
     Poly,
+    PolyMatrix,
     RepCochain,
     Section,
     VectorField,
@@ -82,6 +83,11 @@ ROWS = [
                                 {(1,): VectorField.zero(XS)}),
         lambda: MultiDerivation(XS, 2, 1,
                                 {((), 1): Section(XS, [p("x"), 1])}, {})),
+    Row("PolyMatrix",
+        lambda: PolyMatrix(XS, [[p("x"), 0], [0, 1]]),
+        lambda: PolyMatrix(XS, [[p("-1*x"), p("1 + x^2")], [2, 0]]),
+        lambda: PolyMatrix(XS, [[0, Poly.zero(XS)], [0, 0]]),
+        lambda: PolyMatrix(XS, [[p("x"), 0, 0], [0, 1, 0]])),
 ]
 IDS = [row.name for row in ROWS]
 
@@ -173,6 +179,20 @@ def test_dense_components_view():
     assert VectorField.zero(XY).components == (Poly.zero(XY),) * 2
     with pytest.raises(DimensionMismatch):
         VectorField(XY, [p("x", XY)])
+
+    zero = Poly.zero(XS)
+    matrix = PolyMatrix(XS, [[0, p("x")], [0, 0], [1, 0]])
+    assert (matrix.rows, matrix.cols) == (3, 2)
+    assert matrix.terms == {(0, 1): p("x"), (2, 0): p("1")}
+    assert matrix.entries == ((zero, p("x")), (zero, zero), (p("1"), zero))
+    assert PolyMatrix(XS, matrix.entries) == matrix
+    assert PolyMatrix.zeros(2, 1, XS).entries == ((zero,), (zero,))
+    assert PolyMatrix.identity(2, XS).entries == ((p("1"), zero),
+                                                  (zero, p("1")))
+    with pytest.raises(AttributeError):
+        matrix.entries = ()
+    with pytest.raises(DimensionMismatch):
+        PolyMatrix(XS, [[1, 0], [1]])
 
 
 def test_alternating_lookup_folds_the_sign():
