@@ -288,6 +288,12 @@ def apply_O_operator(lie: LieAlgebroid, rep: Representation,
 def check_lie_nijenhuis(lie: LieAlgebroid, endo: PolyMatrix) -> bool:
     """Vanishing of the Nijenhuis concomitant of a bundle endomorphism
     with respect to the bracket, decided on frame pairs."""
+    return next(_torsion_failures(lie, endo), None) is None
+
+
+def _torsion_failures(lie: LieAlgebroid, endo: PolyMatrix):
+    """Frame pairs (i, j), i < j, where the Nijenhuis torsion
+    T(x, y) = [Nx, Ny] - N([Nx, y] + [x, Ny] - N[x, y]) is nonzero."""
     if endo.rows != lie.rank or endo.cols != lie.rank:
         raise DimensionMismatch("endomorphism shape mismatch")
     images = [Section(lie.coords, endo.column(i)) for i in range(lie.rank)]
@@ -298,8 +304,7 @@ def check_lie_nijenhuis(lie: LieAlgebroid, endo: PolyMatrix) -> bool:
                 + section_bracket(lie, lie.frame(i), images[j]) \
                 - apply_endo(endo, lie.b[i][j])
             if lhs != apply_endo(endo, inner):
-                return False
-    return True
+                yield i, j
 
 
 # ---------------------------------------------------------------------------
@@ -577,32 +582,15 @@ def phase_iso_from_lsa_iso(a1: LSAlgebroid, a2: LSAlgebroid,
 # ---------------------------------------------------------------------------
 
 def check_paracomplex(lie: LieAlgebroid, endo: PolyMatrix) -> bool:
-    """Squares to the identity and has vanishing integrability
-    concomitant on frame pairs."""
+    """Does the endomorphism square to the identity and satisfy
+    E[x, y] = [Ex, y] + [x, Ey] - E[Ex, Ey] on frame pairs?  Once
+    E^2 = id that concomitant is E applied to the Nijenhuis torsion, so
+    the second condition is :func:`check_lie_nijenhuis`."""
     if endo.rows != lie.rank or endo.cols != lie.rank:
         raise DimensionMismatch("endomorphism shape mismatch")
-    if endo @ endo != PolyMatrix.identity(lie.rank, lie.coords):
-        return False
-    images = [Section(lie.coords, endo.column(i)) for i in range(lie.rank)]
-    for i in range(lie.rank):
-        for j in range(i + 1, lie.rank):
-            lhs = apply_endo(endo, lie.b[i][j])
-            rhs = section_bracket(lie, images[i], lie.frame(j)) \
-                + section_bracket(lie, lie.frame(i), images[j]) \
-                - apply_endo(endo, section_bracket(lie, images[i], images[j]))
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _leading_principal_minors(matrix: PolyMatrix) -> list[Fraction]:
-    rational = matrix.to_rational()
-    minors = []
-    for k in range(1, matrix.rows + 1):
-        sub = PolyMatrix(matrix.coords,
-                         [row[:k] for row in rational[:k]])
-        minors.append(sub.det().constant_value())
-    return minors
+    # E[x,y] - [Ex,y] - [x,Ey] + E[Ex,Ey] = E T(x, y) when E^2 = id
+    return endo @ endo == PolyMatrix.identity(lie.rank, lie.coords) \
+        and check_lie_nijenhuis(lie, endo)
 
 
 def check_quadratic(alg: LSAlgebroid, form) -> Report:
@@ -649,7 +637,9 @@ def check_quadratic(alg: LSAlgebroid, form) -> Report:
                [] if not det.is_zero() else ["det = 0"])
 
     if matrix.is_constant():
-        minors = _leading_principal_minors(matrix)
+        rational = matrix.to_rational()
+        minors = [PolyMatrix(matrix.coords, [row[:k] for row in rational[:k]])
+                  .det().constant_value() for k in range(1, matrix.rows + 1)]
         positive = all(m > 0 for m in minors)
         report.add("riemannian",
                    "form is positive definite (leading principal minors)",
@@ -741,16 +731,8 @@ def build_complex_structure(alg: LSAlgebroid, form) -> ComplexStructure:
     minus_id = PolyMatrix.identity(2 * r, coords).scale(Fraction(-1))
     report.add("squares-to-minus-id", "J^2 = -id", J @ J == minus_id)
 
-    images = [Section(coords, J.column(i)) for i in range(2 * r)]
-    witnesses = []
-    for i in range(2 * r):
-        for j in range(i + 1, 2 * r):
-            lhs = apply_endo(J, P.b[i][j])
-            rhs = section_bracket(P, images[i], P.frame(j)) \
-                + section_bracket(P, P.frame(i), images[j]) \
-                + apply_endo(J, section_bracket(P, images[i], images[j]))
-            if lhs != rhs:
-                witnesses.append(f"(u_{i+1},u_{j+1})")
+    # J[u,v] - [Ju,v] - [u,Jv] - J[Ju,Jv] = -J T(u, v), and J^2 = -id
+    witnesses = [f"(u_{i+1},u_{j+1})" for i, j in _torsion_failures(P, J)]
     report.add("integrability",
                "J[u,v] = [Ju,v] + [u,Jv] + J[Ju,Jv] on frame pairs",
                not witnesses, witnesses)
@@ -758,22 +740,20 @@ def build_complex_structure(alg: LSAlgebroid, form) -> ComplexStructure:
     report.add("anticommutes-paracomplex", "JP = -PJ",
                J @ phase.paracomplex == (phase.paracomplex @ J).scale(-1))
 
+    images = [Section(coords, J.column(i)) for i in range(2 * r)]
     omega_ok = all(phase.omega.evaluate([images[i], images[j]]) ==
                    phase.omega.component((i, j))
                    for i in range(2 * r) for j in range(i + 1, 2 * r))
     report.add("omega-invariance", "omega(Ju, Jv) = omega(u, v)", omega_ok)
 
-    if matrix.is_constant():
-        minors = _leading_principal_minors(matrix)
-        positive = all(m > 0 for m in minors)
-        report.add("taming-positivity",
-                   "omega(u, Ju) is positive on nonzero sections",
-                   "pass" if positive else "uncertified",
-                   [] if positive else ["form is not positive definite"])
-    else:
-        report.add("taming-positivity",
-                   "omega(u, Ju) is positive on nonzero sections",
-                   "uncertified", ["form has non-constant entries"])
+    # omega(x + xi, J(x + xi)) = B(x, x) + B^-1(xi, xi): tamed iff B > 0
+    positive = quad.record("riemannian").status == "pass"
+    report.add("taming-positivity",
+               "omega(u, Ju) is positive on nonzero sections",
+               "pass" if positive else "uncertified",
+               [] if positive else
+               ["form is not positive definite" if matrix.is_constant()
+                else "form has non-constant entries"])
     return ComplexStructure(J, phase, report)
 
 

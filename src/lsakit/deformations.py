@@ -42,22 +42,10 @@ def deformation_from_tables(coords, rank: int, values, symbols) \
         -> MultiDerivation:
     """Degree-2 multiderivation from an r x r table of value sections
     and a list of symbol fields (one per frame section)."""
-    value_map = {}
-    for i in range(rank):
-        for j in range(rank):
-            sec = values[i][j]
-            if not isinstance(sec, Section):
-                sec = Section(coords, sec)
-            if not sec.is_zero():
-                value_map[((i,), j)] = sec
-    symbol_map = {}
-    for i in range(rank):
-        field = symbols[i]
-        if not isinstance(field, VectorField):
-            field = VectorField(coords, field)
-        if not field.is_zero():
-            symbol_map[(i,)] = field
-    return MultiDerivation(coords, rank, 2, value_map, symbol_map)
+    return MultiDerivation(
+        coords, rank, 2,
+        {((i,), j): values[i][j] for i in range(rank) for j in range(rank)},
+        {(i,): symbols[i] for i in range(rank)})
 
 
 def fresh_parameter(coords, base: str = "t") -> str:

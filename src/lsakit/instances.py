@@ -137,13 +137,8 @@ def _representation(block, coords, rank, path: str) -> Representation:
 
 def _deformation(block, coords, rank, path: str) -> MultiDerivation:
     _expect(block, dict, path)
-    values_entries = _expect_list(block.get("values"), rank, f"{path}.values")
-    values = []
-    for i in range(rank):
-        row = _expect_list(values_entries[i], rank, f"{path}.values[{i}]")
-        values.append([_section(row[j], coords, rank,
-                                f"{path}.values[{i}][{j}]")
-                       for j in range(rank)])
+    values = _structure_table(block.get("values"), coords, rank,
+                              f"{path}.values")
     symbols_entries = _expect_list(block.get("symbols"), rank,
                                    f"{path}.symbols")
     symbols = [_vector_field(symbols_entries[i], coords,
@@ -238,26 +233,22 @@ def section_to_list(section: Section) -> list[str]:
     return [str(comp) for comp in section.components]
 
 
-def algebroid_to_dict(alg: LSAlgebroid) -> dict:
+def _frame_data_to_dict(alg, key: str, table) -> dict:
     return {
         "coordinates": list(alg.coords),
         "rank": alg.rank,
-        "structure": [[section_to_list(alg.c[i][j]) for j in range(alg.rank)]
-                      for i in range(alg.rank)],
+        key: [[section_to_list(sec) for sec in row] for row in table],
         "anchor": [[str(comp) for comp in field.components]
                    for field in alg.anchor],
     }
+
+
+def algebroid_to_dict(alg: LSAlgebroid) -> dict:
+    return _frame_data_to_dict(alg, "structure", alg.c)
 
 
 def lie_algebroid_to_dict(alg: LieAlgebroid) -> dict:
-    return {
-        "coordinates": list(alg.coords),
-        "rank": alg.rank,
-        "bracket": [[section_to_list(alg.b[i][j]) for j in range(alg.rank)]
-                    for i in range(alg.rank)],
-        "anchor": [[str(comp) for comp in field.components]
-                   for field in alg.anchor],
-    }
+    return _frame_data_to_dict(alg, "bracket", alg.b)
 
 
 def matrix_to_list(matrix: PolyMatrix) -> list[list[str]]:

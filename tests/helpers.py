@@ -16,6 +16,7 @@ from lsakit.core import (
     LSAlgebroid,
     Section,
     anchor_of_section,
+    apply_endo,
     rep_rho_frame,
     rep_rho_section,
     section_bracket,
@@ -172,6 +173,41 @@ def six_term_admissibility_oracle(alg: LSAlgebroid) -> bool:
                 if not total.is_zero():
                     return False
     return True
+
+
+def paracomplex_concomitant_oracle(lie: LieAlgebroid, endo) -> list:
+    """Frame pairs where E[x, y] = [Ex, y] + [x, Ey] - E[Ex, Ey] fails,
+    evaluated directly: the paracomplex integrability loop the library
+    used before it decided the identity through the Nijenhuis torsion."""
+    images = [Section(lie.coords, endo.column(i)) for i in range(lie.rank)]
+    failing = []
+    for i in range(lie.rank):
+        for j in range(i + 1, lie.rank):
+            lhs = apply_endo(endo, lie.b[i][j])
+            rhs = section_bracket(lie, images[i], lie.frame(j)) \
+                + section_bracket(lie, lie.frame(i), images[j]) \
+                - apply_endo(endo, section_bracket(lie, images[i], images[j]))
+            if lhs != rhs:
+                failing.append((i, j))
+    return failing
+
+
+def complex_integrability_oracle(lie: LieAlgebroid, J) -> list:
+    """Frame pairs where J[u, v] = [Ju, v] + [u, Jv] + J[Ju, Jv] fails,
+    evaluated directly: the complex-structure integrability loop the
+    library used before it decided the identity through the Nijenhuis
+    torsion."""
+    images = [Section(lie.coords, J.column(i)) for i in range(lie.rank)]
+    failing = []
+    for i in range(lie.rank):
+        for j in range(i + 1, lie.rank):
+            lhs = apply_endo(J, lie.b[i][j])
+            rhs = section_bracket(lie, images[i], lie.frame(j)) \
+                + section_bracket(lie, lie.frame(i), images[j]) \
+                + apply_endo(J, section_bracket(lie, images[i], images[j]))
+            if lhs != rhs:
+                failing.append((i, j))
+    return failing
 
 
 def two_form_d_oracle(alg: LieAlgebroid, form: FormCochain,

@@ -1,8 +1,12 @@
 """Tests for instance parsing, the suite runner and the CLI contract."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lsakit import cli
 from lsakit.cli import build_parser, derive, main, run_suite
@@ -426,3 +430,94 @@ def test_main_missing_deformation_exit_2(capsys):
                                                "N"]):
         assert main([*argv, flat]) == 2
         assert capsys.readouterr().err == "error: deformation: missing\n"
+
+
+@pytest.mark.parametrize("mutate, err", [
+    (lambda d: d["deformation"]["values"].__setitem__(1, [["0", "0"]]),
+     "deformation.values[1]: expected 2 entries, got 1"),
+    (lambda d: d["deformation"]["values"].__setitem__(0, "0"),
+     "deformation.values[0]: expected list, got str"),
+    (lambda d: d["deformation"]["values"][0].__setitem__(1, 7),
+     "deformation.values[0][1]: expected list, got int"),
+    (lambda d: d["deformation"]["values"][0][1].__setitem__(1, "1+"),
+     "deformation.values[0][1][1]: unexpected end of input at position 2 "
+     "(expected a number, a variable, or '(')"),
+    (lambda d: d["deformation"].pop("values"),
+     "deformation.values: expected list, got NoneType"),
+], ids=["short-row", "non-list-row", "non-list-cell", "bad-polynomial",
+        "missing-key"])
+def test_main_malformed_deformation_values_exit_2(tmp_path, capsys, mutate,
+                                                  err):
+    data = json.loads(corpus_path("zero_r2").read_text())
+    mutate(data)
+    path = str(write_instance(tmp_path, data))
+    for argv in (["check"], ["deform", "--deformation"]):
+        assert main([*argv, path]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the input boundary
+# ---------------------------------------------------------------------------
+
+# every CLI command, with N as the named endomorphism
+FUZZ_COMMANDS = (
+    ["check"], ["verify-all"], ["derive", "--sub-adjacent"],
+    ["derive", "--phase-space"], ["derive", "--semidirect"],
+    ["derive", "--action"], ["cohomology", "--point"],
+    ["cohomology", "--cocycle"], ["cohomology", "--coboundary", "N"],
+    ["deform", "--nijenhuis", "N"], ["deform", "--deformation"],
+    ["deform", "--equivalence", "N"],
+)
+DELETE = object()
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)) and node:
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _leaf_paths(node[key], path + (key,))
+    else:
+        yield path
+
+
+CORPUS_DATA = {name: json.loads(corpus_path(name).read_text())
+               for name in CORPUS_NAMES}
+CORPUS_LEAVES = [(name, path) for name in CORPUS_NAMES
+                 for path in _leaf_paths(CORPUS_DATA[name])]
+LEAF_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 1000),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "x^", "1/0", "((x", "q", "x**2", "2^x", "e_1"]),
+    st.sampled_from([[], ["0"], [["0"]], {}, {"N": "0"}]),
+    st.just(DELETE))
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CORPUS_LEAVES), LEAF_VALUES)
+def test_main_mutated_corpus_keeps_the_exit_code_contract(tmp_path, leaf,
+                                                          value):
+    name, path = leaf
+    data = copy.deepcopy(CORPUS_DATA[name])
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    file = str(write_instance(tmp_path, data))
+    for command in FUZZ_COMMANDS:
+        argv = [*command, file, "--no-timestamp"]
+        first = _run_cli(argv)
+        assert first[0] in (0, 1, 2)
+        assert "Traceback" not in first[2]
+        assert _run_cli(argv) == first

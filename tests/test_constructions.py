@@ -6,18 +6,22 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     action_instance,
+    complex_integrability_oracle,
     flat_instance,
     flat_line_rank2,
     ladder_instance,
     point_algebra,
+    paracomplex_concomitant_oracle,
     point_e1e2,
     random_section,
     two_form_d_oracle,
 )
 from lsakit.constructions import (
+    _torsion_failures,
     action_algebroid,
     apply_O_operator,
     build_complex_structure,
@@ -56,6 +60,7 @@ from lsakit.errors import (
     NotQuadratic,
     OmegaNotClosed,
 )
+from lsakit.instances import CORPUS_NAMES, load_corpus
 from lsakit.polyring import Poly, PolyMatrix, VectorField, parse_poly
 
 ZERO2 = PolyMatrix.zeros(2, 2, ())
@@ -494,6 +499,107 @@ def test_paracomplex_swap_on_solvable_algebra():
         - apply_endo(swap, section_bracket(lie, images[0], images[1]))
     expected = lhs == rhs
     assert check_paracomplex(lie, swap) == expected
+
+
+def _oracle_algebroids():
+    """Sub-adjacent and phase-space Lie algebroids of three instances
+    with constant and non-constant brackets and anchors."""
+    lies = []
+    for alg in (flat_instance(), ladder_instance(), point_e1e2()):
+        lies += [sub_adjacent(alg), build_phase_space(alg).P]
+    return lies
+
+
+ORACLE_ALGEBROIDS = _oracle_algebroids()
+
+
+def _shear(coords, r, i, j, f):
+    """I + f E_ij, whose inverse is I - f E_ij."""
+    return PolyMatrix(coords, [[f if (a, b) == (i, j) else int(a == b)
+                                for b in range(r)] for a in range(r)])
+
+
+@st.composite
+def conjugated(draw, middle):
+    """An algebroid and S M S^-1 for a unimodular S, a product of shears
+    whose factor f is a nonzero integer times 1 or a base coordinate."""
+    lie = draw(st.sampled_from(ORACLE_ALGEBROIDS))
+    r, coords = lie.rank, lie.coords
+    S = S_inv = PolyMatrix.identity(r, coords)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(r)))[:2]
+        f = Poly.constant(draw(st.sampled_from((1, -1, 2, -2))), coords)
+        if coords and draw(st.booleans()):
+            f = f * Poly.variable(draw(st.sampled_from(coords)), coords)
+        S = S @ _shear(coords, r, i, j, f)
+        S_inv = _shear(coords, r, i, j, -f) @ S_inv
+    return lie, S @ PolyMatrix(coords, draw(middle(r))) @ S_inv
+
+
+def _reflections(r):
+    signs = st.lists(st.sampled_from((1, -1)), min_size=r, max_size=r)
+    return signs.map(lambda d: [[d[a] if a == b else 0 for b in range(r)]
+                                for a in range(r)])
+
+
+def _rotation(r):
+    h = r // 2
+    return st.just([[-1 if b == a + h else 1 if a == b + h else 0
+                     for b in range(r)] for a in range(r)])
+
+
+def test_paracomplex_torsion_matches_concomitant_oracle():
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(conjugated(_reflections))
+    def agree(case):
+        lie, E = case
+        assert E @ E == PolyMatrix.identity(lie.rank, lie.coords)
+        failing = list(_torsion_failures(lie, E))
+        assert failing == paracomplex_concomitant_oracle(lie, E)
+        assert check_paracomplex(lie, E) == (not failing)
+        outcomes.add(not failing)
+
+    agree()
+    assert outcomes == {True, False}
+
+
+def test_complex_torsion_matches_integrability_oracle():
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(conjugated(_rotation))
+    def agree(case):
+        lie, J = case
+        assert J @ J == PolyMatrix.identity(lie.rank, lie.coords).scale(-1)
+        failing = list(_torsion_failures(lie, J))
+        assert failing == complex_integrability_oracle(lie, J)
+        outcomes.add(not failing)
+
+    agree()
+    assert outcomes == {True, False}
+
+
+def test_lie_form_d_multiplies_no_zero_component(monkeypatch):
+    products = []
+    multiply = Poly.__mul__
+
+    def spy(left, right):
+        products.append((left, right))
+        return multiply(left, right)
+
+    for name in CORPUS_NAMES:
+        alg = load_corpus(name).algebroid
+        if not check_left_symmetric(alg).passed:
+            continue
+        phase = build_phase_space(alg)
+        monkeypatch.setattr(Poly, "__mul__", spy)
+        lie_form_d(phase.P, phase.omega)
+        monkeypatch.undo()
+    assert products
+    assert not any(isinstance(x, Poly) and x.is_zero()
+                   for pair in products for x in pair)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     action_instance,
@@ -427,6 +428,31 @@ def test_lie_admissible_oracle_decides_nonassociative_sample():
     # e_1 * e_1 = e_2, e_2 * e_1 = e_1: decided by the six-term sum
     alg = point_algebra(2, {(0, 0): [0, 1], (1, 0): [1, 0]})
     assert check_lie_admissible(alg) == six_term_admissibility_oracle(alg)
+
+
+@st.composite
+def arbitrary_point_products(draw):
+    """Rank and sparse product table of a point algebra whose product
+    need not be left-symmetric."""
+    rank = draw(st.integers(1, 4))
+    coeff = st.sampled_from((0, 0, 0, 0, 1, -1, 2))
+    return rank, {(i, j): [draw(coeff) for _ in range(rank)]
+                  for i in range(rank) for j in range(rank)}
+
+
+def test_lie_admissible_matches_six_term_oracle():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(arbitrary_point_products())
+    def agree(case):
+        alg = point_algebra(*case)
+        verdict = check_lie_admissible(alg)
+        assert verdict == six_term_admissibility_oracle(alg)
+        outcomes.add(verdict)
+
+    agree()
+    assert outcomes == {True, False}
 
 
 def test_lie_admissible_requires_point_case():
