@@ -374,7 +374,7 @@ def _point_tables(alg: LSAlgebroid, rep: Representation) -> _PointTables:
     Every rho, mu and product entry is scaled by one common denominator;
     each differential is linear in them, so scaling changes no rank.
     """
-    _require_rank_domain(rep, alg.rank)
+    _require_rank_domain(rep, alg)
     r = alg.rank
     rho = [mat.to_rational() for mat in rep.rho_mat]
     mu = [mat.to_rational() for mat in rep.mu_mat]

@@ -22,6 +22,9 @@ from .core import (
     LSAlgebroid,
     Representation,
     Section,
+    _along,
+    _at,
+    _require_left_symmetric,
     anchor_of_section,
     apply_endo,
     build_left_mult_rep,
@@ -29,10 +32,6 @@ from .core import (
     check_lsa_homomorphism,
     frame_commutator,
     lie_form_d,
-    rep_mu_frame,
-    rep_mu_section,
-    rep_rho_frame,
-    rep_rho_section,
     section_bracket,
     section_mult,
     sub_adjacent,
@@ -46,7 +45,6 @@ from .errors import (
     NotAnIdeal,
     NotARepresentation,
     NotIsomorphism,
-    NotLeftSymmetric,
     NotPointCase,
     NotQuadratic,
     IncompatibleBracket,
@@ -83,30 +81,35 @@ def _form_matrix(form) -> PolyMatrix:
 # Representation checks and duals
 # ---------------------------------------------------------------------------
 
-def _require_rank_domain(rep: Representation, rank: int) -> None:
-    if rep.rank_domain != rank:
+def _require_rank_domain(rep: Representation, alg) -> None:
+    """One matrix per frame section of ``alg``, over its coordinates;
+    checked before any arithmetic."""
+    if rep.rank_domain != alg.rank:
         raise DimensionMismatch(
             f"representation indexed by {rep.rank_domain} frame sections "
-            f"on a rank {rank} algebroid")
+            f"on a rank {alg.rank} algebroid")
+    for mat in (*rep.rho_mat, *rep.mu_mat):
+        if mat.coords != alg.coords:
+            raise DimensionMismatch(
+                f"representation matrices over {mat.coords} on an "
+                f"algebroid over {alg.coords}")
 
 
 def check_representation_lie(lie: LieAlgebroid, rep: Representation) -> bool:
     """Does rho send frame brackets to operator commutators?
 
-    The derivation part of each operator acts along the anchor of its
-    frame section, so the symbols agree by construction; the residual
-    defect is a bundle map and is decided on frame pairs.
+    rho(e_i) = a_i + R_i, with a_i the anchor field of e_i; the symbols
+    agree by construction, so the identity is the matrix equation
+    R([e_i, e_j]) = a_i(R_j) - a_j(R_i) + R_i R_j - R_j R_i on i < j.
     """
-    _require_rank_domain(rep, lie.rank)
-    units = [Section.unit(lie.coords, rep.s, m) for m in range(rep.s)]
-    for i in range(lie.rank):
-        for j in range(i + 1, lie.rank):
-            for u in units:
-                lhs = rep_rho_section(lie, rep, lie.b[i][j], u)
-                rhs = rep_rho_frame(lie, rep, i, rep_rho_frame(lie, rep, j, u)) \
-                    - rep_rho_frame(lie, rep, j, rep_rho_frame(lie, rep, i, u))
-                if lhs != rhs:
-                    return False
+    _require_rank_domain(rep, lie)
+    R = rep.rho_mat
+    for i, j in combinations(range(lie.rank), 2):
+        lhs = _at(R, lie.b[i][j], rep.s)
+        rhs = _along(lie.anchor[i], R[j]) - _along(lie.anchor[j], R[i]) \
+            + R[i] @ R[j] - R[j] @ R[i]
+        if lhs != rhs:
+            return False
     return True
 
 
@@ -122,23 +125,20 @@ def check_representation_lsa(alg: LSAlgebroid, rep: Representation) -> bool:
     """Is (rho, mu) a representation of the left-symmetric algebroid?
 
     Requires rho to represent the sub-adjacent Lie algebroid, plus the
-    coupling identity
-    rho(x)mu(y)e - mu(y)rho(x)e = mu(x.y)e - mu(y)mu(x)e
-    on all frame pairs acting on the frame of the auxiliary bundle.
+    coupling identity rho(x)mu(y) - mu(y)rho(x) = mu(x.y) - mu(y)mu(x),
+    which on frame pairs (i, j), with mu(e_j) = M_j, is the matrix
+    equation a_i(M_j) + R_i M_j - M_j R_i = M(e_i.e_j) - M_j M_i.
     """
     lie = sub_adjacent(alg)
     if not check_representation_lie(lie, rep):
         return False
-    units = [Section.unit(alg.coords, rep.s, m) for m in range(rep.s)]
+    R, M = rep.rho_mat, rep.mu_mat
     for i in range(alg.rank):
         for j in range(alg.rank):
-            for u in units:
-                lhs = rep_rho_frame(alg, rep, i, rep_mu_frame(rep, j, u)) \
-                    - rep_mu_frame(rep, j, rep_rho_frame(alg, rep, i, u))
-                rhs = rep_mu_section(rep, alg.c[i][j], u) \
-                    - rep_mu_frame(rep, j, rep_mu_frame(rep, i, u))
-                if lhs != rhs:
-                    return False
+            lhs = _along(alg.anchor[i], M[j]) + R[i] @ M[j] - M[j] @ R[i]
+            rhs = _at(M, alg.c[i][j], rep.s) - M[j] @ M[i]
+            if lhs != rhs:
+                return False
     return True
 
 
@@ -192,9 +192,7 @@ def action_algebroid(algebra: LSAlgebroid, fields: Sequence[VectorField],
     """
     if not algebra.is_point():
         raise NotPointCase("the acting algebra must have a point base")
-    axioms = check_left_symmetric(algebra)
-    if not axioms.passed:
-        raise NotLeftSymmetric(report=axioms)
+    _require_left_symmetric(algebra)
     coords = tuple(coords)
     fields = list(fields)
     if len(fields) != algebra.rank:
@@ -222,9 +220,7 @@ def action_algebroid(algebra: LSAlgebroid, fields: Sequence[VectorField],
                            for comp in algebra.c[i][j].components])
           for j in range(algebra.rank)] for i in range(algebra.rank)]
     result = LSAlgebroid(coords, algebra.rank, c, fields)
-    axioms = check_left_symmetric(result)
-    if not axioms.passed:
-        raise NotLeftSymmetric(report=axioms)
+    _require_left_symmetric(result)
     return result
 
 
@@ -252,18 +248,18 @@ def apply_O_operator(lie: LieAlgebroid, rep: Representation,
     if T.rows != lie.rank or T.cols != rep.s:
         raise DimensionMismatch(
             f"operator must be {lie.rank}x{rep.s}, got {T.rows}x{T.cols}")
-    if rep.rank_domain != lie.rank:
-        raise DimensionMismatch("representation does not match the algebroid")
+    _require_rank_domain(rep, lie)
     images = [Section(lie.coords, T.column(m)) for m in range(rep.s)]
-    units = [Section.unit(lie.coords, rep.s, m) for m in range(rep.s)]
+    # rho(Tu_i)u_j is column j of R(Tu_i): the anchor kills constant units
+    mats = [_at(rep.rho_mat, image, rep.s) for image in images]
+    c = [[Section(lie.coords, mat.column(j)) for j in range(rep.s)]
+         for mat in mats]
 
     witnesses = []
     for i in range(rep.s):
         for j in range(i + 1, rep.s):
             lhs = section_bracket(lie, images[i], images[j])
-            inner = rep_rho_section(lie, rep, images[i], units[j]) \
-                - rep_rho_section(lie, rep, images[j], units[i])
-            rhs = apply_endo(T, inner)
+            rhs = apply_endo(T, c[i][j] - c[j][i])
             if lhs != rhs:
                 witnesses.append(
                     f"(u_{i+1},u_{j+1}): [Tu,Tv] = {lhs} but "
@@ -271,8 +267,6 @@ def apply_O_operator(lie: LieAlgebroid, rep: Representation,
     if witnesses:
         return OOperatorResult(False, None, None, tuple(witnesses))
 
-    c = [[rep_rho_section(lie, rep, images[i], units[j])
-          for j in range(rep.s)] for i in range(rep.s)]
     anchor = [anchor_of_section(lie, images[i]) for i in range(rep.s)]
     induced = LSAlgebroid(lie.coords, rep.s, c, anchor)
 
@@ -311,32 +305,36 @@ def _torsion_failures(lie: LieAlgebroid, endo: PolyMatrix):
 # Semidirect products
 # ---------------------------------------------------------------------------
 
-def _embed(section: Section, total: int, offset: int) -> Section:
-    return Section._from((section.coords, total),
-                         {offset + k: v for k, v in section.terms.items()})
+def _semidirect(base, table, s: int, right: Sequence[PolyMatrix],
+                left: Sequence[PolyMatrix]):
+    """The algebroid of ``base``'s type on the direct sum E + V of rank
+    r + s: ``table`` on E x E, column m of right[i] at (e_i, u_m),
+    column m of left[j] at (u_m, e_j), zero on V x V, and the anchor
+    vanishing on V.  No identity is checked."""
+    r, coords, total = base.rank, base.coords, base.rank + s
+    cells = [[{} for _ in range(total)] for _ in range(total)]
+    for i in range(r):
+        for j in range(r):
+            cells[i][j].update(table[i][j].terms)
+        for (row, m), value in right[i].terms.items():
+            cells[i][r + m][r + row] = value
+        for (row, m), value in left[i].terms.items():
+            cells[r + m][i][r + row] = value
+    return type(base)(
+        coords, total,
+        [[Section._from((coords, total), cell) for cell in row]
+         for row in cells],
+        base.anchor + (VectorField.zero(coords),) * s)
 
 
 def semidirect_lie(lie: LieAlgebroid, rep: Representation) -> LieAlgebroid:
     """Semidirect product bracket on the direct sum with the auxiliary
-    bundle; the anchor vanishes on the auxiliary part."""
+    bundle, [x, u] = rho(x)u = -[u, x]; the anchor vanishes on the
+    auxiliary part."""
     if not check_representation_lie(lie, rep):
         raise NotARepresentation("input is not a Lie algebroid representation")
-    r, s = lie.rank, rep.s
-    total = r + s
-    coords = lie.coords
-    zero = Section.zero(coords, total)
-    b = [[zero for _ in range(total)] for _ in range(total)]
-    units = [Section.unit(coords, s, m) for m in range(s)]
-    for i in range(r):
-        for j in range(r):
-            b[i][j] = _embed(lie.b[i][j], total, 0)
-    for i in range(r):
-        for m in range(s):
-            image = _embed(rep_rho_frame(lie, rep, i, units[m]), total, r)
-            b[i][r + m] = image
-            b[r + m][i] = -image
-    anchor = list(lie.anchor) + [VectorField.zero(coords) for _ in range(s)]
-    return LieAlgebroid(coords, total, b, anchor)
+    return _semidirect(lie, lie.b, rep.s, rep.rho_mat,
+                       [-m for m in rep.rho_mat])
 
 
 def semidirect_lsa(alg: LSAlgebroid, rep: Representation) -> LSAlgebroid:
@@ -344,23 +342,7 @@ def semidirect_lsa(alg: LSAlgebroid, rep: Representation) -> LSAlgebroid:
     multiplies as before, rho acts from the left and mu from the right."""
     if not check_representation_lsa(alg, rep):
         raise NotARepresentation("(rho, mu) fails the representation identities")
-    r, s = alg.rank, rep.s
-    total = r + s
-    coords = alg.coords
-    zero = Section.zero(coords, total)
-    c = [[zero for _ in range(total)] for _ in range(total)]
-    units = [Section.unit(coords, s, m) for m in range(s)]
-    for i in range(r):
-        for j in range(r):
-            c[i][j] = _embed(alg.c[i][j], total, 0)
-    for i in range(r):
-        for m in range(s):
-            c[i][r + m] = _embed(rep_rho_frame(alg, rep, i, units[m]), total, r)
-    for j in range(r):
-        for m in range(s):
-            c[r + m][j] = _embed(rep_mu_frame(rep, j, units[m]), total, r)
-    anchor = list(alg.anchor) + [VectorField.zero(coords) for _ in range(s)]
-    return LSAlgebroid(coords, total, c, anchor)
+    return _semidirect(alg, alg.c, rep.s, rep.rho_mat, rep.mu_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +426,10 @@ def lsa_from_phase(lie: LieAlgebroid, rep: Representation) -> PhaseCompatible:
     """
     if rep.s != lie.rank:
         raise DimensionMismatch("representation must act on the bundle itself")
-    if not check_representation_lie(lie, rep):
-        raise NotARepresentation("input is not a Lie algebroid representation")
+    dual = dual_rep(lie, rep)
     r = lie.rank
     coords = lie.coords
-    P = semidirect_lie(lie, dual_rep(lie, rep))
+    P = semidirect_lie(lie, dual)
     omega = canonical_pairing_form(coords, r)
     d_omega = lie_form_d(P, omega)
     if not d_omega.is_zero():
@@ -458,11 +439,12 @@ def lsa_from_phase(lie: LieAlgebroid, rep: Representation) -> PhaseCompatible:
             f"{tuple(t + 1 for t in triple)}", triple=triple)
 
     report = Report("compatible structure from phase space")
+    c = [[Section(coords, rep.rho_mat[i].column(j)) for j in range(r)]
+         for i in range(r)]
     bracket_witnesses = []
     for i in range(r):
         for j in range(i + 1, r):
-            derived = Section(coords, rep.rho_mat[i].column(j)) \
-                - Section(coords, rep.rho_mat[j].column(i))
+            derived = c[i][j] - c[j][i]
             if derived != lie.b[i][j]:
                 bracket_witnesses.append(
                     f"(e_{i+1},e_{j+1}): rho(x)y - rho(y)x = {derived} but "
@@ -472,28 +454,14 @@ def lsa_from_phase(lie: LieAlgebroid, rep: Representation) -> PhaseCompatible:
     report.add("bracket-relation",
                "bracket equals the commutator of the recovered product", True)
 
-    c = [[Section(coords, rep.rho_mat[i].column(j)) for j in range(r)]
-         for i in range(r)]
     base = LSAlgebroid(coords, r, c, lie.anchor)
     base_axioms = check_left_symmetric(base)
     report.add("base-left-symmetric",
                "recovered product is left-symmetric", base_axioms.passed,
                [w for rec in base_axioms.records for w in rec.witnesses])
 
-    total_rank = 2 * r
-    zero = Section.zero(coords, total_rank)
-    c_total = [[zero for _ in range(total_rank)] for _ in range(total_rank)]
-    for i in range(r):
-        for j in range(r):
-            c_total[i][j] = _embed(base.c[i][j], total_rank, 0)
-    for i in range(r):
-        for m in range(r):
-            dual_col = Section(coords,
-                               [-(rep.rho_mat[i].entry(m, k))
-                                for k in range(r)])
-            c_total[i][r + m] = _embed(dual_col, total_rank, r)
-    anchor = list(lie.anchor) + [VectorField.zero(coords) for _ in range(r)]
-    total = LSAlgebroid(coords, total_rank, c_total, anchor)
+    # the semidirect product of the base by the dual representation
+    total = _semidirect(base, base.c, r, dual.rho_mat, dual.mu_mat)
     total_axioms = check_left_symmetric(total)
     report.add("compatible-left-symmetric",
                "double carries the compatible left-symmetric structure",
@@ -501,7 +469,7 @@ def lsa_from_phase(lie: LieAlgebroid, rep: Representation) -> PhaseCompatible:
                [w for rec in total_axioms.records for w in rec.witnesses])
 
     matches = all(frame_commutator(total, i, j) == P.b[i][j]
-                  for i in range(total_rank) for j in range(total_rank))
+                  for i in range(2 * r) for j in range(2 * r))
     report.add("sub-adjacent-matches",
                "commutator of the compatible structure is the phase-space "
                "bracket", matches)
@@ -797,7 +765,6 @@ def ideal_restriction_matrices(alg: LSAlgebroid,
     """Matrices of left and right multiplication restricted to the span
     of the kernel frame; raises when the span is not an ideal."""
     coords = alg.coords
-    s = len(kernel_frame)
     left = []
     right = []
     for i in range(alg.rank):
@@ -818,12 +785,8 @@ def ideal_restriction_matrices(alg: LSAlgebroid,
                     f"({k}) * e_{i+1} = {product} escapes the frame span",
                     witness=str(product))
             rcols.append(coeffs)
-        left.append(PolyMatrix(coords,
-                               [[lcols[alpha][beta] for alpha in range(s)]
-                                for beta in range(s)]))
-        right.append(PolyMatrix(coords,
-                                [[rcols[alpha][beta] for alpha in range(s)]
-                                 for beta in range(s)]))
+        left.append(PolyMatrix(coords, lcols).transpose())
+        right.append(PolyMatrix(coords, rcols).transpose())
     return left, right
 
 
@@ -869,11 +832,8 @@ def kernel_representations(alg: LSAlgebroid,
                "bracket action preserves the span of the kernel frame",
                closes, [witness] if witness else [])
     if closes:
-        ad_mats = [PolyMatrix(alg.coords,
-                              [[ad_cols[i][alpha][beta] for alpha in range(s)]
-                               for beta in range(s)])
-                   for i in range(alg.rank)]
-        ad_rep = Representation(s, ad_mats)
+        ad_rep = Representation(s, [PolyMatrix(alg.coords, cols).transpose()
+                                    for cols in ad_cols])
         report.add("ad-representation",
                    "(kernel; bracket action, 0) is a representation",
                    check_representation_lsa(alg, ad_rep))

@@ -175,12 +175,14 @@ class LSAlgebroid(FrameAlgebroid):
     left-symmetric algebra over the rationals.
     """
 
-    __slots__ = ("c", "_products")
+    __slots__ = ("c", "_products", "_axioms")
 
     def __init__(self, coords, rank: int, c, anchor):
         self.c = self._tables(coords, rank, c, anchor, "product")
         # graded_product's memo of products of unit wedge monomials
         self._products: dict = {}
+        # check_left_symmetric stores its verdict here for the axiom gate
+        self._axioms: bool | None = None
 
 
 class LieAlgebroid(FrameAlgebroid):
@@ -258,6 +260,9 @@ def check_left_symmetric(alg: LSAlgebroid) -> Report:
     frame triples, and compatibility of the anchor with the commutator
     of the product (the associator defect is a bundle map only modulo
     the anchor identity, so both checks are required).
+
+    The verdict is stored on ``alg``, so the axiom gate of every
+    construction on it decides the axioms at most once while they hold.
     """
     report = Report("left-symmetric axioms")
     witnesses = []
@@ -287,7 +292,18 @@ def check_left_symmetric(alg: LSAlgebroid) -> Report:
     report.add("anchor-morphism",
                "anchor takes product commutators to vector-field brackets",
                not anchor_witnesses, anchor_witnesses)
+    alg._axioms = report.passed
     return report
+
+
+def _require_left_symmetric(alg: LSAlgebroid) -> None:
+    """The axiom gate of every construction: a stored passing verdict is
+    trusted; otherwise the axioms are decided, and a failure raises with
+    the full report."""
+    if not alg._axioms:
+        report = check_left_symmetric(alg)
+        if not report.passed:
+            raise NotLeftSymmetric(report=report)
 
 
 def _jacobi_failures(alg: LieAlgebroid):
@@ -334,9 +350,7 @@ def check_lie_algebroid(alg: LieAlgebroid) -> Report:
 
 def sub_adjacent(alg: LSAlgebroid) -> LieAlgebroid:
     """Lie algebroid with the commutator bracket and the same anchor."""
-    axioms = check_left_symmetric(alg)
-    if not axioms.passed:
-        raise NotLeftSymmetric(report=axioms)
+    _require_left_symmetric(alg)
     return _commutator_algebroid(alg)
 
 
@@ -367,11 +381,8 @@ class Representation:
                  mu_mat: Sequence[PolyMatrix] | None = None):
         rho_mat = tuple(rho_mat)
         if mu_mat is None:
-            coords = rho_mat[0].coords if rho_mat else ()
-            mu_mat = tuple(PolyMatrix.zeros(s, s, coords)
-                           for _ in rho_mat)
-        else:
-            mu_mat = tuple(mu_mat)
+            mu_mat = [PolyMatrix.zeros(s, s, m.coords) for m in rho_mat]
+        mu_mat = tuple(mu_mat)
         if len(mu_mat) != len(rho_mat):
             raise DimensionMismatch("rho and mu tables differ in length")
         for m in (*rho_mat, *mu_mat):
@@ -385,6 +396,21 @@ class Representation:
     @property
     def rank_domain(self) -> int:
         return len(self.rho_mat)
+
+
+def _at(mats: Sequence[PolyMatrix], x: Section, s: int) -> PolyMatrix:
+    """X(x) = sum_k x^k X_k, the s x s matrix that a table of matrices
+    gives at the section x."""
+    out: dict = {}
+    for k, comp in x.terms.items():
+        _add_scaled(out, mats[k], comp)
+    return PolyMatrix._from((x.coords, s, s), out)
+
+
+def _along(field: VectorField, mat: PolyMatrix) -> PolyMatrix:
+    """The vector field applied to every entry of the matrix."""
+    applied = ((key, field.apply(entry)) for key, entry in mat.terms.items())
+    return mat._like({key: v for key, v in applied if not v.is_zero()})
 
 
 def rep_rho_frame(alg, rep: Representation, i: int, u: Section) -> Section:
@@ -411,25 +437,17 @@ def rep_mu_frame(rep: Representation, j: int, u: Section) -> Section:
 
 
 def rep_mu_section(rep: Representation, x: Section, u: Section) -> Section:
-    out: dict = {}
-    for j, comp in x.terms.items():
-        _add_scaled(out, rep_mu_frame(rep, j, u), comp)
-    return Section._from((u.coords, rep.s), out)
+    return apply_endo(_at(rep.mu_mat, x, rep.s), u)
 
 
 def build_left_mult_rep(alg: LSAlgebroid) -> Representation:
     """Left multiplication as a representation of the sub-adjacent Lie
     algebroid on the bundle itself."""
-    axioms = check_left_symmetric(alg)
-    if not axioms.passed:
-        raise NotLeftSymmetric(report=axioms)
-    mats = []
-    for i in range(alg.rank):
-        cols = [alg.c[i][j].components for j in range(alg.rank)]
-        mats.append(PolyMatrix(alg.coords,
-                               [[cols[j][k] for j in range(alg.rank)]
-                                for k in range(alg.rank)]))
-    return Representation(alg.rank, mats)
+    _require_left_symmetric(alg)
+    # column j of L_i is the product e_i.e_j
+    return Representation(alg.rank, [
+        PolyMatrix(alg.coords, [sec.components for sec in row]).transpose()
+        for row in alg.c])
 
 
 def check_lsa_homomorphism(a1: LSAlgebroid, a2: LSAlgebroid,

@@ -17,9 +17,11 @@ from lsakit.core import (
     Section,
     anchor_of_section,
     apply_endo,
+    rep_mu_frame,
     rep_rho_frame,
     rep_rho_section,
     section_bracket,
+    sub_adjacent,
 )
 from lsakit.errors import DimensionMismatch
 from lsakit.polyring import (
@@ -208,6 +210,99 @@ def complex_integrability_oracle(lie: LieAlgebroid, J) -> list:
             if lhs != rhs:
                 failing.append((i, j))
     return failing
+
+
+def representation_lie_oracle(lie: LieAlgebroid, rep) -> bool:
+    """rho([e_i, e_j])u = rho(e_i)rho(e_j)u - rho(e_j)rho(e_i)u on frame
+    pairs and the unit sections u of the auxiliary bundle, through
+    Section round trips: the library's check before it compared
+    matrices."""
+    units = [Section.unit(lie.coords, rep.s, m) for m in range(rep.s)]
+    for i in range(lie.rank):
+        for j in range(i + 1, lie.rank):
+            for u in units:
+                lhs = rep_rho_section(lie, rep, lie.b[i][j], u)
+                rhs = rep_rho_frame(lie, rep, i, rep_rho_frame(lie, rep, j, u)) \
+                    - rep_rho_frame(lie, rep, j, rep_rho_frame(lie, rep, i, u))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def representation_lsa_oracle(alg: LSAlgebroid, rep) -> bool:
+    """The Lie oracle on the sub-adjacent algebroid plus the coupling
+    identity rho(x)mu(y)u - mu(y)rho(x)u = mu(x.y)u - mu(y)mu(x)u on
+    frame pairs and unit sections u, through Section round trips."""
+    if not representation_lie_oracle(sub_adjacent(alg), rep):
+        return False
+    units = [Section.unit(alg.coords, rep.s, m) for m in range(rep.s)]
+    for i in range(alg.rank):
+        for j in range(alg.rank):
+            for u in units:
+                lhs = rep_rho_frame(alg, rep, i, rep_mu_frame(rep, j, u)) \
+                    - rep_mu_frame(rep, j, rep_rho_frame(alg, rep, i, u))
+                rhs = -rep_mu_frame(rep, j, rep_mu_frame(rep, i, u))
+                for k, comp in alg.c[i][j].terms.items():
+                    rhs = rhs + rep_mu_frame(rep, k, u).scale(comp)
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def _embed(section: Section, total: int, offset: int) -> Section:
+    zero = Poly.zero(section.coords)
+    return Section(section.coords,
+                   [zero] * offset + list(section.components)
+                   + [zero] * (total - offset - section.rank))
+
+
+def semidirect_lie_oracle(lie: LieAlgebroid, rep) -> LieAlgebroid:
+    """The semidirect bracket table laid out entry by entry, with no
+    check: [e_i, u_m] = rho(e_i)u_m = -[u_m, e_i]."""
+    r, s = lie.rank, rep.s
+    total = r + s
+    coords = lie.coords
+    zero = Section.zero(coords, total)
+    b = [[zero for _ in range(total)] for _ in range(total)]
+    units = [Section.unit(coords, s, m) for m in range(s)]
+    for i in range(r):
+        for j in range(r):
+            b[i][j] = _embed(lie.b[i][j], total, 0)
+    for i in range(r):
+        for m in range(s):
+            image = _embed(rep_rho_frame(lie, rep, i, units[m]), total, r)
+            b[i][r + m] = image
+            b[r + m][i] = -image
+    anchor = list(lie.anchor) + [VectorField.zero(coords) for _ in range(s)]
+    return LieAlgebroid(coords, total, b, anchor)
+
+
+def semidirect_lsa_oracle(alg: LSAlgebroid, rep) -> LSAlgebroid:
+    """The semidirect product table laid out entry by entry, with no
+    check: e_i.u_m = rho(e_i)u_m and u_m.e_j = mu(e_j)u_m."""
+    r, s = alg.rank, rep.s
+    total = r + s
+    coords = alg.coords
+    zero = Section.zero(coords, total)
+    c = [[zero for _ in range(total)] for _ in range(total)]
+    units = [Section.unit(coords, s, m) for m in range(s)]
+    for i in range(r):
+        for j in range(r):
+            c[i][j] = _embed(alg.c[i][j], total, 0)
+    for i in range(r):
+        for m in range(s):
+            c[i][r + m] = _embed(rep_rho_frame(alg, rep, i, units[m]), total, r)
+    for j in range(r):
+        for m in range(s):
+            c[r + m][j] = _embed(rep_mu_frame(rep, j, units[m]), total, r)
+    anchor = list(alg.anchor) + [VectorField.zero(coords) for _ in range(s)]
+    return LSAlgebroid(coords, total, c, anchor)
+
+
+def frame_data(alg) -> tuple:
+    """Everything that defines an algebroid on a trivial bundle."""
+    table = alg.c if isinstance(alg, LSAlgebroid) else alg.b
+    return alg.coords, alg.rank, table, alg.anchor
 
 
 def two_form_d_oracle(alg: LieAlgebroid, form: FormCochain,
