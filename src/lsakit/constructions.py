@@ -269,14 +269,9 @@ def apply_O_operator(lie: LieAlgebroid, rep: Representation,
 
     anchor = [anchor_of_section(lie, images[i]) for i in range(rep.s)]
     induced = LSAlgebroid(lie.coords, rep.s, c, anchor)
-
-    hom = True
-    for i in range(rep.s):
-        for j in range(i + 1, rep.s):
-            mapped = apply_endo(T, induced.c[i][j] - induced.c[j][i])
-            if mapped != section_bracket(lie, images[i], images[j]):
-                hom = False
-    return OOperatorResult(True, induced, hom)
+    # the induced commutator is c[i][j] - c[j][i], so the witness loop
+    # has already compared T of it with the ambient bracket
+    return OOperatorResult(True, induced, True)
 
 
 def check_lie_nijenhuis(lie: LieAlgebroid, endo: PolyMatrix) -> bool:
@@ -382,7 +377,9 @@ def build_phase_space(alg: LSAlgebroid) -> PhaseSpace:
     """
     lie = sub_adjacent(alg)
     dual = dual_rep(lie, build_left_mult_rep(alg))
-    P = semidirect_lie(lie, dual)
+    # the semidirect bracket by the dual, which dual_rep has checked
+    P = _semidirect(lie, lie.b, alg.rank, dual.rho_mat,
+                    [-m for m in dual.rho_mat])
     omega = canonical_pairing_form(alg.coords, alg.rank)
     para = canonical_paracomplex(alg.coords, alg.rank)
 
@@ -429,7 +426,8 @@ def lsa_from_phase(lie: LieAlgebroid, rep: Representation) -> PhaseCompatible:
     dual = dual_rep(lie, rep)
     r = lie.rank
     coords = lie.coords
-    P = semidirect_lie(lie, dual)
+    # the semidirect bracket by the dual, which dual_rep has checked
+    P = _semidirect(lie, lie.b, r, dual.rho_mat, [-m for m in dual.rho_mat])
     omega = canonical_pairing_form(coords, r)
     d_omega = lie_form_d(P, omega)
     if not d_omega.is_zero():
@@ -503,7 +501,7 @@ def phase_iso_from_lsa_iso(a1: LSAlgebroid, a2: LSAlgebroid,
     Phi = PolyMatrix(coords, blocks)
 
     phase1 = build_phase_space(a1)
-    phase2 = build_phase_space(a2)
+    phase2 = phase1 if a2 is a1 else build_phase_space(a2)
     report = Report("phase space isomorphism")
     images = [Section(coords, Phi.column(i)) for i in range(2 * r)]
 

@@ -24,7 +24,6 @@ from .core import (
     anchor_of_section,
     apply_endo,
     check_left_symmetric,
-    frame_commutator,
     section_mult,
 )
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     NotADeformation,
     NotNijenhuis,
 )
-from .polyring import Poly, PolyMatrix, VectorField, vf_bracket
+from .polyring import Poly, PolyMatrix, VectorField
 from .report import Report
 
 FORMAL = object()
@@ -77,11 +76,13 @@ def check_deformation(alg: LSAlgebroid, omega: MultiDerivation) -> Report:
     """Full validity report for a candidate deformation.
 
     Records the first-order cocycle condition on values and symbols
-    (obtained by expanding the deformed associator and anchor identity
-    at first order in the parameter), the quadratic self-product
-    condition, the auxiliary instance (omega as product, its symbol as
-    anchor) passing the left-symmetric axioms, and an independent
-    cross-check that the deformation differential of omega vanishes.
+    (the deformed associator and anchor identity at first order in the
+    parameter), the quadratic self-product condition, the auxiliary
+    instance (omega as product, its symbol as anchor) passing the
+    left-symmetric axioms, and whether the deformation differential of
+    omega vanishes.  The first-order condition is closedness: the two
+    cocycle records are read off the values and the symbol of d(omega),
+    computed once.
     """
     if omega.degree != 2 or omega.rank != alg.rank \
             or omega.coords != alg.coords:
@@ -93,39 +94,17 @@ def check_deformation(alg: LSAlgebroid, omega: MultiDerivation) -> Report:
     def w(x: Section, y: Section) -> Section:
         return omega.evaluate([x, y])
 
-    witnesses = []
-    for i in range(alg.rank):
-        for j in range(i + 1, alg.rank):
-            for k in range(alg.rank):
-                x, y, z = frames[i], frames[j], frames[k]
-                total = section_mult(alg, x, w(y, z)) \
-                    - section_mult(alg, y, w(x, z)) \
-                    + section_mult(alg, w(y, x), z) \
-                    - section_mult(alg, w(x, y), z) \
-                    - w(y, section_mult(alg, x, z)) \
-                    + w(x, section_mult(alg, y, z)) \
-                    - w(frame_commutator(alg, i, j), z)
-                if not total.is_zero():
-                    witnesses.append(
-                        f"(e_{i+1},e_{j+1},e_{k+1}): first-order defect "
-                        f"= {total}")
+    # in degree 2, d(omega) on (e_i, e_j; e_k) with i < j is the
+    # seven-term first-order associator defect, and its symbol on
+    # (e_i, e_j) the five-term first-order anchor defect
+    differential = def_d(alg, omega)
+    witnesses = [f"(e_{i+1},e_{j+1},e_{k+1}): first-order defect = {total}"
+                 for ((i, j), k), total in differential.values.items()]
     report.add("cocycle-values",
                "first-order associator condition on frame triples",
                not witnesses, witnesses[:5])
-
-    sym_witnesses = []
-    for i in range(alg.rank):
-        for j in range(i + 1, alg.rank):
-            total = vf_bracket(alg.anchor[i], omega.symbol((j,))) \
-                - vf_bracket(alg.anchor[j], omega.symbol((i,))) \
-                - anchor_of_section(alg, omega.value((i,), j)) \
-                + anchor_of_section(alg, omega.value((j,), i))
-            bracket = frame_commutator(alg, i, j)
-            for k, comp in bracket.terms.items():
-                total = total - omega.symbol((k,)).scale(comp)
-            if not total.is_zero():
-                sym_witnesses.append(
-                    f"(e_{i+1},e_{j+1}): first-order anchor defect = {total}")
+    sym_witnesses = [f"(e_{i+1},e_{j+1}): first-order anchor defect = {total}"
+                     for (i, j), total in differential.symbols.items()]
     report.add("cocycle-symbol",
                "first-order anchor condition on frame pairs",
                not sym_witnesses, sym_witnesses[:5])
@@ -150,7 +129,6 @@ def check_deformation(alg: LSAlgebroid, omega: MultiDerivation) -> Report:
                       [omega.symbol((i,)) for i in range(alg.rank)])
     report.merge(check_left_symmetric(aux), prefix="aux-")
 
-    differential = def_d(alg, omega)
     report.add("closed-in-deformation-complex",
                "deformation differential of the candidate vanishes "
                "(values and symbol)",
@@ -165,6 +143,12 @@ def deformed_algebroid(alg: LSAlgebroid, omega: MultiDerivation, t,
     validity = check_deformation(alg, omega)
     if not validity.passed:
         raise NotADeformation(report=validity)
+    return _deform(alg, omega, t, param)
+
+
+def _deform(alg: LSAlgebroid, omega: MultiDerivation, t,
+            param: str) -> LSAlgebroid:
+    """The structure x.y + t w(x, y), a + t sigma_w; no check."""
     if t is FORMAL:
         param = fresh_parameter(alg.coords, param)
         lifted = extend_algebroid(alg, param)
@@ -228,12 +212,15 @@ def trivial_deformation(alg: LSAlgebroid, endo: PolyMatrix) \
     if not check_nijenhuis(alg, endo):
         raise NotNijenhuis("endomorphism fails the Nijenhuis condition")
     omega = def_d(alg, MultiDerivation.from_endomorphism(alg, endo))
+    validity = check_deformation(alg, omega)
+    if not validity.passed:
+        raise NotADeformation(report=validity)
     report = Report("trivial deformation")
-    report.merge(check_deformation(alg, omega))
+    report.merge(validity)
 
     param = fresh_parameter(alg.coords)
     lifted = extend_algebroid(alg, param)
-    deformed = deformed_algebroid(alg, omega, FORMAL, param)
+    deformed = _deform(alg, omega, FORMAL, param)
     tpoly = Poly.variable(param, lifted.coords)
     endo_lifted = PolyMatrix(lifted.coords,
                              [[endo.entry(i, j).extend(lifted.coords)

@@ -17,10 +17,12 @@ from lsakit.core import (
     Section,
     anchor_of_section,
     apply_endo,
+    frame_commutator,
     rep_mu_frame,
     rep_rho_frame,
     rep_rho_section,
     section_bracket,
+    section_mult,
     sub_adjacent,
 )
 from lsakit.errors import DimensionMismatch
@@ -30,6 +32,7 @@ from lsakit.polyring import (
     as_rational,
     parse_poly,
     rational_kernel_and_rank,
+    vf_bracket,
 )
 
 
@@ -246,6 +249,62 @@ def representation_lsa_oracle(alg: LSAlgebroid, rep) -> bool:
                     rhs = rhs + rep_mu_frame(rep, k, u).scale(comp)
                 if lhs != rhs:
                     return False
+    return True
+
+
+def deformation_cocycle_oracle(alg: LSAlgebroid, omega) -> tuple[list, list]:
+    """Witnesses of the first-order associator condition on frame
+    triples and of the first-order anchor condition on frame pairs, from
+    the seven-term and five-term sums written out: the loops
+    ``check_deformation`` ran before it read both off d(omega)."""
+    frames = [alg.frame(i) for i in range(alg.rank)]
+
+    def w(x: Section, y: Section) -> Section:
+        return omega.evaluate([x, y])
+
+    witnesses = []
+    for i in range(alg.rank):
+        for j in range(i + 1, alg.rank):
+            for k in range(alg.rank):
+                x, y, z = frames[i], frames[j], frames[k]
+                total = section_mult(alg, x, w(y, z)) \
+                    - section_mult(alg, y, w(x, z)) \
+                    + section_mult(alg, w(y, x), z) \
+                    - section_mult(alg, w(x, y), z) \
+                    - w(y, section_mult(alg, x, z)) \
+                    + w(x, section_mult(alg, y, z)) \
+                    - w(frame_commutator(alg, i, j), z)
+                if not total.is_zero():
+                    witnesses.append(
+                        f"(e_{i+1},e_{j+1},e_{k+1}): first-order defect "
+                        f"= {total}")
+
+    sym_witnesses = []
+    for i in range(alg.rank):
+        for j in range(i + 1, alg.rank):
+            total = vf_bracket(alg.anchor[i], omega.symbol((j,))) \
+                - vf_bracket(alg.anchor[j], omega.symbol((i,))) \
+                - anchor_of_section(alg, omega.value((i,), j)) \
+                + anchor_of_section(alg, omega.value((j,), i))
+            bracket = frame_commutator(alg, i, j)
+            for k, comp in bracket.terms.items():
+                total = total - omega.symbol((k,)).scale(comp)
+            if not total.is_zero():
+                sym_witnesses.append(
+                    f"(e_{i+1},e_{j+1}): first-order anchor defect = {total}")
+    return witnesses, sym_witnesses
+
+
+def o_operator_homomorphism_oracle(lie: LieAlgebroid, T, induced) -> bool:
+    """Does T map the commutator of the induced product to the bracket
+    on frame pairs?  The loop ``apply_O_operator`` ran for
+    ``T_homomorphism`` before it took the value from its witness loop."""
+    images = [Section(lie.coords, T.column(m)) for m in range(induced.rank)]
+    for i in range(induced.rank):
+        for j in range(i + 1, induced.rank):
+            mapped = apply_endo(T, induced.c[i][j] - induced.c[j][i])
+            if mapped != section_bracket(lie, images[i], images[j]):
+                return False
     return True
 
 
