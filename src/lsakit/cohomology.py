@@ -8,6 +8,13 @@ deformation complex consists of multiderivations: alternating in their
 leading slots, function-linear there, and differentiating through a
 vector-field-valued symbol in the last slot.
 
+Both differentials have the Chevalley-Eilenberg shape of the form
+differential ``core.lie_form_d``: terms on each omitted argument with
+sign (-1)^a, and the bracket of each pair of arguments inserted into
+the leading slots with sign (-1)^(a+b).  ``core._coboundary_terms``
+lists those terms once per leading tuple for all of them, and for the
+point-case rows below; each adds its own action terms.
+
 Over a zero-dimensional base both complexes are finite dimensional.
 The structure constants and the representation matrices are then read
 once into integer tables over one common denominator; each differential
@@ -31,6 +38,7 @@ from .core import (
     LSAlgebroid,
     Representation,
     Section,
+    _coboundary_terms,
     anchor_of_section,
     frame_commutator,
     rep_mu_frame,
@@ -53,7 +61,6 @@ from .polyring import (
     _add_scaled,
     _forward_pivots,
     _index_tuple,
-    sort_with_sign,
     vf_bracket,
 )
 
@@ -138,14 +145,12 @@ def rep_d(alg: LSAlgebroid, rep: Representation, cochain: RepCochain,
         raise NotARepresentation("(rho, mu) fails the representation identities")
     if cochain.rank != alg.rank or cochain.coords != alg.coords:
         raise DimensionMismatch("cochain does not live on this algebroid")
-    n = cochain.degree
-    comps = {}
-    for lead in combinations(range(alg.rank), n):
+    n, comps = cochain.degree, {}
+    for lead, omitted, inserted in _coboundary_terms(
+            alg.rank, n, lambda i, j: frame_commutator(alg, i, j).terms):
         for last in range(alg.rank):
             total: dict = {}
-            for a, i_a in enumerate(lead):
-                sign = 1 if a % 2 == 0 else -1
-                rest = lead[:a] + lead[a + 1:]
+            for sign, i_a, rest in omitted:
                 _add_scaled(total, rep_rho_frame(
                     alg, rep, i_a, cochain.component(rest, last)), sign)
                 _add_scaled(total, rep_mu_frame(
@@ -153,16 +158,18 @@ def rep_d(alg: LSAlgebroid, rep: Representation, cochain: RepCochain,
                 for k, comp in alg.c[i_a][last].terms.items():
                     _add_scaled(total, cochain.component(rest, k),
                                 comp * -sign)
-            for a, b in combinations(range(n), 2):
-                sign = 1 if (a + b) % 2 == 0 else -1
-                rest = tuple(lead[p] for p in range(n) if p not in (a, b))
-                bracket = frame_commutator(alg, lead[a], lead[b])
-                for k, comp in bracket.terms.items():
-                    _add_scaled(total, cochain.component((k,) + rest, last),
-                                comp * sign)
+            _add_inserted(total, cochain, inserted, last)
             if total:
                 comps[(lead, last)] = Section._from((alg.coords, rep.s), total)
     return RepCochain._from((alg.coords, alg.rank, rep.s, n + 1), comps)
+
+
+def _add_inserted(out: dict, cochain, inserted: list, last) -> None:
+    """Accumulate the bracket insertions into the leading slots."""
+    for key, coeff in inserted:
+        value = cochain.terms.get((key, last))
+        if value is not None:
+            _add_scaled(out, value, coeff)
 
 
 def rep_d0(alg: LSAlgebroid, rep: Representation, element: Section) \
@@ -272,45 +279,30 @@ def def_d(alg: LSAlgebroid, deriv: MultiDerivation) -> MultiDerivation:
     """
     if deriv.rank != alg.rank or deriv.coords != alg.coords:
         raise DimensionMismatch("multiderivation does not live on this bundle")
-    n = deriv.degree
-    entries = {}
-    for lead in combinations(range(alg.rank), n):
+    n, entries = deriv.degree, {}
+    for lead, omitted, inserted in _coboundary_terms(
+            alg.rank, n, lambda i, j: frame_commutator(alg, i, j).terms):
         for last in range(alg.rank):
             total: dict = {}
-            for a, i_a in enumerate(lead):
-                sign = 1 if a % 2 == 0 else -1
-                rest = lead[:a] + lead[a + 1:]
+            for sign, i_a, rest in omitted:
                 _add_scaled(total, section_mult(
                     alg, alg.frame(i_a), deriv.value(rest, last)), sign)
                 _add_scaled(total, section_mult(
                     alg, deriv.value(rest, i_a), alg.frame(last)), sign)
                 _add_scaled(total, deriv.evaluate_last(rest, alg.c[i_a][last]),
                             -sign)
-            for a, b in combinations(range(n), 2):
-                sign = 1 if (a + b) % 2 == 0 else -1
-                rest = tuple(lead[p] for p in range(n) if p not in (a, b))
-                bracket = frame_commutator(alg, lead[a], lead[b])
-                for k, comp in bracket.terms.items():
-                    _add_scaled(total, deriv.value((k,) + rest, last),
-                                comp * sign)
+            _add_inserted(total, deriv, inserted, last)
             if total:
                 entries[(lead, last)] = Section._from(
                     (alg.coords, alg.rank), total)
 
         field: dict = {}
-        for a, i_a in enumerate(lead):
-            sign = 1 if a % 2 == 0 else -1
-            rest = lead[:a] + lead[a + 1:]
+        for sign, i_a, rest in omitted:
             _add_scaled(field, vf_bracket(alg.anchor[i_a], deriv.symbol(rest)),
                         sign)
             _add_scaled(field, anchor_of_section(alg, deriv.value(rest, i_a)),
                         sign)
-        for a, b in combinations(range(n), 2):
-            sign = 1 if (a + b) % 2 == 0 else -1
-            rest = tuple(lead[p] for p in range(n) if p not in (a, b))
-            bracket = frame_commutator(alg, lead[a], lead[b])
-            for k, comp in bracket.terms.items():
-                _add_scaled(field, deriv.symbol((k,) + rest), comp * sign)
+        _add_inserted(field, deriv, inserted, None)
         if field:
             entries[(lead, None)] = VectorField._from((alg.coords,), field)
     return MultiDerivation._from((alg.coords, alg.rank, alg.rank, n + 1),
@@ -358,7 +350,7 @@ class _PointTables(NamedTuple):
     """Structure tables of a point-base pair, all scaled by ``den``:
     ``rho[i][m]`` and ``mu[i][m]`` are row m of the matrices as
     ``{col: int}``, ``prod[i][j]`` the product e_i.e_j as ``{k: int}``,
-    ``comm[i, j]`` the commutator (i < j) as ``[(k, int)]``."""
+    ``comm[i, j]`` the commutator (i < j) as ``{k: int}``."""
     den: int
     rank: int
     s: int
@@ -396,7 +388,7 @@ def _point_tables(alg: LSAlgebroid, rep: Representation) -> _PointTables:
         total = dict(prod[i][j])
         for k, v in prod[j][i].items():
             total[k] = total.get(k, 0) - v
-        comm[i, j] = [(k, v) for k, v in total.items() if v]
+        comm[i, j] = {k: v for k, v in total.items() if v}
     return _PointTables(den, r, rep.s, [scaled(m) for m in rho],
                         [scaled(m) for m in mu], prod, comm)
 
@@ -415,19 +407,12 @@ def _point_rows(tables: _PointTables, degree: int) -> Iterator[dict]:
     rho, mu, prod, comm = tables.rho, tables.mu, tables.prod, tables.comm
     position = {lead: pos
                 for pos, lead in enumerate(combinations(range(r), degree - 1))}
-    for lead in combinations(range(r), degree):
-        # (sign, first column of the domain block (rest, 0, 0), i_a)
-        omitted = [(1 if a % 2 == 0 else -1,
-                    position[lead[:a] + lead[a + 1:]] * r * s, i_a)
-                   for a, i_a in enumerate(lead)]
-        inserted = []
-        for a, b in combinations(range(degree), 2):
-            sign = 1 if (a + b) % 2 == 0 else -1
-            rest = tuple(lead[p] for p in range(degree) if p not in (a, b))
-            for k, v in comm[lead[a], lead[b]]:
-                key, perm = sort_with_sign((k,) + rest)
-                if perm:
-                    inserted.append((position[key] * r * s, sign * perm * v))
+    for _, omitted, inserted in _coboundary_terms(
+            r, degree, lambda i, j: comm[i, j]):
+        # first column of each domain block (rest, 0, 0)
+        omitted = [(sign, position[rest] * r * s, i_a)
+                   for sign, i_a, rest in omitted]
+        inserted = [(position[key] * r * s, v) for key, v in inserted]
         for last in range(r):
             rows = [{} for _ in range(s)]
             for sign, start, i_a in omitted:

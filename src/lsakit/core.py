@@ -529,34 +529,48 @@ def _permutations_with_sign(key: tuple[int, ...]):
         yield indices, sign
 
 
+def _coboundary_terms(rank: int, degree: int, bracket):
+    """Index and sign bookkeeping of every Chevalley-Eilenberg style
+    differential: for each increasing ``degree``-tuple ``lead``, yields
+    ``(lead, omitted, inserted)``.  ``omitted`` lists ``(sign, i_a, rest)``
+    with sign (-1)^a for the argument at position a left out; ``inserted``
+    lists ``(key, coeff)`` for each component c e_k of the bracket
+    ``bracket(i_a, i_b)`` (a map k -> c, a < b) put in front of the rest,
+    with ``key`` the sorted ``(k,) + rest`` and ``coeff`` c times
+    (-1)^(a+b) and the sign of the sort."""
+    for lead in combinations(range(rank), degree):
+        omitted = [(-1 if a % 2 else 1, i_a, lead[:a] + lead[a + 1:])
+                   for a, i_a in enumerate(lead)]
+        inserted = []
+        for a, b in combinations(range(degree), 2):
+            rest = lead[:a] + lead[a + 1:b] + lead[b + 1:]
+            for k, c in bracket(lead[a], lead[b]).items():
+                key, sign = sort_with_sign((k,) + rest)
+                if sign:
+                    inserted.append(
+                        (key, c if sign == (-1) ** (a + b) else -c))
+        yield lead, omitted, inserted
+
+
 def lie_form_d(alg: LieAlgebroid, form: FormCochain) -> FormCochain:
     """Coboundary of an alternating form: anchor terms on omitted
     arguments plus bracket insertions, with alternating signs."""
     if form.rank != alg.rank or form.coords != alg.coords:
         raise DimensionMismatch("form does not live on this algebroid")
-    k = form.degree
     comps = {}
-    for key in combinations(range(alg.rank), k + 1):
+    for key, omitted, inserted in _coboundary_terms(
+            alg.rank, form.degree + 1, lambda i, j: alg.b[i][j].terms):
         total = Poly.zero(alg.coords)
-        for pos, i in enumerate(key):
-            rest = key[:pos] + key[pos + 1:]
+        for sign, i, rest in omitted:
             term = alg.anchor[i].apply(form.component(rest))
-            if not term.is_zero():
-                total = total + term if pos % 2 == 0 else total - term
-        for pos_a, pos_b in combinations(range(k + 1), 2):
-            i, j = key[pos_a], key[pos_b]
-            rest = tuple(key[p] for p in range(k + 1)
-                         if p not in (pos_a, pos_b))
-            term = Poly.zero(alg.coords)
-            for m, comp in alg.b[i][j].terms.items():
-                value = form._lookup((m,) + rest)
-                if value is not None:
-                    term = term + comp * value
-            if not term.is_zero():
-                total = total - term if (pos_a + pos_b) % 2 == 1 else total + term
+            total = total + term if sign > 0 else total - term
+        for ins, coeff in inserted:
+            value = form.terms.get(ins)
+            if value is not None:
+                total = total + coeff * value
         if not total.is_zero():
             comps[key] = total
-    return FormCochain(alg.coords, alg.rank, k + 1, comps)
+    return FormCochain(alg.coords, alg.rank, form.degree + 1, comps)
 
 
 # ---------------------------------------------------------------------------

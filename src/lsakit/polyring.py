@@ -756,11 +756,16 @@ class VectorField(SparseModule):
     def extend(self, new_coords: Sequence[str]) -> "VectorField":
         """Lift to a larger coordinate tuple with zero new components."""
         new_coords = tuple(new_coords)
+        if not set(self.coords) <= set(new_coords):
+            raise DimensionMismatch(
+                f"{new_coords} does not contain all of {self.coords}")
         return self._from((new_coords,), {
             new_coords.index(self.coords[mu]): comp.extend(new_coords)
             for mu, comp in self.terms.items()})
 
     def substitute(self, name: str, value) -> "VectorField":
+        if name not in self.coords:
+            raise IndexOutOfRange(f"'{name}' is not among {self.coords}")
         idx = self.coords.index(name)
         rest = self.coords[:idx] + self.coords[idx + 1:]
         terms = {}

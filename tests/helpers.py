@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from lsakit.cohomology import (
     DegreeDims,
+    MultiDerivation,
     PointCohomology,
+    RepCochain,
     assemble_point_differential,
     cochain_basis,
     rep_d0,
@@ -29,9 +32,11 @@ from lsakit.errors import DimensionMismatch
 from lsakit.polyring import (
     Poly,
     VectorField,
+    _add_scaled,
     as_rational,
     parse_poly,
     rational_kernel_and_rank,
+    sort_with_sign,
     vf_bracket,
 )
 
@@ -140,6 +145,18 @@ def random_esection(rng: random.Random, coords, s: int,
                     max_degree: int = 2) -> Section:
     return Section(coords,
                    [random_poly(rng, coords, max_degree) for _ in range(s)])
+
+
+def random_algebroid(rng: random.Random, coords, rank: int,
+                     max_degree: int = 1) -> LSAlgebroid:
+    """Random product and anchor tables with no axiom imposed (almost
+    never left-symmetric)."""
+    return LSAlgebroid(
+        coords, rank,
+        [[random_esection(rng, coords, rank, max_degree)
+          for _ in range(rank)] for _ in range(rank)],
+        [VectorField(coords, [random_poly(rng, coords, max_degree)
+                              for _ in coords]) for _ in range(rank)])
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +499,151 @@ def dense_point_dims(alg: LSAlgebroid, rep, n_max: int) -> PointCohomology:
                                   len(kernel) - previous_rank))
         previous_rank = rank
     return PointCohomology(len(c0_basis), len(d0_kernel), degrees)
+
+
+# ---------------------------------------------------------------------------
+# The differentials with their own index and sign bookkeeping: the loops
+# lie_form_d, rep_d, def_d and the point-case rows ran before they took
+# their terms from core._coboundary_terms
+# ---------------------------------------------------------------------------
+
+def lie_form_d_oracle(alg: LieAlgebroid, form: FormCochain) -> FormCochain:
+    k = form.degree
+    comps = {}
+    for key in combinations(range(alg.rank), k + 1):
+        total = Poly.zero(alg.coords)
+        for pos, i in enumerate(key):
+            rest = key[:pos] + key[pos + 1:]
+            term = alg.anchor[i].apply(form.component(rest))
+            if not term.is_zero():
+                total = total + term if pos % 2 == 0 else total - term
+        for pos_a, pos_b in combinations(range(k + 1), 2):
+            i, j = key[pos_a], key[pos_b]
+            rest = tuple(key[p] for p in range(k + 1)
+                         if p not in (pos_a, pos_b))
+            term = Poly.zero(alg.coords)
+            for m, comp in alg.b[i][j].terms.items():
+                value = form._lookup((m,) + rest)
+                if value is not None:
+                    term = term + comp * value
+            if not term.is_zero():
+                total = total - term if (pos_a + pos_b) % 2 == 1 else total + term
+        if not total.is_zero():
+            comps[key] = total
+    return FormCochain(alg.coords, alg.rank, k + 1, comps)
+
+
+def rep_d_oracle(alg: LSAlgebroid, rep, cochain: RepCochain) -> RepCochain:
+    """rep_d with no representation check."""
+    n = cochain.degree
+    comps = {}
+    for lead in combinations(range(alg.rank), n):
+        for last in range(alg.rank):
+            total: dict = {}
+            for a, i_a in enumerate(lead):
+                sign = 1 if a % 2 == 0 else -1
+                rest = lead[:a] + lead[a + 1:]
+                _add_scaled(total, rep_rho_frame(
+                    alg, rep, i_a, cochain.component(rest, last)), sign)
+                _add_scaled(total, rep_mu_frame(
+                    rep, last, cochain.component(rest, i_a)), sign)
+                for k, comp in alg.c[i_a][last].terms.items():
+                    _add_scaled(total, cochain.component(rest, k),
+                                comp * -sign)
+            for a, b in combinations(range(n), 2):
+                sign = 1 if (a + b) % 2 == 0 else -1
+                rest = tuple(lead[p] for p in range(n) if p not in (a, b))
+                bracket = frame_commutator(alg, lead[a], lead[b])
+                for k, comp in bracket.terms.items():
+                    _add_scaled(total, cochain.component((k,) + rest, last),
+                                comp * sign)
+            if total:
+                comps[(lead, last)] = Section._from((alg.coords, rep.s), total)
+    return RepCochain._from((alg.coords, alg.rank, rep.s, n + 1), comps)
+
+
+def def_d_oracle(alg: LSAlgebroid, deriv: MultiDerivation) -> MultiDerivation:
+    n = deriv.degree
+    entries = {}
+    for lead in combinations(range(alg.rank), n):
+        for last in range(alg.rank):
+            total: dict = {}
+            for a, i_a in enumerate(lead):
+                sign = 1 if a % 2 == 0 else -1
+                rest = lead[:a] + lead[a + 1:]
+                _add_scaled(total, section_mult(
+                    alg, alg.frame(i_a), deriv.value(rest, last)), sign)
+                _add_scaled(total, section_mult(
+                    alg, deriv.value(rest, i_a), alg.frame(last)), sign)
+                _add_scaled(total, deriv.evaluate_last(rest, alg.c[i_a][last]),
+                            -sign)
+            for a, b in combinations(range(n), 2):
+                sign = 1 if (a + b) % 2 == 0 else -1
+                rest = tuple(lead[p] for p in range(n) if p not in (a, b))
+                bracket = frame_commutator(alg, lead[a], lead[b])
+                for k, comp in bracket.terms.items():
+                    _add_scaled(total, deriv.value((k,) + rest, last),
+                                comp * sign)
+            if total:
+                entries[(lead, last)] = Section._from(
+                    (alg.coords, alg.rank), total)
+
+        field: dict = {}
+        for a, i_a in enumerate(lead):
+            sign = 1 if a % 2 == 0 else -1
+            rest = lead[:a] + lead[a + 1:]
+            _add_scaled(field, vf_bracket(alg.anchor[i_a], deriv.symbol(rest)),
+                        sign)
+            _add_scaled(field, anchor_of_section(alg, deriv.value(rest, i_a)),
+                        sign)
+        for a, b in combinations(range(n), 2):
+            sign = 1 if (a + b) % 2 == 0 else -1
+            rest = tuple(lead[p] for p in range(n) if p not in (a, b))
+            bracket = frame_commutator(alg, lead[a], lead[b])
+            for k, comp in bracket.terms.items():
+                _add_scaled(field, deriv.symbol((k,) + rest), comp * sign)
+        if field:
+            entries[(lead, None)] = VectorField._from((alg.coords,), field)
+    return MultiDerivation._from((alg.coords, alg.rank, alg.rank, n + 1),
+                                 entries)
+
+
+def point_rows_oracle(tables, degree: int):
+    """The rows of cohomology._point_rows from its integer tables."""
+    r, s = tables.rank, tables.s
+    rho, mu, prod, comm = tables.rho, tables.mu, tables.prod, tables.comm
+    position = {lead: pos
+                for pos, lead in enumerate(combinations(range(r), degree - 1))}
+    for lead in combinations(range(r), degree):
+        omitted = [(1 if a % 2 == 0 else -1,
+                    position[lead[:a] + lead[a + 1:]] * r * s, i_a)
+                   for a, i_a in enumerate(lead)]
+        inserted = []
+        for a, b in combinations(range(degree), 2):
+            sign = 1 if (a + b) % 2 == 0 else -1
+            rest = tuple(lead[p] for p in range(degree) if p not in (a, b))
+            for k, v in comm[lead[a], lead[b]].items():
+                key, perm = sort_with_sign((k,) + rest)
+                if perm:
+                    inserted.append((position[key] * r * s, sign * perm * v))
+        for last in range(r):
+            rows = [{} for _ in range(s)]
+            for sign, start, i_a in omitted:
+                base = start + last * s
+                for row, entries in zip(rows, rho[i_a]):
+                    for p, v in entries.items():
+                        row[base + p] = row.get(base + p, 0) + sign * v
+                base = start + i_a * s
+                for row, entries in zip(rows, mu[last]):
+                    for p, v in entries.items():
+                        row[base + p] = row.get(base + p, 0) + sign * v
+                for k, v in prod[i_a][last].items():
+                    base = start + k * s
+                    for m2, row in enumerate(rows):
+                        row[base + m2] = row.get(base + m2, 0) - sign * v
+            for start, v in inserted:
+                base = start + last * s
+                for m2, row in enumerate(rows):
+                    row[base + m2] = row.get(base + m2, 0) + v
+            for row in rows:
+                yield {col: v for col, v in row.items() if v}

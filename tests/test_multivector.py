@@ -5,11 +5,13 @@ import sys
 import threading
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from helpers import (
     action_instance,
     flat_instance,
     ladder_instance,
     point_e1e2,
+    random_algebroid,
     random_poly,
     zero_point_algebra,
 )
@@ -17,6 +19,7 @@ import lsakit.multivector as multivector
 from lsakit.core import (
     LSAlgebroid,
     Section,
+    check_left_symmetric,
     section_mult,
     sub_adjacent,
     section_bracket,
@@ -521,6 +524,44 @@ def test_graded_check_matches_reference_on_failures():
     assert {"lie-admissible", "graded-jacobi"} <= set(failed)
     assert check_graded_properties(euler_pair_instance(), spec).to_dict() \
         == expected
+
+
+def test_graded_check_matches_reference_on_unchecked_algebroids():
+    # graded-jacobi is read off the lie-admissible cyclic sum; the
+    # reference brackets the Jacobiator out
+    outcomes = set()
+    spec = GradedSampleSpec(max_grade=2, max_coeff_degree=1)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.sampled_from((((), 2), ((), 3), (("x",), 2))),
+           st.randoms(use_true_random=False))
+    def agree(shape, rng):
+        alg = random_algebroid(rng, *shape)
+        assume(not check_left_symmetric(alg).passed)
+        expected = reference_graded_check(alg, spec).to_dict()
+        assert check_graded_properties(alg, spec).to_dict() == expected
+        status = {rec["name"]: rec["status"] for rec in expected["records"]}
+        outcomes.add((status["lie-admissible"], status["graded-jacobi"]))
+
+    agree()
+    assert outcomes == {("pass", "pass"), ("fail", "fail")}
+
+
+def test_graded_check_brackets_no_jacobiator(monkeypatch):
+    # bracketing the Jacobiator out as well took 315 brackets here
+    calls = []
+    original = multivector._bracket
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(multivector, "_bracket", counted)
+    report = check_graded_properties(
+        load_corpus("flat").algebroid,
+        GradedSampleSpec(max_grade=2, max_coeff_degree=1))
+    assert report.passed
+    assert len(calls) == len(set(calls)) <= 171
 
 
 def test_graded_check_computes_each_product_once(monkeypatch):

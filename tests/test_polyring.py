@@ -597,6 +597,24 @@ def test_extend_and_substitute():
     assert r.substitute("t", Fraction(1, 2)) == p * Fraction(3, 2)
 
 
+@pytest.mark.parametrize("value", [Poly, VectorField])
+def test_extend_and_substitute_refuse_a_missing_coordinate(value):
+    # Poly and VectorField raise the same errors; a zero field refuses too
+    nonzero = parse_poly("x", XY) if value is Poly else \
+        VectorField(XY, (parse_poly("y", XY), Poly.zero(XY)))
+    for item in (nonzero, value.zero(XY)):
+        with pytest.raises(DimensionMismatch, match="does not contain"):
+            item.extend(("x", "t"))
+        with pytest.raises(IndexOutOfRange, match="'t' is not among"):
+            item.substitute("t", 1)
+    field = VectorField(XY, (parse_poly("y", XY), parse_poly("x*y", XY)))
+    assert field.extend(("t", "y", "x")) == VectorField(
+        ("t", "y", "x"), (Poly.zero(("t", "y", "x")),
+                          parse_poly("x*y", ("t", "y", "x")),
+                          parse_poly("y", ("t", "y", "x"))))
+    assert field.substitute("y", 2) == VectorField(X, (parse_poly("2", X),))
+
+
 def test_parser_nesting_limit():
     from lsakit.polyring import MAX_NESTING
     deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
