@@ -16,6 +16,7 @@ import random
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import combinations
 
 from . import __version__
 from .cohomology import (
@@ -43,7 +44,6 @@ from .constructions import (
 )
 from .core import (
     Representation,
-    Section,
     build_left_mult_rep,
     check_left_symmetric,
     check_lie_admissible,
@@ -70,7 +70,7 @@ from .instances import (
     parse_instance,
 )
 from .multivector import GradedSampleSpec, check_graded_properties
-from .polyring import Poly, PolyMatrix, VectorField
+from .polyring import Poly, PolyMatrix
 from .report import Report, UNCERTIFIED
 
 SUITES = ("axioms", "cohomology", "all")
@@ -92,34 +92,17 @@ def _random_poly(rng: random.Random, coords, max_degree: int = 1) -> Poly:
 
 
 def _random_cochain(rng, alg, s, degree) -> RepCochain:
-    from itertools import combinations
-    comps = {}
-    for lead in combinations(range(alg.rank), degree - 1):
-        for last in range(alg.rank):
-            sec = Section(alg.coords,
-                          [_random_poly(rng, alg.coords) for _ in range(s)])
-            if not sec.is_zero():
-                comps[(lead, last)] = sec
-    return RepCochain(alg.coords, alg.rank, s, degree, comps)
+    return RepCochain(alg.coords, alg.rank, s, degree, {
+        (lead, last): [_random_poly(rng, alg.coords) for _ in range(s)]
+        for lead in combinations(range(alg.rank), degree - 1)
+        for last in range(alg.rank)})
 
 
 def _random_multiderivation(rng, alg, degree) -> MultiDerivation:
-    from itertools import combinations
-    values = {}
-    symbols = {}
-    for lead in combinations(range(alg.rank), degree - 1):
-        for last in range(alg.rank):
-            sec = Section(alg.coords,
-                          [_random_poly(rng, alg.coords)
-                           for _ in range(alg.rank)])
-            if not sec.is_zero():
-                values[(lead, last)] = sec
-        field = VectorField(alg.coords,
-                            [_random_poly(rng, alg.coords)
-                             for _ in alg.coords])
-        if not field.is_zero():
-            symbols[lead] = field
-    return MultiDerivation(alg.coords, alg.rank, degree, values, symbols)
+    values = _random_cochain(rng, alg, alg.rank, degree).terms
+    return MultiDerivation(alg.coords, alg.rank, degree, values, {
+        lead: [_random_poly(rng, alg.coords) for _ in alg.coords]
+        for lead in combinations(range(alg.rank), degree - 1)})
 
 
 def _instance_rep(instance: InstanceFile) -> Representation:

@@ -620,6 +620,15 @@ def check_quadratic(alg: LSAlgebroid, form) -> Report:
     return report
 
 
+def _require_kernel_frame(alg: LSAlgebroid,
+                          frame: Sequence[Section]) -> None:
+    """Raise on the first frame section with a nonzero anchor image."""
+    for sec in frame:
+        if not anchor_of_section(alg, sec).is_zero():
+            raise FrameNotInKernel(
+                f"section {sec} has nonzero anchor image", witness=str(sec))
+
+
 def quadratic_kernel_descend(alg: LSAlgebroid, form,
                              kernel_frame: Sequence[Section]) -> bool:
     """Does the form descend to a quadratic Lie algebroid structure on
@@ -632,10 +641,7 @@ def quadratic_kernel_descend(alg: LSAlgebroid, form,
     if not quad.passed:
         raise NotQuadratic("the form is not a quadratic structure")
     matrix = _form_matrix(form)
-    for sec in kernel_frame:
-        if not anchor_of_section(alg, sec).is_zero():
-            raise FrameNotInKernel(
-                f"section {sec} has nonzero anchor image", witness=str(sec))
+    _require_kernel_frame(alg, kernel_frame)
 
     for x in kernel_frame:
         for y in kernel_frame:
@@ -798,10 +804,7 @@ def kernel_representations(alg: LSAlgebroid,
     the anchor.
     """
     kernel_frame = list(kernel_frame)
-    for sec in kernel_frame:
-        if not anchor_of_section(alg, sec).is_zero():
-            raise FrameNotInKernel(
-                f"section {sec} has nonzero anchor image", witness=str(sec))
+    _require_kernel_frame(alg, kernel_frame)
     report = Report("kernel representations")
     report.add("kernel-frame", "all frame sections are anchor-annihilated",
                True)

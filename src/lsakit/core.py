@@ -264,17 +264,25 @@ def check_left_symmetric(alg: LSAlgebroid) -> Report:
     The verdict is stored on ``alg``, so the axiom gate of every
     construction on it decides the axioms at most once while they hold.
     """
+    return _left_symmetric_report(alg, _associator_failures(alg))
+
+
+def _associator_failures(alg: LSAlgebroid):
+    """Frame triples (i, j, k), i < j, where the associator is not
+    symmetric in its first two slots, with both sides."""
+    for i, j in combinations(range(alg.rank), 2):
+        for k in range(alg.rank):
+            lhs = associator(alg, alg.frame(i), alg.frame(j), alg.frame(k))
+            rhs = associator(alg, alg.frame(j), alg.frame(i), alg.frame(k))
+            if lhs != rhs:
+                yield i, j, k, lhs, rhs
+
+
+def _left_symmetric_report(alg: LSAlgebroid, failures) -> Report:
+    """``check_left_symmetric`` given its associator failures."""
     report = Report("left-symmetric axioms")
-    witnesses = []
-    for i in range(alg.rank):
-        for j in range(i + 1, alg.rank):
-            for k in range(alg.rank):
-                lhs = associator(alg, alg.frame(i), alg.frame(j), alg.frame(k))
-                rhs = associator(alg, alg.frame(j), alg.frame(i), alg.frame(k))
-                if lhs != rhs:
-                    witnesses.append(
-                        f"(e_{i+1},e_{j+1},e_{k+1}): associator "
-                        f"{lhs} != {rhs} (arguments swapped)")
+    witnesses = [f"(e_{i+1},e_{j+1},e_{k+1}): associator {lhs} != {rhs} "
+                 f"(arguments swapped)" for i, j, k, lhs, rhs in failures]
     report.add("associator-symmetry",
                "associator symmetric in its first two arguments on all "
                "frame triples",

@@ -21,9 +21,10 @@ from .cohomology import MultiDerivation, def_d
 from .core import (
     LSAlgebroid,
     Section,
+    _associator_failures,
+    _left_symmetric_report,
     anchor_of_section,
     apply_endo,
-    check_left_symmetric,
     section_mult,
 )
 from .errors import (
@@ -89,11 +90,6 @@ def check_deformation(alg: LSAlgebroid, omega: MultiDerivation) -> Report:
         raise DimensionMismatch("candidate must be a degree-2 "
                                 "multiderivation on this bundle")
     report = Report("deformation candidate")
-    frames = [alg.frame(i) for i in range(alg.rank)]
-
-    def w(x: Section, y: Section) -> Section:
-        return omega.evaluate([x, y])
-
     # in degree 2, d(omega) on (e_i, e_j; e_k) with i < j is the
     # seven-term first-order associator defect, and its symbol on
     # (e_i, e_j) the five-term first-order anchor defect
@@ -109,25 +105,21 @@ def check_deformation(alg: LSAlgebroid, omega: MultiDerivation) -> Report:
                "first-order anchor condition on frame pairs",
                not sym_witnesses, sym_witnesses[:5])
 
-    sq_witnesses = []
-    for i in range(alg.rank):
-        for j in range(alg.rank):
-            for k in range(alg.rank):
-                x, y, z = frames[i], frames[j], frames[k]
-                lhs = w(w(x, y), z) - w(x, w(y, z))
-                rhs = w(w(y, x), z) - w(y, w(x, z))
-                if lhs != rhs:
-                    sq_witnesses.append(
-                        f"(e_{i+1},e_{j+1},e_{k+1}): {lhs} != {rhs}")
-    report.add("square-product",
-               "candidate is itself left-symmetric as a product",
-               not sq_witnesses, sq_witnesses[:5])
-
+    # w(w(x, y), z) - w(x, w(y, z)) is the associator of the auxiliary
+    # instance: its failures on i < j and their mirrors are the witnesses
     aux = LSAlgebroid(alg.coords, alg.rank,
                       [[omega.value((i,), j) for j in range(alg.rank)]
                        for i in range(alg.rank)],
                       [omega.symbol((i,)) for i in range(alg.rank)])
-    report.merge(check_left_symmetric(aux), prefix="aux-")
+    failures = list(_associator_failures(aux))
+    squares = sorted(failures + [(j, i, k, rhs, lhs)
+                                 for i, j, k, lhs, rhs in failures],
+                     key=lambda failure: failure[:3])
+    report.add("square-product",
+               "candidate is itself left-symmetric as a product",
+               not squares, [f"(e_{i+1},e_{j+1},e_{k+1}): {lhs} != {rhs}"
+                             for i, j, k, lhs, rhs in squares[:5]])
+    report.merge(_left_symmetric_report(aux, failures), prefix="aux-")
 
     report.add("closed-in-deformation-complex",
                "deformation differential of the candidate vanishes "
@@ -328,23 +320,19 @@ def check_equivalence(alg: LSAlgebroid, omega: MultiDerivation,
                "symbol of the second candidate vanishes on the image",
                not symbol_witnesses, symbol_witnesses)
 
-    anchor_witnesses = []
-    derived_witnesses = []
+    # the symbol of d N on e_i is a(N e_i): one comparison, two records
+    mismatches = []
     for i in range(alg.rank):
         difference_field = omega.symbol((i,)) - omega_prime.symbol((i,))
         direct = anchor_of_section(alg, images[i])
         if difference_field != direct:
-            anchor_witnesses.append(
-                f"e_{i+1}: sigma - sigma' = {difference_field} but "
-                f"a(N x) = {direct}")
-        if difference_field != d_endo.symbol((i,)):
-            derived_witnesses.append(
-                f"e_{i+1}: sigma - sigma' = {difference_field} but "
-                f"symbol of d N = {d_endo.symbol((i,))}")
-    report.add("anchor-relation",
-               "symbol difference is the anchor composed with the "
-               "endomorphism", not anchor_witnesses, anchor_witnesses)
-    report.add("anchor-relation-derived",
-               "the anchor relation also follows from exactness (symbol of "
-               "the differential)", not derived_witnesses, derived_witnesses)
+            mismatches.append((i, difference_field, direct))
+    for name, label, statement in (
+            ("anchor-relation", "a(N x)", "symbol difference is the anchor "
+             "composed with the endomorphism"),
+            ("anchor-relation-derived", "symbol of d N", "the anchor relation "
+             "also follows from exactness (symbol of the differential)")):
+        report.add(name, statement, not mismatches,
+                   [f"e_{i+1}: sigma - sigma' = {field} but {label} = {image}"
+                    for i, field, image in mismatches])
     return report

@@ -13,6 +13,11 @@ grammar:
 
 Whitespace is insignificant; implicit multiplication is not allowed.
 
+Determinants, cofactors and the invertible-submatrix search share one
+Laplace expansion over stored entries, memoized on (rows, columns)
+(``PolyMatrix._minor``); ranks and kernels use integer elimination
+(``_forward_pivots``).
+
 Everything here is immutable after construction and safe to share
 between threads.  Public constructors validate their input; arithmetic
 builds its results through the private trusted constructors
@@ -903,46 +908,39 @@ class PolyMatrix(SparseModule):
     def det(self) -> Poly:
         if self.rows != self.cols:
             raise NotSquare(f"{self.rows}x{self.cols} matrix has no determinant")
-        n = self.rows
-        if n == 0:
-            return Poly.constant(1, self.coords)
-        if self.is_constant():
-            value = _rational_det(self.to_rational())
-            return Poly.constant(value, self.coords)
-        return self._symbolic_det(tuple(range(n)), 0, {})
+        every = tuple(range(self.rows))
+        return self._minor(every, every, {})
 
-    def _symbolic_det(self, rows: tuple[int, ...], col: int, cache: dict) -> Poly:
+    def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...],
+               cache: dict) -> Poly:
+        """Determinant of the ``rows`` x ``cols`` submatrix, expanded
+        along its first column over stored entries only and memoized in
+        ``cache`` by ``(rows, cols)``."""
         if not rows:
             return Poly.constant(1, self.coords)
-        key = rows
-        if key in cache:
-            return cache[key]
-        acc = Poly.zero(self.coords)
-        for pos, i in enumerate(rows):
-            entry = self.terms.get((i, col))
-            if entry is None:
-                continue
-            rest = rows[:pos] + rows[pos + 1:]
-            minor = self._symbolic_det(rest, col + 1, cache)
-            term = entry * minor
-            acc = acc + term if pos % 2 == 0 else acc - term
-        cache[key] = acc
-        return acc
+        key = (rows, cols)
+        if key not in cache:
+            acc = Poly.zero(self.coords)
+            for pos, i in enumerate(rows):
+                entry = self.terms.get((i, cols[0]))
+                if entry is not None:
+                    term = entry * self._minor(rows[:pos] + rows[pos + 1:],
+                                               cols[1:], cache)
+                    acc = acc + term if pos % 2 == 0 else acc - term
+            cache[key] = acc
+        return cache[key]
 
     def adjugate(self) -> "PolyMatrix":
+        """Transposed cofactor matrix, from one memo of minors."""
         if self.rows != self.cols:
             raise NotSquare("adjugate requires a square matrix")
-        n = self.rows
-        entries = self.entries
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sub = [[entries[r][c] for c in range(n) if c != j]
-                       for r in range(n) if r != i]
-                minor = PolyMatrix(self.coords, sub).det() if n > 1 \
-                    else Poly.constant(1, self.coords)
-                cof[i][j] = minor if (i + j) % 2 == 0 else -minor
-        return PolyMatrix(self.coords, cof).transpose()
+        every, cache, out = tuple(range(self.rows)), {}, {}
+        for i in every:
+            for j in every:
+                minor = self._minor(every[:i] + every[i + 1:],
+                                    every[:j] + every[j + 1:], cache)
+                _accumulate(out, (j, i), minor if (i + j) % 2 == 0 else -minor)
+        return self._like(out)
 
     def __str__(self):
         return "[" + "; ".join(
@@ -973,31 +971,6 @@ def matrix_inverse_adjugate(matrix: PolyMatrix) -> PolyMatrix:
 # ---------------------------------------------------------------------------
 # Rational linear algebra
 # ---------------------------------------------------------------------------
-
-def _rational_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    mat = [list(map(Fraction, row)) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    mat[r][c] -= factor * mat[col][c]
-    return det
-
 
 _EXACT_TYPES = {Fraction, int}
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -1120,10 +1093,9 @@ def find_constant_invertible_submatrix(matrix: PolyMatrix) \
     Searches row subsets of size ``matrix.cols`` in lexicographic order;
     returns None when no such subset exists.
     """
-    size, entries = matrix.cols, matrix.entries
-    for rows in combinations(range(matrix.rows), size):
-        sub = PolyMatrix(matrix.coords, [entries[i] for i in rows])
-        det = sub.det()
+    cols, cache = tuple(range(matrix.cols)), {}
+    for rows in combinations(range(matrix.rows), matrix.cols):
+        det = matrix._minor(rows, cols, cache)
         if det.is_constant() and not det.is_zero():
             return rows
     return None

@@ -11,6 +11,7 @@ from lsakit.cohomology import (
     RepCochain,
     assemble_point_differential,
     cochain_basis,
+    def_d,
     rep_d0,
 )
 from lsakit.core import (
@@ -31,6 +32,7 @@ from lsakit.core import (
 from lsakit.errors import DimensionMismatch
 from lsakit.polyring import (
     Poly,
+    PolyMatrix,
     VectorField,
     _add_scaled,
     as_rational,
@@ -647,3 +649,114 @@ def point_rows_oracle(tables, degree: int):
                     row[base + m2] = row.get(base + m2, 0) + v
             for row in rows:
                 yield {col: v for col, v in row.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# Loops replaced by one routine: determinants, the square product and the
+# anchor relation
+# ---------------------------------------------------------------------------
+
+def rational_det_oracle(rows) -> Fraction:
+    """Determinant of a rational matrix by Fraction Gaussian elimination."""
+    n = len(rows)
+    mat = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            factor = mat[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    mat[r][c] -= factor * mat[col][c]
+    return det
+
+
+def det_oracle(matrix: PolyMatrix) -> Poly:
+    """Determinant by Fraction elimination when the matrix is constant,
+    otherwise by Laplace expansion along successive columns memoized on
+    row subsets."""
+    if matrix.is_constant():
+        return Poly.constant(rational_det_oracle(matrix.to_rational()),
+                             matrix.coords)
+    cache = {}
+
+    def expand(rows: tuple, col: int) -> Poly:
+        if not rows:
+            return Poly.constant(1, matrix.coords)
+        if rows not in cache:
+            acc = Poly.zero(matrix.coords)
+            for pos, i in enumerate(rows):
+                entry = matrix.terms.get((i, col))
+                if entry is not None:
+                    term = entry * expand(rows[:pos] + rows[pos + 1:], col + 1)
+                    acc = acc + term if pos % 2 == 0 else acc - term
+            cache[rows] = acc
+        return cache[rows]
+
+    return expand(tuple(range(matrix.rows)), 0)
+
+
+def adjugate_oracle(matrix: PolyMatrix) -> PolyMatrix:
+    """Transposed cofactor matrix, each cofactor the determinant of its
+    own submatrix."""
+    n, entries = matrix.rows, matrix.entries
+    cof = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[entries[r][c] for c in range(n) if c != j]
+                   for r in range(n) if r != i]
+            minor = det_oracle(PolyMatrix(matrix.coords, sub))
+            cof[i][j] = minor if (i + j) % 2 == 0 else -minor
+    return PolyMatrix(matrix.coords, cof).transpose()
+
+
+def square_product_oracle(alg: LSAlgebroid, omega) -> list:
+    """Witnesses of w(w(x,y),z) - w(x,w(y,z)) = w(w(y,x),z) - w(y,w(x,z))
+    failing, on all frame triples through ``omega.evaluate``."""
+    frames = [alg.frame(i) for i in range(alg.rank)]
+
+    def w(x: Section, y: Section) -> Section:
+        return omega.evaluate([x, y])
+
+    witnesses = []
+    for i in range(alg.rank):
+        for j in range(alg.rank):
+            for k in range(alg.rank):
+                x, y, z = frames[i], frames[j], frames[k]
+                lhs = w(w(x, y), z) - w(x, w(y, z))
+                rhs = w(w(y, x), z) - w(y, w(x, z))
+                if lhs != rhs:
+                    witnesses.append(
+                        f"(e_{i+1},e_{j+1},e_{k+1}): {lhs} != {rhs}")
+    return witnesses
+
+
+def anchor_relation_oracle(alg: LSAlgebroid, omega, omega_prime,
+                           endo) -> tuple[list, list]:
+    """Witnesses of sigma - sigma' = a(N x) failing, compared with the
+    anchor directly and with the symbol of d N."""
+    d_endo = def_d(alg, MultiDerivation.from_endomorphism(alg, endo))
+    anchor_witnesses, derived_witnesses = [], []
+    for i in range(alg.rank):
+        difference_field = omega.symbol((i,)) - omega_prime.symbol((i,))
+        direct = anchor_of_section(alg, Section(alg.coords, endo.column(i)))
+        if difference_field != direct:
+            anchor_witnesses.append(
+                f"e_{i+1}: sigma - sigma' = {difference_field} but "
+                f"a(N x) = {direct}")
+        if difference_field != d_endo.symbol((i,)):
+            derived_witnesses.append(
+                f"e_{i+1}: sigma - sigma' = {difference_field} but "
+                f"symbol of d N = {d_endo.symbol((i,))}")
+    return anchor_witnesses, derived_witnesses

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     action_instance,
+    anchor_relation_oracle,
     deformation_cocycle_oracle,
     flat_instance,
     ladder_instance,
     o_operator_homomorphism_oracle,
     point_e1e2,
+    square_product_oracle,
 )
 from lsakit import constructions, deformations
 from lsakit.cohomology import MultiDerivation, def_d
@@ -31,6 +33,7 @@ from lsakit.core import (
 )
 from lsakit.deformations import (
     check_deformation,
+    check_equivalence,
     check_nijenhuis,
     deformation_from_tables,
     trivial_deformation,
@@ -52,6 +55,16 @@ def cocycle_statuses(alg, omega, report) -> tuple[str, str]:
     return tuple(report.record(name).status for name in COCYCLE_RECORDS)
 
 
+def square_product_status(alg, omega, report) -> str:
+    """Assert that the square-product record carries the status and the
+    first five witnesses of the r^3 loop; return the status."""
+    witnesses = square_product_oracle(alg, omega)
+    record = report.record("square-product")
+    assert record.status == ("fail" if witnesses else "pass")
+    assert record.witnesses == tuple(witnesses[:5])
+    return record.status
+
+
 # ---------------------------------------------------------------------------
 # Cocycle records read off d(omega)
 # ---------------------------------------------------------------------------
@@ -63,7 +76,9 @@ def test_corpus_deformation_blocks_match_the_cocycle_loops():
         for omega in (instance.deformation, instance.deformation_prime):
             if omega is not None:
                 alg = instance.algebroid
-                cocycle_statuses(alg, omega, check_deformation(alg, omega))
+                report = check_deformation(alg, omega)
+                cocycle_statuses(alg, omega, report)
+                square_product_status(alg, omega, report)
                 checked += 1
     assert checked >= 2
 
@@ -78,6 +93,7 @@ def test_corpus_trivial_deformations_match_the_cocycle_loops():
                 continue
             omega, report = trivial_deformation(alg, endo)
             assert cocycle_statuses(alg, omega, report) == ("pass", "pass")
+            assert square_product_status(alg, omega, report) == "pass"
             checked += 1
     assert checked >= 5
 
@@ -106,7 +122,9 @@ def test_cocycle_witnesses_are_capped_at_five():
     report = check_deformation(alg, omega)
     assert cocycle_statuses(alg, omega, report) == ("fail", "fail")
     assert all(len(report.record(name).witnesses) == 5
-               for name in COCYCLE_RECORDS)
+               for name in COCYCLE_RECORDS + ("square-product",))
+    assert len(square_product_oracle(alg, omega)) > 5
+    assert square_product_status(alg, omega, report) == "fail"
 
 
 @functools.cache
@@ -160,11 +178,65 @@ def test_drawn_candidates_match_the_cocycle_loops():
         report = check_deformation(alg, omega)
         statuses = cocycle_statuses(alg, omega, report)
         outcomes.update(enumerate(statuses))
+        outcomes.add((2, square_product_status(alg, omega, report)))
         closed = report.record("closed-in-deformation-complex").status
         assert closed == ("pass" if statuses == ("pass", "pass") else "fail")
 
     agree()
-    assert outcomes == {(0, "pass"), (0, "fail"), (1, "pass"), (1, "fail")}
+    assert outcomes == {(n, status) for n in range(3)
+                        for status in ("pass", "fail")}
+
+
+# ---------------------------------------------------------------------------
+# Both anchor-relation records from one comparison
+# ---------------------------------------------------------------------------
+
+ANCHOR_RECORDS = ("anchor-relation", "anchor-relation-derived")
+
+
+def anchor_statuses(alg, omega, omega_prime, endo) -> str:
+    """Assert that both anchor records of the equivalence report carry
+    the loop's statuses and witnesses; return their common status."""
+    report = check_equivalence(alg, omega, omega_prime, endo)
+    oracle = anchor_relation_oracle(alg, omega, omega_prime, endo)
+    for name, witnesses in zip(ANCHOR_RECORDS, oracle):
+        record = report.record(name)
+        assert record.status == ("fail" if witnesses else "pass")
+        assert record.witnesses == tuple(witnesses)
+    return report.record(ANCHOR_RECORDS[0]).status
+
+
+def test_corpus_equivalences_match_the_anchor_loop():
+    checked = 0
+    for name in sorted(CORPUS_NAMES):
+        instance = parse_instance(corpus_path(name))
+        if instance.deformation is None:
+            continue
+        alg = instance.algebroid
+        prime = instance.deformation_prime or \
+            MultiDerivation.zero(alg.coords, alg.rank, 2)
+        for key, endo in sorted(instance.endomorphisms.items()):
+            anchor_statuses(alg, instance.deformation, prime, endo)
+            checked += 1
+    assert checked >= 5
+
+
+def test_drawn_equivalences_match_the_anchor_loop():
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(candidates(), st.data())
+    def agree(case, data):
+        alg, omega = case
+        coords, r = alg.coords, alg.rank
+        endo = PolyMatrix(coords, [[data.draw(_degree_one_poly(coords))
+                                    for _ in range(r)] for _ in range(r)])
+        prime = data.draw(st.sampled_from(
+            (omega, MultiDerivation.zero(coords, r, 2))))
+        outcomes.add(anchor_statuses(alg, omega, prime, endo))
+
+    agree()
+    assert outcomes == {"pass", "fail"}
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,16 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
-from helpers import dense_kernel_oracle, random_poly
+from helpers import (
+    adjugate_oracle,
+    dense_kernel_oracle,
+    det_oracle,
+    random_poly,
+    rational_det_oracle,
+)
 from hypothesis import given, settings, strategies as st
 
 from lsakit.errors import (
@@ -23,6 +30,7 @@ from lsakit.polyring import (
     Poly,
     PolyMatrix,
     VectorField,
+    find_constant_invertible_submatrix,
     matrix_inverse_adjugate,
     parse_poly,
     partial_derivative,
@@ -323,6 +331,157 @@ def test_symbolic_det_and_adjugate():
     assert prod.entry(0, 1).is_zero()
     assert prod.entry(1, 0).is_zero()
     assert prod.entry(1, 1) == m.det()
+
+
+# ---------------------------------------------------------------------------
+# determinants, cofactors and invertible submatrices from one minor memo
+# ---------------------------------------------------------------------------
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))
+
+
+def matrix_entries(constant: bool):
+    """Zero half the time, else a small constant or (unless ``constant``)
+    one of up to two terms of degree at most 2."""
+    value = SMALL.filter(bool).map(lambda c: Poly.constant(c, XY))
+    if not constant:
+        value = st.one_of(value, st.dictionaries(
+            st.sampled_from(MONOMIALS), SMALL, min_size=1, max_size=2)
+            .map(lambda terms: Poly(XY, terms)))
+    return st.one_of(st.just(Poly.zero(XY)), value)
+
+
+@st.composite
+def matrices(draw, square=True):
+    """Sparse matrices over x, y: square ones of size up to 5 (polynomial)
+    or 6 (constant), or tall ones with up to 6 rows and 4 columns."""
+    constant = draw(st.booleans())
+    if square:
+        rows = cols = draw(st.integers(0, 6 if constant else 5))
+    else:
+        cols = draw(st.integers(0, 4))
+        rows = draw(st.integers(cols, 6))
+    entry = matrix_entries(constant)
+    return PolyMatrix(XY, [[draw(entry) for _ in range(cols)]
+                           for _ in range(rows)])
+
+
+def leibniz_det(matrix: PolyMatrix) -> Poly:
+    """Sum over permutations of the signed products of entries."""
+    total = Poly.zero(XY)
+    for perm in permutations(range(matrix.rows)):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = Poly.constant(-1 if inversions % 2 else 1, XY)
+        for i, j in enumerate(perm):
+            term = term * matrix.entry(i, j)
+            if term.is_zero():
+                break
+        total = total + term
+    return total
+
+
+def first_invertible_rows(matrix: PolyMatrix):
+    """Brute force: the first row subset whose permutation-sum
+    determinant is a nonzero constant."""
+    for rows in combinations(range(matrix.rows), matrix.cols):
+        det = leibniz_det(PolyMatrix(XY, [matrix.entries[i] for i in rows]))
+        if det.is_constant() and not det.is_zero():
+            return rows
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(matrices())
+def test_det_matches_the_permutation_sum_and_the_elimination(m):
+    det = m.det()
+    assert det == leibniz_det(m) == det_oracle(m)
+    if m.is_constant():
+        assert det == Poly.constant(rational_det_oracle(m.to_rational()), XY)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices())
+def test_adjugate_times_matrix_is_det_times_identity(m):
+    adj = m.adjugate()
+    assert adj == adjugate_oracle(m)
+    assert not any(value.is_zero() for value in adj.terms.values())
+    scaled = PolyMatrix.identity(m.rows, XY).scale(m.det())
+    assert m @ adj == scaled
+    assert adj @ m == scaled
+
+
+def test_invertible_submatrix_search_matches_brute_force():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(matrices(square=False))
+    def agree(m):
+        rows = find_constant_invertible_submatrix(m)
+        assert rows == first_invertible_rows(m)
+        outcomes.add(rows is None or rows == tuple(range(m.cols)))
+
+    agree()
+    # both a miss (or the leading rows) and a later subset occur
+    assert outcomes == {True, False}
+
+
+def test_det_and_adjugate_at_sizes_zero_and_one():
+    empty = PolyMatrix(XY, [])
+    assert empty.det() == Poly.constant(1, XY)
+    assert empty.adjugate() == empty
+    assert matrix_inverse_adjugate(empty) == empty
+    assert find_constant_invertible_submatrix(PolyMatrix.zeros(3, 0, XY)) \
+        == ()
+    x = parse_poly("x", XY)
+    single = PolyMatrix(XY, [[x]])
+    assert single.det() == x
+    assert single.adjugate() == PolyMatrix.identity(1, XY)
+    assert PolyMatrix(XY, [[0]]).adjugate() == PolyMatrix.identity(1, XY)
+    with pytest.raises(NotSquare):
+        PolyMatrix.zeros(2, 3, XY).det()
+    with pytest.raises(NotSquare):
+        PolyMatrix.zeros(3, 2, XY).adjugate()
+
+
+def test_cofactors_and_row_subsets_share_one_memo(monkeypatch):
+    caches = []
+    minor = PolyMatrix._minor
+
+    def spy(self, rows, cols, cache):
+        caches.append(id(cache))
+        return minor(self, rows, cols, cache)
+
+    monkeypatch.setattr(PolyMatrix, "_minor", spy)
+    x = parse_poly("x", XY)
+    square = PolyMatrix(XY, [[1, 2, 0], [x, 1, 1], [0, 1, x]])
+    tall = PolyMatrix(XY, [[x, 0], [0, x], [1, 1], [2, 1]])
+    for compute in (square.det, square.adjugate,
+                    lambda: find_constant_invertible_submatrix(tall)):
+        del caches[:]
+        compute()
+        assert len(caches) > 1
+        assert len(set(caches)) == 1
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(matrices())
+def test_det_matches_sympy(sympy, m):
+    x, y = sympy.symbols("x y")
+
+    def expr(p: Poly):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * x ** a * y ** b for (a, b), c in p.terms.items()),
+                   sympy.Integer(0))
+
+    theirs = sympy.Matrix(m.rows, m.cols,
+                          [expr(e) for row in m.entries for e in row]).det()
+    assert sympy.expand(expr(m.det()) - theirs) == 0
 
 
 def test_matrix_associativity():

@@ -37,3 +37,48 @@ def test_no_module_imports_a_name_it_does_not_use():
              if path.name != "__init__.py"}
     assert len(found) >= 10
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _references(node, enclosing: frozenset, out: list) -> None:
+    """(name, enclosing function names) for every name and attribute
+    read under ``node``."""
+    if isinstance(node, ast.Name):
+        out.append((node.id, enclosing))
+    elif isinstance(node, ast.Attribute):
+        out.append((node.attr, enclosing))
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing | {node.name}
+    for child in ast.iter_child_nodes(node):
+        _references(child, enclosing, out)
+
+
+def unreferenced_privates(sources: dict) -> list[str]:
+    """Private functions and methods (one leading underscore) that no
+    code outside their own body names, across all ``sources``."""
+    defined, references = {}, []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                defined.setdefault(node.name, f"{path}:{node.lineno}")
+        _references(tree, frozenset(), references)
+    used = {name for name, enclosing in references if name not in enclosing}
+    return [f"{where}: {name}" for name, where in defined.items()
+            if name not in used]
+
+
+def test_unreferenced_privates_are_found():
+    source = ("def _used():\n    return _used()\n\n"
+              "def _dead(n):\n    return _dead(n - 1)\n\n"
+              "class A:\n    def _hook(self):\n        pass\n\n"
+              "def f(a):\n    return _used() + a._hook()\n")
+    assert unreferenced_privates({"m.py": source}) == ["m.py:4: _dead"]
+
+
+def test_every_private_function_is_used_in_the_package():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) >= 10
+    assert unreferenced_privates(sources) == []
