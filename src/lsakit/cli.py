@@ -214,9 +214,7 @@ def run_suite(instance: InstanceFile, suite: str = "all", *, seed: int = 0,
             report.add("representation/semidirect-valid",
                        "semidirect product passes the axioms",
                        check_left_symmetric(product).passed)
-            diff = Representation(rep.s, [r - m for r, m in
-                                          zip(rep.rho_mat, rep.mu_mat)])
-            expected = semidirect_lie(lie, diff)
+            expected = semidirect_lie(lie, derived.on_bundle)
             matches = all(
                 frame_commutator(product, i, j) == expected.b[i][j]
                 for i in range(product.rank) for j in range(product.rank))

@@ -288,20 +288,26 @@ def _left_symmetric_report(alg: LSAlgebroid, failures) -> Report:
                "frame triples",
                not witnesses, witnesses)
 
-    anchor_witnesses = []
-    for i in range(alg.rank):
-        for j in range(i + 1, alg.rank):
-            lhs = anchor_of_section(alg, frame_commutator(alg, i, j))
-            rhs = vf_bracket(alg.anchor[i], alg.anchor[j])
-            if lhs != rhs:
-                anchor_witnesses.append(
-                    f"(e_{i+1},e_{j+1}): anchor(commutator) = {lhs} but "
-                    f"[anchor,anchor] = {rhs}")
+    anchor_witnesses = [
+        f"(e_{i+1},e_{j+1}): anchor(commutator) = {lhs} but "
+        f"[anchor,anchor] = {rhs}"
+        for i, j, lhs, rhs in _anchor_failures(alg, frame_commutator)]
     report.add("anchor-morphism",
                "anchor takes product commutators to vector-field brackets",
                not anchor_witnesses, anchor_witnesses)
     alg._axioms = report.passed
     return report
+
+
+def _anchor_failures(alg: FrameAlgebroid, bracket):
+    """Frame pairs (i, j), i < j, where the anchor of the frame bracket
+    ``bracket(alg, i, j)`` is not the bracket of the two anchor fields,
+    with both sides."""
+    for i, j in combinations(range(alg.rank), 2):
+        lhs = anchor_of_section(alg, bracket(alg, i, j))
+        rhs = vf_bracket(alg.anchor[i], alg.anchor[j])
+        if lhs != rhs:
+            yield i, j, lhs, rhs
 
 
 def _require_left_symmetric(alg: LSAlgebroid) -> None:
@@ -341,15 +347,11 @@ def check_lie_algebroid(alg: LieAlgebroid) -> Report:
     jacobi = list(_jacobi_failures(alg))
     report.add("jacobi", "frame Jacobi identity", not jacobi, jacobi)
 
-    anchor_witnesses = []
-    for i in range(alg.rank):
-        for j in range(i + 1, alg.rank):
-            lhs = anchor_of_section(alg, alg.b[i][j])
-            rhs = vf_bracket(alg.anchor[i], alg.anchor[j])
-            if lhs != rhs:
-                anchor_witnesses.append(
-                    f"(e_{i+1},e_{j+1}): anchor[e_i,e_j] = {lhs} but "
-                    f"[anchor,anchor] = {rhs}")
+    anchor_witnesses = [
+        f"(e_{i+1},e_{j+1}): anchor[e_i,e_j] = {lhs} but "
+        f"[anchor,anchor] = {rhs}"
+        for i, j, lhs, rhs in _anchor_failures(
+            alg, lambda lie, i, j: lie.b[i][j])]
     report.add("anchor-morphism",
                "anchor is a bracket morphism to vector fields",
                not anchor_witnesses, anchor_witnesses)
@@ -466,17 +468,24 @@ def check_lsa_homomorphism(a1: LSAlgebroid, a2: LSAlgebroid,
     if phi.rows != a2.rank or phi.cols != a1.rank:
         raise DimensionMismatch(
             f"map must be {a2.rank}x{a1.rank}, got {phi.rows}x{phi.cols}")
+    return next(_morphism_failures(a1, a2, phi), None) is None
+
+
+def _morphism_failures(a1: LSAlgebroid, a2: LSAlgebroid, phi: PolyMatrix):
+    """Where phi fails to intertwine: frame sections i with
+    a2(phi e_i) != a1(e_i) as ``(i, None, lhs, rhs)``, then frame pairs
+    with phi(e_i.e_j) != phi(e_i).phi(e_j) as ``(i, j, lhs, rhs)``."""
     images = [Section(a1.coords, phi.column(i)) for i in range(a1.rank)]
     for i in range(a1.rank):
-        if anchor_of_section(a2, images[i]) != a1.anchor[i]:
-            return False
+        lhs = anchor_of_section(a2, images[i])
+        if lhs != a1.anchor[i]:
+            yield i, None, lhs, a1.anchor[i]
     for i in range(a1.rank):
         for j in range(a1.rank):
             lhs = apply_endo(phi, a1.c[i][j])
             rhs = section_mult(a2, images[i], images[j])
             if lhs != rhs:
-                return False
-    return True
+                yield i, j, lhs, rhs
 
 
 # ---------------------------------------------------------------------------

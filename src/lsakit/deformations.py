@@ -23,6 +23,7 @@ from .core import (
     Section,
     _associator_failures,
     _left_symmetric_report,
+    _morphism_failures,
     anchor_of_section,
     apply_endo,
     section_mult,
@@ -220,29 +221,15 @@ def trivial_deformation(alg: LSAlgebroid, endo: PolyMatrix) \
                               for i in range(alg.rank)])
     family = PolyMatrix.identity(alg.rank, lifted.coords) \
         + endo_lifted.scale(tpoly)
-    images = [Section(lifted.coords, family.column(i))
-              for i in range(alg.rank)]
-
-    product_witnesses = []
-    for i in range(alg.rank):
-        for j in range(alg.rank):
-            lhs = apply_endo(family, deformed.c[i][j])
-            rhs = section_mult(lifted, images[i], images[j])
-            if lhs != rhs:
-                product_witnesses.append(
-                    f"(e_{i+1},e_{j+1}): (id+tN)(x .t y) = {lhs} but "
-                    f"(id+tN)x . (id+tN)y = {rhs}")
+    failures = list(_morphism_failures(deformed, lifted, family))
+    product_witnesses = [f"(e_{i+1},e_{j+1}): (id+tN)(x .t y) = {lhs} but "
+                         f"(id+tN)x . (id+tN)y = {rhs}"
+                         for i, j, lhs, rhs in failures if j is not None]
     report.add("intertwiner-product",
                "id + tN maps the deformed product to the original product",
                not product_witnesses, product_witnesses[:5])
-
-    anchor_witnesses = []
-    for i in range(alg.rank):
-        lhs = anchor_of_section(lifted, images[i])
-        rhs = deformed.anchor[i]
-        if lhs != rhs:
-            anchor_witnesses.append(
-                f"e_{i+1}: a(id+tN) = {lhs} but deformed anchor = {rhs}")
+    anchor_witnesses = [f"e_{i+1}: a(id+tN) = {lhs} but deformed anchor = "
+                        f"{rhs}" for i, j, lhs, rhs in failures if j is None]
     report.add("intertwiner-anchor",
                "original anchor composed with id + tN is the deformed anchor",
                not anchor_witnesses, anchor_witnesses)

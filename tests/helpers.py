@@ -14,10 +14,12 @@ from lsakit.cohomology import (
     def_d,
     rep_d0,
 )
+from lsakit.constructions import canonical_paracomplex, check_paracomplex
 from lsakit.core import (
     FormCochain,
     LieAlgebroid,
     LSAlgebroid,
+    Representation,
     Section,
     anchor_of_section,
     apply_endo,
@@ -760,3 +762,158 @@ def anchor_relation_oracle(alg: LSAlgebroid, omega, omega_prime,
                 f"e_{i+1}: sigma - sigma' = {difference_field} but "
                 f"symbol of d N = {d_endo.symbol((i,))}")
     return anchor_witnesses, derived_witnesses
+
+
+# ---------------------------------------------------------------------------
+# Loops replaced by one failure generator: the anchor-morphism and
+# homomorphism identities, and the phase-space double laid out twice
+# ---------------------------------------------------------------------------
+
+def left_symmetric_anchor_oracle(alg: LSAlgebroid) -> list:
+    """``anchor-morphism`` witnesses of ``check_left_symmetric``."""
+    witnesses = []
+    for i in range(alg.rank):
+        for j in range(i + 1, alg.rank):
+            lhs = anchor_of_section(alg, frame_commutator(alg, i, j))
+            rhs = vf_bracket(alg.anchor[i], alg.anchor[j])
+            if lhs != rhs:
+                witnesses.append(
+                    f"(e_{i+1},e_{j+1}): anchor(commutator) = {lhs} but "
+                    f"[anchor,anchor] = {rhs}")
+    return witnesses
+
+
+def lie_anchor_oracle(alg: LieAlgebroid) -> list:
+    """``anchor-morphism`` witnesses of ``check_lie_algebroid``."""
+    witnesses = []
+    for i in range(alg.rank):
+        for j in range(i + 1, alg.rank):
+            lhs = anchor_of_section(alg, alg.b[i][j])
+            rhs = vf_bracket(alg.anchor[i], alg.anchor[j])
+            if lhs != rhs:
+                witnesses.append(
+                    f"(e_{i+1},e_{j+1}): anchor[e_i,e_j] = {lhs} but "
+                    f"[anchor,anchor] = {rhs}")
+    return witnesses
+
+
+def action_condition_oracle(algebra: LSAlgebroid, fields, coords):
+    """``(message, witness)`` of the first basis pair where the fields
+    fail to intertwine the commutator with the vector-field bracket, or
+    None: the loop ``action_algebroid`` ran on the acting algebra."""
+    def field_of(constants: Section) -> VectorField:
+        total = VectorField.zero(coords)
+        for k, comp in constants.terms.items():
+            total = total + fields[k].scale(comp.constant_value())
+        return total
+
+    for i in range(algebra.rank):
+        for j in range(i + 1, algebra.rank):
+            lhs = field_of(frame_commutator(algebra, i, j))
+            rhs = vf_bracket(fields[i], fields[j])
+            if lhs != rhs:
+                return (f"action condition fails on basis pair "
+                        f"({i + 1}, {j + 1}): {lhs} != {rhs}", (i, j))
+    return None
+
+
+def lsa_homomorphism_oracle(a1: LSAlgebroid, a2: LSAlgebroid, phi) -> bool:
+    """Anchors, then products, intertwined on the frame, with no shape
+    check."""
+    images = [Section(a1.coords, phi.column(i)) for i in range(a1.rank)]
+    for i in range(a1.rank):
+        if anchor_of_section(a2, images[i]) != a1.anchor[i]:
+            return False
+    for i in range(a1.rank):
+        for j in range(a1.rank):
+            lhs = apply_endo(phi, a1.c[i][j])
+            rhs = section_mult(a2, images[i], images[j])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def intertwiner_oracle(deformed: LSAlgebroid, lifted: LSAlgebroid,
+                       family) -> tuple[list, list]:
+    """The product failures ``(i, j, lhs, rhs)`` and anchor failures
+    ``(i, lhs, rhs)`` of the family id + tN: the two loops
+    ``trivial_deformation`` ran, uncapped."""
+    images = [Section(lifted.coords, family.column(i))
+              for i in range(lifted.rank)]
+    products = []
+    for i in range(lifted.rank):
+        for j in range(lifted.rank):
+            lhs = apply_endo(family, deformed.c[i][j])
+            rhs = section_mult(lifted, images[i], images[j])
+            if lhs != rhs:
+                products.append((i, j, lhs, rhs))
+    anchors = []
+    for i in range(lifted.rank):
+        lhs = anchor_of_section(lifted, images[i])
+        rhs = deformed.anchor[i]
+        if lhs != rhs:
+            anchors.append((i, lhs, rhs))
+    return products, anchors
+
+
+def phase_double_oracle(lie: LieAlgebroid, rep) -> tuple:
+    """The double of ``lie`` by the dual of ``rep`` laid out entry by
+    entry, with the pairing form e^i ^ e^(r+i) written out and its
+    differential from the written-out coboundary."""
+    r = lie.rank
+    dual = Representation(rep.s, [-(m.transpose()) for m in rep.rho_mat])
+    P = semidirect_lie_oracle(lie, dual)
+    omega = FormCochain(lie.coords, 2 * r, 2,
+                        {(i, r + i): 1 for i in range(r)})
+    return P, omega, lie_form_d_oracle(P, omega)
+
+
+def phase_space_report_oracle(alg: LSAlgebroid) -> list:
+    """``(name, status, witnesses)`` of the ``build_phase_space``
+    records, decided the way the library did before the nondegeneracy
+    record held by construction: d omega on the oracle double, the
+    determinant of the pairing matrix, and the paracomplex check."""
+    P, omega, d_omega = phase_double_oracle(sub_adjacent(alg),
+                                            left_mult_oracle(alg))
+    witnesses = [f"d omega(e_{i+1},e_{j+1},e_{k+1}) = {value}"
+                 for (i, j, k), value in sorted(d_omega.terms.items())]
+    matrix = PolyMatrix(alg.coords,
+                        [[omega.component((i, j)) for j in range(P.rank)]
+                         for i in range(P.rank)])
+    det = det_oracle(matrix)
+    para = check_paracomplex(P, canonical_paracomplex(alg.coords, alg.rank))
+    return [("omega-closed", "fail" if witnesses else "pass", witnesses),
+            ("omega-nondegenerate",
+             "pass" if det.is_constant() and not det.is_zero() else "fail",
+             [] if not det.is_zero() else ["det = 0"]),
+            ("paracomplex", "pass" if para else "fail", [])]
+
+
+def left_mult_oracle(alg: LSAlgebroid) -> Representation:
+    """Left multiplication, entry (k, j) of L_i the k-th component of
+    e_i.e_j, with no axiom gate."""
+    return Representation(alg.rank, [
+        PolyMatrix(alg.coords, [[alg.c[i][j].components[k]
+                                 for j in range(alg.rank)]
+                                for k in range(alg.rank)])
+        for i in range(alg.rank)])
+
+
+def lsa_from_phase_oracle(lie: LieAlgebroid, rep) -> tuple:
+    """What ``lsa_from_phase`` builds, on the oracle double: ``(triple,
+    None)`` with the first frame triple where d omega is nonzero, or
+    ``(None, (base, total, matches))`` with the recovered base, the
+    compatible structure on the double and whether its commutator is
+    the bracket of the double."""
+    P, _, d_omega = phase_double_oracle(lie, rep)
+    if not d_omega.is_zero():
+        return sorted(d_omega.terms)[0], None
+    r, coords = lie.rank, lie.coords
+    base = LSAlgebroid(coords, r, [[Section(coords, rep.rho_mat[i].column(j))
+                                    for j in range(r)] for i in range(r)],
+                       lie.anchor)
+    total = semidirect_lsa_oracle(base, Representation(
+        r, [-(m.transpose()) for m in rep.rho_mat]))
+    matches = all(frame_commutator(total, i, j) == P.b[i][j]
+                  for i in range(2 * r) for j in range(2 * r))
+    return None, (base, total, matches)

@@ -1,43 +1,70 @@
-"""Deformation and phase-space identities decided by one routine, and
-results the library has just decided not decided again, against the
-loops they replaced (kept in ``helpers``)."""
+"""Deformation, phase-space and frame identities decided by one
+routine, and results the library has just decided not decided again,
+against the loops they replaced (kept in ``helpers``)."""
 
 import functools
+import random
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
 from helpers import (
+    action_condition_oracle,
     action_instance,
     anchor_relation_oracle,
     deformation_cocycle_oracle,
     flat_instance,
+    frame_data,
+    intertwiner_oracle,
     ladder_instance,
+    left_symmetric_anchor_oracle,
+    lie_anchor_oracle,
+    lsa_from_phase_oracle,
+    lsa_homomorphism_oracle,
     o_operator_homomorphism_oracle,
+    phase_double_oracle,
+    phase_space_report_oracle,
+    point_algebra,
     point_e1e2,
+    random_algebroid,
+    random_esection,
     square_product_oracle,
+    zero_point_algebra,
 )
-from lsakit import constructions, deformations
+from lsakit import cli, constructions, deformations
 from lsakit.cohomology import MultiDerivation, def_d
 from lsakit.constructions import (
+    _double,
+    action_algebroid,
     apply_O_operator,
     build_phase_space,
     lsa_from_phase,
     phase_iso_from_lsa_iso,
 )
 from lsakit.core import (
+    LieAlgebroid,
     LSAlgebroid,
+    Representation,
     Section,
+    _morphism_failures,
     build_left_mult_rep,
     check_left_symmetric,
+    check_lie_algebroid,
+    check_lsa_homomorphism,
     sub_adjacent,
 )
 from lsakit.deformations import (
+    FORMAL,
+    _deform,
     check_deformation,
     check_equivalence,
     check_nijenhuis,
     deformation_from_tables,
+    extend_algebroid,
+    fresh_parameter,
     trivial_deformation,
 )
+from lsakit.errors import NotAnAction, NotARepresentation, OmegaNotClosed
 from lsakit.instances import CORPUS_NAMES, corpus_path, parse_instance
 from lsakit.polyring import Poly, PolyMatrix, VectorField
 
@@ -286,6 +313,325 @@ def test_drawn_o_operators_match_the_homomorphism_loop():
 
 
 # ---------------------------------------------------------------------------
+# Anchor morphism from one generator: left-symmetric, Lie and action
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def corpus() -> dict:
+    return {name: parse_instance(corpus_path(name)) for name in CORPUS_NAMES}
+
+
+def anchor_record_status(report, witnesses) -> str:
+    """Assert that the anchor-morphism record carries the loop's
+    witnesses; return its status."""
+    record = report.record("anchor-morphism")
+    assert record.witnesses == tuple(witnesses)
+    assert record.status == ("fail" if witnesses else "pass")
+    return record.status
+
+
+def lie_algebroids() -> list:
+    """The sub-adjacent algebroids of rank at least 2 of the corpus and
+    of the bases."""
+    algs = [inst.algebroid for inst in corpus().values()] + list(bases())
+    return [sub_adjacent(alg) for alg in algs
+            if alg.rank > 1 and check_left_symmetric(alg).passed]
+
+
+def test_drawn_algebroids_match_the_anchor_morphism_loops():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(((), ("x",), ("x", "y"))),
+           st.integers(1, 3))
+    def agree(seed, coords, rank):
+        alg = random_algebroid(random.Random(seed), coords, rank)
+        status = anchor_record_status(check_left_symmetric(alg),
+                                      left_symmetric_anchor_oracle(alg))
+        # the same tables read as brackets, skew or not
+        lie = LieAlgebroid(coords, rank, alg.c, alg.anchor)
+        assert anchor_record_status(check_lie_algebroid(lie),
+                                    lie_anchor_oracle(lie)) == status
+        outcomes.add(status)
+
+    agree()
+    assert outcomes == {"pass", "fail"}
+
+
+def test_perturbed_bracket_tables_match_the_anchor_morphism_loop():
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def agree(data):
+        lie = data.draw(st.sampled_from(lie_algebroids()))
+        i, j = sorted(data.draw(st.lists(st.integers(0, lie.rank - 1),
+                                         min_size=2, max_size=2,
+                                         unique=True)))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        delta = random_esection(rng, lie.coords, lie.rank, 1)
+        b = [list(row) for row in lie.b]
+        b[i][j], b[j][i] = b[i][j] + delta, b[j][i] - delta
+        perturbed = LieAlgebroid(lie.coords, lie.rank, b, lie.anchor)
+        outcomes.add(anchor_record_status(check_lie_algebroid(perturbed),
+                                          lie_anchor_oracle(perturbed)))
+
+    agree()
+    assert outcomes == {"pass", "fail"}
+
+
+def action_cases() -> list:
+    """(algebra, coordinates, fields satisfying the action condition)."""
+    x, y = (Poly.variable(name, ("x", "y")) for name in ("x", "y"))
+    one = Poly.constant(1, ("x", "y"))
+    block = corpus()["action"].action
+    line = ("x",)
+    return [
+        (block.algebra, tuple(block.coordinates), list(block.vector_fields)),
+        (point_e1e2(), line,
+         [VectorField(line, (-Poly.variable("x", line),)),
+          VectorField(line, (Poly.constant(1, line),))]),
+        (zero_point_algebra(2), ("x", "y"),
+         [VectorField(("x", "y"), (one, 0 * x)),
+          VectorField(("x", "y"), (0 * y, one))]),
+        (point_algebra(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]}), line,
+         [VectorField(line, (-Poly.variable("x", line),)),
+          VectorField(line, (Poly.constant(1, line),)),
+          VectorField(line, (Poly.constant(2, line),))]),
+    ]
+
+
+def test_perturbed_action_fields_match_the_action_loop():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def agree(data):
+        algebra, coords, fields = data.draw(st.sampled_from(action_cases()))
+        fields = [field + VectorField(coords, [data.draw(
+                      _degree_one_poly(coords)) for _ in coords])
+                  if data.draw(st.booleans()) else field for field in fields]
+        expected = action_condition_oracle(algebra, fields, coords)
+        if expected is None:
+            built = action_algebroid(algebra, fields, coords)
+            assert built.anchor == tuple(fields)
+            assert built.c == tuple(tuple(Section(coords, [
+                comp.constant_value() for comp in sec.components])
+                for sec in row) for row in algebra.c)
+        else:
+            with pytest.raises(NotAnAction) as info:
+                action_algebroid(algebra, fields, coords)
+            assert (type(info.value), str(info.value), info.value.witness) \
+                == (NotAnAction, *expected)
+        outcomes.add(expected is None)
+
+    for algebra, coords, fields in action_cases():
+        assert action_condition_oracle(algebra, fields, coords) is None
+    agree()
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Homomorphism identity from one generator
+# ---------------------------------------------------------------------------
+
+def test_drawn_maps_match_the_homomorphism_loop():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def agree(data):
+        alg = data.draw(st.sampled_from(bases()))
+        coords, r = alg.coords, alg.rank
+        phi = PolyMatrix.identity(r, coords)
+        if data.draw(st.booleans()):
+            phi = phi + PolyMatrix(coords, [[data.draw(_degree_one_poly(
+                coords)) for _ in range(r)] for _ in range(r)])
+        is_hom = check_lsa_homomorphism(alg, alg, phi)
+        assert is_hom == lsa_homomorphism_oracle(alg, alg, phi)
+        outcomes.add(is_hom)
+
+    agree()
+    assert outcomes == {True, False}
+
+
+def split_failures(failures) -> tuple[list, list]:
+    """``_morphism_failures`` output as the intertwiner loops list it:
+    product failures, then anchor failures without the empty slot."""
+    return ([f for f in failures if f[1] is not None],
+            [(i, lhs, rhs) for i, j, lhs, rhs in failures if j is None])
+
+
+def test_drawn_triples_match_the_intertwiner_loops():
+    failing = 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(((), ("x",), ("x", "y"))),
+           st.integers(1, 3))
+    def agree(seed, coords, rank):
+        nonlocal failing
+        rng = random.Random(seed)
+        a1 = random_algebroid(rng, coords, rank)
+        a2 = random_algebroid(rng, coords, rank)
+        phi = PolyMatrix(coords, [random_esection(rng, coords, rank, 1)
+                                  .components for _ in range(rank)])
+        failures = list(_morphism_failures(a1, a2, phi))
+        # every anchor failure comes before every product failure
+        kinds = [j is None for _, j, _, _ in failures]
+        assert kinds == sorted(kinds, reverse=True)
+        assert split_failures(failures) == intertwiner_oracle(a1, a2, phi)
+        assert check_lsa_homomorphism(a1, a2, phi) == (not failures)
+        failing += bool(failures)
+
+    agree()
+    assert failing >= 50
+
+
+def test_corpus_trivial_deformations_match_the_intertwiner_loops():
+    checked = 0
+    for instance in corpus().values():
+        alg = instance.algebroid
+        for key, endo in sorted(instance.endomorphisms.items()):
+            if not key.startswith("N") or not check_nijenhuis(alg, endo):
+                continue
+            omega, report = trivial_deformation(alg, endo)
+            param = fresh_parameter(alg.coords)
+            lifted = extend_algebroid(alg, param)
+            deformed = _deform(alg, omega, FORMAL, param)
+            tpoly = Poly.variable(param, lifted.coords)
+            family = PolyMatrix.identity(alg.rank, lifted.coords) + \
+                PolyMatrix(lifted.coords, [[entry.extend(lifted.coords)
+                                            for entry in row]
+                                           for row in endo.entries]) \
+                .scale(tpoly)
+            assert intertwiner_oracle(deformed, lifted, family) == ([], [])
+            for name in ("intertwiner-product", "intertwiner-anchor"):
+                assert report.record(name).status == "pass"
+                assert report.record(name).witnesses == ()
+            checked += 1
+    assert checked >= 5
+
+
+# ---------------------------------------------------------------------------
+# The phase-space double laid out once
+# ---------------------------------------------------------------------------
+
+def corpus_structures() -> list:
+    return [inst.algebroid for inst in corpus().values()
+            if check_left_symmetric(inst.algebroid).passed]
+
+
+def test_corpus_phase_spaces_match_the_double_layouts():
+    structures = corpus_structures()
+    assert len(structures) == 7
+    for alg in structures:
+        phase = build_phase_space(alg)
+        P, omega, _ = phase_double_oracle(sub_adjacent(alg),
+                                          build_left_mult_rep(alg))
+        assert frame_data(phase.P) == frame_data(P)
+        assert phase.omega == omega
+        assert [(rec.name, rec.status, list(rec.witnesses))
+                for rec in phase.report.records] == \
+            phase_space_report_oracle(alg)
+
+        lie = sub_adjacent(alg)
+        result = lsa_from_phase(lie, build_left_mult_rep(alg))
+        _, (base, total, matches) = lsa_from_phase_oracle(
+            lie, build_left_mult_rep(alg))
+        assert frame_data(result.base) == frame_data(base)
+        assert frame_data(result.total) == frame_data(total)
+        assert result.report.record("sub-adjacent-matches").status == \
+            ("pass" if matches else "fail")
+        assert result.report.passed
+
+
+def test_drawn_representations_match_the_double_layouts():
+    outcomes = set()
+    lies = [sub_adjacent(alg) for alg in (zero_point_algebra(2), point_e1e2(),
+                                          flat_instance())]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def agree(data):
+        lie = data.draw(st.sampled_from(lies))
+        r = lie.rank
+        rep = Representation(r, [PolyMatrix(lie.coords, [[data.draw(
+            st.sampled_from((0, 0, 1, -1))) if a == b or data.draw(
+                st.booleans()) else 0 for b in range(r)] for a in range(r)])
+            for _ in range(r)])
+        try:
+            dual, P, omega, d_omega = _double(lie, rep)
+        except NotARepresentation:
+            outcomes.add("not a representation")
+            return
+        P_o, omega_o, d_omega_o = phase_double_oracle(lie, rep)
+        assert dual.rho_mat == tuple(-(m.transpose()) for m in rep.rho_mat)
+        assert (frame_data(P), omega, d_omega) == \
+            (frame_data(P_o), omega_o, d_omega_o)
+        triple, recovered = lsa_from_phase_oracle(lie, rep)
+        if triple is None:
+            _, total, matches = recovered
+            result = lsa_from_phase(lie, rep)
+            assert frame_data(result.total) == frame_data(total)
+            assert result.report.record("sub-adjacent-matches").status == \
+                ("pass" if matches else "fail")
+            outcomes.add("recovered")
+        else:
+            with pytest.raises(OmegaNotClosed) as info:
+                lsa_from_phase(lie, rep)
+            assert info.value.triple == triple
+            outcomes.add("not closed")
+
+    agree()
+    assert outcomes == {"not a representation", "recovered", "not closed"}
+
+
+# ---------------------------------------------------------------------------
+# Records that hold by construction, verified here instead
+# ---------------------------------------------------------------------------
+
+def test_canonical_pairing_matrix_has_determinant_one():
+    for r in range(1, 9):
+        omega = constructions.canonical_pairing_form((), r)
+        matrix = PolyMatrix((), [[omega.component((i, j))
+                                  for j in range(2 * r)]
+                                 for i in range(2 * r)])
+        assert matrix.det() == Poly.constant(1, ())
+
+
+def test_corpus_phase_isomorphisms_are_block_diagonal():
+    checked = 0
+    for instance in corpus().values():
+        if "phi" not in instance.endomorphisms:
+            continue
+        alg, phi = instance.algebroid, instance.endomorphisms["phi"]
+        iso = phase_iso_from_lsa_iso(alg, alg, phi)
+        r = alg.rank
+        assert all(iso.Phi.entry(i, j).is_zero()
+                   for i in range(2 * r) for j in range(2 * r)
+                   if (i < r) != (j < r))
+        assert iso.report.record("maps-subbundles").status == "pass"
+        checked += 1
+    assert checked == 2
+
+
+def test_corpus_complex_structures_anticommute_with_the_paracomplex():
+    checked = 0
+    for instance in corpus().values():
+        form = instance.bilinear_form
+        if form is None:
+            continue
+        result = constructions.build_complex_structure(instance.algebroid,
+                                                       form)
+        J, P = result.J, result.phase.paracomplex
+        assert J @ P == (P @ J).scale(-1)
+        assert result.report.record("anticommutes-paracomplex").status == \
+            "pass"
+        checked += 1
+    assert checked == 3
+
+
+# ---------------------------------------------------------------------------
 # Call counts
 # ---------------------------------------------------------------------------
 
@@ -329,3 +675,17 @@ def test_the_dual_representation_is_checked_once(monkeypatch):
     assert lsa_from_phase(sub_adjacent(alg),
                           build_left_mult_rep(alg)).report.passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, searches, inverses", [
+    ("point_e1e2", 2, 3), ("zero_r2", 2, 3), ("ladder", 2, 2)])
+def test_each_kernel_frame_is_solved_once(monkeypatch, name, searches,
+                                          inverses):
+    # one solver in kernel_representations, one in
+    # ideal_restriction_matrices; the third inverse on point_e1e2 and
+    # zero_r2 is the contragredient of phi or of the bilinear form
+    found = counted(monkeypatch, constructions,
+                    "find_constant_invertible_submatrix")
+    inverted = counted(monkeypatch, constructions, "matrix_inverse_adjugate")
+    cli.run_suite(parse_instance(corpus_path(name)), "all")
+    assert (len(found), len(inverted)) == (searches, inverses)

@@ -82,3 +82,58 @@ def test_every_private_function_is_used_in_the_package():
                for path in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) >= 10
     assert unreferenced_privates(sources) == []
+
+
+def constant_passes(sources: dict) -> set:
+    """(record, function) for every ``report.add(...)`` whose status is
+    the literal ``True``: records that hold by construction."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "add" \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "report":
+            status = node.args[2] if len(node.args) > 2 else next(
+                (kw.value for kw in node.keywords if kw.arg == "status"), None)
+            if isinstance(status, ast.Constant) and status.value is True:
+                found.add((ast.unparse(node.args[0]).strip("'\""), function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    for source in sources.values():
+        visit(ast.parse(source), None)
+    return found
+
+
+def test_constant_passes_are_found():
+    source = ("def f(report, ok):\n"
+              "    report.add('a', 'x', True)\n"
+              "    report.add('b', 'x', ok)\n"
+              "    report.add('c', 'x', status=True)\n"
+              "    other.add('d', 'x', True)\n")
+    assert constant_passes({"m.py": source}) == {("a", "f"), ("c", "f")}
+
+
+# Each record here is written as a pass with no computation, with its
+# proof beside it.  A change that turns a decided check into a constant
+# pass has to add it here.
+HOLD_BY_CONSTRUCTION = {
+    ("cohomology/point-dims", "_add_cohomology"),
+    ("bracket-relation", "lsa_from_phase"),
+    ("kernel-frame", "kernel_representations"),
+    ("ideal", "kernel_representations"),
+    ("defect-antisymmetry", "check_graded_properties"),
+    ("omega-nondegenerate", "build_phase_space"),
+    ("maps-subbundles", "phase_iso_from_lsa_iso"),
+    ("anticommutes-paracomplex", "build_complex_structure"),
+}
+
+
+def test_records_that_hold_by_construction_are_pinned():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert constant_passes(sources) == HOLD_BY_CONSTRUCTION
