@@ -44,6 +44,7 @@ from .constructions import (
 )
 from .core import (
     Representation,
+    Section,
     build_left_mult_rep,
     check_left_symmetric,
     check_lie_admissible,
@@ -70,7 +71,7 @@ from .instances import (
     parse_instance,
 )
 from .multivector import GradedSampleSpec, check_graded_properties
-from .polyring import Poly, PolyMatrix
+from .polyring import Poly, PolyMatrix, VectorField
 from .report import Report, UNCERTIFIED
 
 SUITES = ("axioms", "cohomology", "all")
@@ -88,21 +89,33 @@ def _random_poly(rng: random.Random, coords, max_degree: int = 1) -> Poly:
         coeff = Fraction(rng.randint(-3, 3))
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Poly(coords, terms)
+    return Poly._from(coords, {key: c for key, c in terms.items() if c})
+
+
+def _random_values(rng, cls, shape: tuple, count: int):
+    """``count`` drawn polynomials as a ``cls`` value of ``shape``; the
+    draws are clean, so the trusted constructor keeps what is nonzero."""
+    polys = [_random_poly(rng, shape[0]) for _ in range(count)]
+    return cls._from(shape, {m: p for m, p in enumerate(polys) if p.terms})
 
 
 def _random_cochain(rng, alg, s, degree) -> RepCochain:
-    return RepCochain(alg.coords, alg.rank, s, degree, {
-        (lead, last): [_random_poly(rng, alg.coords) for _ in range(s)]
-        for lead in combinations(range(alg.rank), degree - 1)
-        for last in range(alg.rank)})
+    values = {(lead, last): _random_values(rng, Section, (alg.coords, s), s)
+              for lead in combinations(range(alg.rank), degree - 1)
+              for last in range(alg.rank)}
+    return RepCochain._from((alg.coords, alg.rank, s, degree),
+                            {key: v for key, v in values.items() if v.terms})
 
 
 def _random_multiderivation(rng, alg, degree) -> MultiDerivation:
-    values = _random_cochain(rng, alg, alg.rank, degree).terms
-    return MultiDerivation(alg.coords, alg.rank, degree, values, {
-        lead: [_random_poly(rng, alg.coords) for _ in alg.coords]
-        for lead in combinations(range(alg.rank), degree - 1)})
+    entries = _random_cochain(rng, alg, alg.rank, degree).terms
+    for lead in combinations(range(alg.rank), degree - 1):
+        field = _random_values(rng, VectorField, (alg.coords,),
+                               len(alg.coords))
+        if field.terms:
+            entries[(lead, None)] = field
+    return MultiDerivation._from((alg.coords, alg.rank, alg.rank, degree),
+                                 entries)
 
 
 def _instance_rep(instance: InstanceFile) -> Representation:

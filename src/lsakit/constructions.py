@@ -748,6 +748,7 @@ def _frame_solver(frame: Sequence[Section]):
         PolyMatrix(matrix.coords, [entries[i] for i in rows]))
 
     def solve(target: Section) -> list[Poly] | None:
+        frame[0]._check(target)  # DimensionMismatch off the frame's bundle
         solution = inverse.matvec([target.components[i] for i in rows])
         if tuple(matrix.matvec(solution)) != target.components:
             return None

@@ -16,6 +16,7 @@ structure; the shifted grading sigma = grade - 1 governs all signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from typing import Sequence
 
@@ -228,9 +229,15 @@ def left_symmetry_defect(alg: LSAlgebroid, x: Multivector, y: Multivector,
                          z: Multivector) -> Multivector:
     """Associator minus its sign-twisted first-two-slot swap."""
     gx, gy, _ = _require_homogeneous(x, y, z)
-    sign = -1 if ((gx - 1) * (gy - 1)) % 2 else 1
-    return graded_associator(alg, x, y, z) \
-        - graded_associator(alg, y, x, z).scale(sign)
+    return _swap_defect(graded_associator(alg, x, y, z),
+                        graded_associator(alg, y, x, z), gx - 1, gy - 1)
+
+
+def _swap_defect(assoc_xyz: Multivector, assoc_yxz: Multivector, sx: int,
+                 sy: int) -> Multivector:
+    """Left-symmetry defect from the associators at (x, y, z) and
+    (y, x, z); sx and sy are the shifted degrees of x and y."""
+    return assoc_xyz - assoc_yxz.scale(-1 if (sx * sy) % 2 else 1)
 
 
 def lie_admissible_defect(alg: LSAlgebroid, x: Multivector, y: Multivector,
@@ -256,18 +263,8 @@ class GradedSampleSpec:
 
 
 def _monomials(coords, max_degree: int) -> list[Poly]:
-    n = len(coords)
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], max_degree, 0)
-    out.sort(key=lambda e: (sum(e), e))
+    out = sorted((e for e in product(range(max_degree + 1), repeat=len(coords))
+                  if sum(e) <= max_degree), key=lambda e: (sum(e), e))
     return [Poly(coords, {exps: 1}) for exps in out]
 
 
@@ -299,18 +296,8 @@ def check_graded_properties(alg: LSAlgebroid,
     report = Report("graded structure")
     # products and brackets are pure functions of their (hashable, value
     # keyed) arguments, so each distinct one is computed once per call
-    products: dict = {}
-    brackets: dict = {}
-
-    def mult(x: Multivector, y: Multivector) -> Multivector:
-        if (x, y) not in products:
-            products[(x, y)] = graded_product(alg, x, y)
-        return products[(x, y)]
-
-    def bracket(x: Multivector, y: Multivector) -> Multivector:
-        if (x, y) not in brackets:
-            brackets[(x, y)] = _bracket(alg, x, y, mult)
-        return brackets[(x, y)]
+    mult = cache(lambda x, y: graded_product(alg, x, y))
+    bracket = cache(lambda x, y: _bracket(alg, x, y, mult))
 
     prod = [[mult(a, b) for b in gens] for a in gens]
     witnesses = []
@@ -336,43 +323,60 @@ def check_graded_properties(alg: LSAlgebroid,
     count = len(gens)
     sigma = [g.grade() - 1 for g in gens]
     brk = [[bracket(a, b) for b in gens] for a in gens]
-    assoc: dict = {}  # (i, j, k) -> associator of gens i, j, k
+    assoc = cache(lambda i, j, k: mult(prod[i][j], gens[k])
+                  - mult(gens[i], prod[j][k]))
 
     def defect(i: int, j: int, k: int) -> Multivector:
-        for a, b, c in ((i, j, k), (j, i, k)):
-            if (a, b, c) not in assoc:
-                assoc[(a, b, c)] = mult(prod[a][b], gens[c]) \
-                    - mult(gens[a], prod[b][c])
-        sign = -1 if (sigma[i] * sigma[j]) % 2 else 1
-        return assoc[(i, j, k)] - assoc[(j, i, k)].scale(sign)
+        return _swap_defect(assoc(i, j, k), assoc(j, i, k), sigma[i],
+                            sigma[j])
 
+    def cyclic_sum(i: int, j: int, k: int) -> Multivector:
+        # the set builds D(i, i, i) once
+        d = {t: defect(*t) for t in {(i, j, k), (j, k, i), (k, i, j)}}
+        return sum((d[(a, b, c)].scale(-1 if (sigma[a] * sigma[c]) % 2 else 1)
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j))),
+                   Multivector.zero(alg.coords, alg.rank))
+
+    # wedge(y, z) for j <= k; wedge(z, y) is its mirror
+    wedges = {(j, k): wedge(gens[j], gens[k])
+              for j in range(count) for k in range(j, count)}
+    failed_ci: dict = {}  # least rotation -> nonzero cyclic sum
+    failed_leibniz = set()  # (i, j, k) with j <= k
     ci_witnesses = []
     leib_witnesses = []
     jac_witnesses = []
     for i in range(count):
         x, sx = gens[i], sigma[i]
         for j in range(count):
-            y, sy = gens[j], sigma[j]
-            bracket_xy = brk[i][j]
+            y = gens[j]
             for k in range(count):
                 z = gens[k]
-                d_xyz = defect(i, j, k)
-                d_yzx = defect(j, k, i)
-                d_zxy = defect(k, i, j)
-                s1 = -1 if (sx * sigma[k]) % 2 else 1
-                s2 = -1 if (sy * sx) % 2 else 1
-                s3 = -1 if (sigma[k] * sy) % 2 else 1
-                ci = d_xyz.scale(s1) + d_yzx.scale(s2) + d_zxy.scale(s3)
+                # CI is invariant under rotating (i, j, k): its three signed
+                # defects rotate together.  Loop order reaches the least
+                # rotation of each orbit first.
+                orbit = min((i, j, k), (j, k, i), (k, i, j))
+                if orbit == (i, j, k):
+                    ci = cyclic_sum(i, j, k)
+                    if not ci.is_zero():
+                        failed_ci[orbit] = ci
                 # the bracket is the graded commutator of a product of
                 # shifted degree 0, so its Jacobiator at (x, y, z) is +-ci
-                if not ci.is_zero():
-                    ci_witnesses.append(f"CI({x}, {y}, {z}) = {ci}")
+                if orbit in failed_ci:
+                    ci_witnesses.append(f"CI({x}, {y}, {z}) = "
+                                        f"{failed_ci[orbit]}")
                     jac_witnesses.append(f"[{x}, [{y}, {z}]]")
 
-                lhs = bracket(x, wedge(y, z))
-                sign = -1 if (sx * y.grade()) % 2 else 1
-                rhs = wedge(bracket_xy, z) + wedge(y, brk[i][k]).scale(sign)
-                if lhs != rhs:
+                # swapping y and z multiplies both sides by the wedge sign
+                # (-1)^(|y||z|): the bracket is bilinear and [x, w] has
+                # grade |x| + |w| - 1, so (i, k, j) is decided at (i, j, k)
+                if j <= k:
+                    lhs = bracket(x, wedges[(j, k)])
+                    sign = -1 if (sx * y.grade()) % 2 else 1
+                    rhs = wedge(brk[i][j], z) \
+                        + wedge(y, brk[i][k]).scale(sign)
+                    if lhs != rhs:
+                        failed_leibniz.add((i, j, k))
+                if (i, min(j, k), max(j, k)) in failed_leibniz:
                     leib_witnesses.append(f"[{x}, {y}^{z}]")
 
     report.add("lie-admissible",

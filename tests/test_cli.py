@@ -4,9 +4,17 @@ import contextlib
 import copy
 import io
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+
+from helpers import (
+    random_algebroid,
+    validated_random_cochain,
+    validated_random_multiderivation,
+    validated_random_poly,
+)
 
 from lsakit import cli
 from lsakit.cli import build_parser, derive, main, run_suite
@@ -146,6 +154,31 @@ def test_run_suite_cohomology_skips_the_sub_adjacent(monkeypatch):
     assert report.passed
     assert {rec.name.split("/")[0] for rec in report.records} \
         == {"axioms", "cohomology"}
+
+
+@pytest.mark.parametrize("coords", [(), ("x",), ("x", "y")])
+def test_seeded_samplers_match_the_validating_oracles(coords):
+    # the d^2 samples skip re-validation: same values, same draws
+    for rank in range(1, 5):
+        alg = random_algebroid(random.Random(rank), coords, rank)
+        for degree in (1, 2, 3):
+            for seed in range(12):
+                for sampler, oracle, args in (
+                        (cli._random_cochain, validated_random_cochain,
+                         (alg, 2, degree)),
+                        (cli._random_cochain, validated_random_cochain,
+                         (alg, rank, degree)),
+                        (cli._random_multiderivation,
+                         validated_random_multiderivation, (alg, degree))):
+                    rng, expected_rng = random.Random(seed), \
+                        random.Random(seed)
+                    assert sampler(rng, *args) == oracle(expected_rng, *args)
+                    assert rng.getstate() == expected_rng.getstate()
+        for seed in range(40):
+            rng, expected_rng = random.Random(seed), random.Random(seed)
+            assert cli._random_poly(rng, coords, 3) == \
+                validated_random_poly(expected_rng, coords, 3)
+            assert rng.getstate() == expected_rng.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from lsakit.core import (
     sub_adjacent,
 )
 from lsakit.errors import (
+    DimensionMismatch,
     FrameNotInKernel,
     NonConstantDeterminant,
     NotAnAction,
@@ -789,3 +790,15 @@ def test_express_in_frame():
     assert coeffs == [parse_poly("x", coords)]
     outside = Section(coords, [Poly.zero(coords), Poly.constant(1, coords)])
     assert express_in_frame(frame, outside) is None
+
+
+@pytest.mark.parametrize("coords, rank", [(("x",), 3), (("x",), 1),
+                                          (("y",), 2), (("x", "y"), 2)])
+def test_express_in_frame_rejects_targets_off_the_frame_bundle(coords,
+                                                               rank):
+    # a frame of two rank-2 sections over x
+    x, one = parse_poly("x", ("x",)), Poly.constant(1, ("x",))
+    frame = [Section.unit(("x",), 2, 0), Section(("x",), [x, one])]
+    assert express_in_frame(frame, Section.unit(("x",), 2, 1)) == [-x, one]
+    with pytest.raises(DimensionMismatch):
+        express_in_frame(frame, Section.unit(coords, rank, 0))
