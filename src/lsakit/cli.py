@@ -15,7 +15,6 @@ import json
 import random
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from itertools import combinations
 
 from . import __version__
@@ -27,9 +26,10 @@ from .cohomology import (
     rep_d,
 )
 from .constructions import (
+    _complex_structure,
+    _phase_iso,
     apply_O_operator,
     check_representation_lie,
-    build_complex_structure,
     build_phase_space,
     check_lie_nijenhuis,
     check_lsa_homomorphism,
@@ -38,7 +38,6 @@ from .constructions import (
     derived_reps,
     action_algebroid,
     kernel_representations,
-    phase_iso_from_lsa_iso,
     semidirect_lie,
     semidirect_lsa,
 )
@@ -86,9 +85,8 @@ def _random_poly(rng: random.Random, coords, max_degree: int = 1) -> Poly:
             if n == 0:
                 break
             exps[rng.randrange(n)] += 1
-        coeff = Fraction(rng.randint(-3, 3))
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
     return Poly._from(coords, {key: c for key, c in terms.items() if c})
 
 
@@ -205,8 +203,8 @@ def run_suite(instance: InstanceFile, suite: str = "all", *, seed: int = 0,
         else:
             report.merge(quad, prefix="quadratic/")
             if quad.passed:
-                complex_result = build_complex_structure(
-                    alg, instance.bilinear_form)
+                complex_result = _complex_structure(
+                    alg, instance.bilinear_form, quad, phase)
                 report.merge(complex_result.report, prefix="complex/")
 
     report.merge(check_graded_properties(alg, GradedSampleSpec(2, 1)),
@@ -289,7 +287,7 @@ def run_suite(instance: InstanceFile, suite: str = "all", *, seed: int = 0,
                    "named map is an endomorphism of the structure", is_hom)
         det = phi.det()
         if is_hom and det.is_constant() and not det.is_zero():
-            iso = phase_iso_from_lsa_iso(alg, alg, phi)
+            iso = _phase_iso(phi, phase, phase)
             report.merge(iso.report, prefix="phase-iso/")
     return report
 

@@ -55,12 +55,14 @@ from .errors import (
 )
 from .polyring import (
     Poly,
+    Rational,
     SparseModule,
     VectorField,
     _accumulate,
     _add_scaled,
     _forward_pivots,
     _index_tuple,
+    as_rational,
     vf_bracket,
 )
 
@@ -438,7 +440,7 @@ def _point_rows(tables: _PointTables, degree: int) -> Iterator[dict]:
 
 def assemble_point_differential(alg: LSAlgebroid, rep: Representation,
                                 degree: int) \
-        -> tuple[list[list[Fraction]], list, list]:
+        -> tuple[list[list[Rational]], list, list]:
     """Rational matrix of the representation differential from degree
     ``degree`` to ``degree`` + 1 over a point base, with its bases.
 
@@ -452,9 +454,9 @@ def assemble_point_differential(alg: LSAlgebroid, rep: Representation,
     codomain = cochain_basis(alg.rank, rep.s, degree + 1)
     matrix = []
     for entries in _point_rows(tables, degree):
-        row = [Fraction(0)] * len(domain)
+        row = [0] * len(domain)
         for col, v in entries.items():
-            row[col] = Fraction(v, tables.den)
+            row[col] = as_rational(Fraction(v, tables.den))
         matrix.append(row)
     return matrix, domain, codomain
 

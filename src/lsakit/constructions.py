@@ -12,7 +12,6 @@ them on frame tuples decides them on arbitrary sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -479,8 +478,18 @@ def phase_iso_from_lsa_iso(a1: LSAlgebroid, a2: LSAlgebroid,
         raise NonConstantDeterminant(f"determinant {det} is not constant")
     if det.is_zero():
         raise NotIsomorphism("map is not invertible")
-    r = a1.rank
-    coords = a1.coords
+    phase1 = build_phase_space(a1)
+    return _phase_iso(phi, phase1,
+                      phase1 if a2 is a1 else build_phase_space(a2))
+
+
+def _phase_iso(phi: PolyMatrix, phase1: PhaseSpace,
+               phase2: PhaseSpace) -> PhaseIso:
+    """:func:`phase_iso_from_lsa_iso` for a homomorphism ``phi`` whose
+    determinant is a nonzero constant, between the given phase spaces of
+    its source and target."""
+    r = phi.rows
+    coords = phi.coords
     contragredient = matrix_inverse_adjugate(phi.transpose())
     blocks = [[phi.entry(i, j) if i < r and j < r else
                contragredient.entry(i - r, j - r) if i >= r and j >= r else
@@ -488,8 +497,6 @@ def phase_iso_from_lsa_iso(a1: LSAlgebroid, a2: LSAlgebroid,
                for j in range(2 * r)] for i in range(2 * r)]
     Phi = PolyMatrix(coords, blocks)
 
-    phase1 = build_phase_space(a1)
-    phase2 = phase1 if a2 is a1 else build_phase_space(a2)
     report = Report("phase space isomorphism")
     images = [Section(coords, Phi.column(i)) for i in range(2 * r)]
 
@@ -673,6 +680,13 @@ def build_complex_structure(alg: LSAlgebroid, form) -> ComplexStructure:
     quad = check_quadratic(alg, form)
     if not quad.passed:
         raise NotQuadratic("the form is not a quadratic structure")
+    return _complex_structure(alg, form, quad, build_phase_space(alg))
+
+
+def _complex_structure(alg: LSAlgebroid, form, quad: Report,
+                       phase: PhaseSpace) -> ComplexStructure:
+    """:func:`build_complex_structure` from the passed quadratic report
+    of ``form`` and the phase space of ``alg``."""
     matrix = _form_matrix(form)
     inverse = matrix_inverse_adjugate(matrix)
     r = alg.rank
@@ -682,11 +696,10 @@ def build_complex_structure(alg: LSAlgebroid, form) -> ComplexStructure:
                for j in range(2 * r)] for i in range(2 * r)]
     J = PolyMatrix(coords, blocks)
 
-    phase = build_phase_space(alg)
     P = phase.P
     report = Report("complex structure on the phase space")
 
-    minus_id = PolyMatrix.identity(2 * r, coords).scale(Fraction(-1))
+    minus_id = PolyMatrix.identity(2 * r, coords).scale(-1)
     report.add("squares-to-minus-id", "J^2 = -id", J @ J == minus_id)
 
     # J[u,v] - [Ju,v] - [u,Jv] - J[Ju,Jv] = -J T(u, v), and J^2 = -id

@@ -15,8 +15,6 @@ parameter away.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cohomology import MultiDerivation, def_d
 from .core import (
     LSAlgebroid,
@@ -33,7 +31,7 @@ from .errors import (
     NotADeformation,
     NotNijenhuis,
 )
-from .polyring import Poly, PolyMatrix, VectorField
+from .polyring import Poly, PolyMatrix, VectorField, as_rational
 from .report import Report
 
 FORMAL = object()
@@ -133,6 +131,8 @@ def deformed_algebroid(alg: LSAlgebroid, omega: MultiDerivation, t,
                        param: str = "t") -> LSAlgebroid:
     """The deformed structure at a rational parameter value, or over the
     parameter-extended coordinate ring when ``t`` is FORMAL."""
+    if t is not FORMAL:
+        t = as_rational(t)  # refuses a float or a bool before any check
     validity = check_deformation(alg, omega)
     if not validity.passed:
         raise NotADeformation(report=validity)
@@ -141,7 +141,8 @@ def deformed_algebroid(alg: LSAlgebroid, omega: MultiDerivation, t,
 
 def _deform(alg: LSAlgebroid, omega: MultiDerivation, t,
             param: str) -> LSAlgebroid:
-    """The structure x.y + t w(x, y), a + t sigma_w; no check."""
+    """The structure x.y + t w(x, y), a + t sigma_w at a canonical
+    rational ``t`` or FORMAL; no check."""
     if t is FORMAL:
         param = fresh_parameter(alg.coords, param)
         lifted = extend_algebroid(alg, param)
@@ -153,11 +154,10 @@ def _deform(alg: LSAlgebroid, omega: MultiDerivation, t,
                   + omega.symbol((i,)).extend(lifted.coords).scale(tpoly)
                   for i in range(alg.rank)]
         return LSAlgebroid(lifted.coords, alg.rank, c, anchor)
-    value = Fraction(t)
-    c = [[alg.c[i][j] + omega.value((i,), j).scale(value)
+    c = [[alg.c[i][j] + omega.value((i,), j).scale(t)
           for j in range(alg.rank)] for i in range(alg.rank)]
     anchor = [alg.anchor[i] + omega.symbol((i,)).scale(
-        Poly.constant(value, alg.coords)) for i in range(alg.rank)]
+        Poly.constant(t, alg.coords)) for i in range(alg.rank)]
     return LSAlgebroid(alg.coords, alg.rank, c, anchor)
 
 

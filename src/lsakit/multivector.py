@@ -26,6 +26,7 @@ from .polyring import (
     Poly,
     SparseModule,
     _accumulate,
+    _canonical,
     _check_degree,
     _index_tuple,
     _poly_value,
@@ -182,7 +183,8 @@ def graded_product(alg: LSAlgebroid, x: Multivector, y: Multivector) \
                 acc[exps] = coeff * scale if value is None \
                     else value + coeff * scale
     # the memoized terms are clean: only cancelled coefficients drop out
-    out = {key: Poly._from(alg.coords, {e: c for e, c in acc.items() if c})
+    out = {key: Poly._from(alg.coords,
+                           _canonical({e: c for e, c in acc.items() if c}))
            for key, acc in sums.items()}
     return x._like({key: v for key, v in out.items() if not v.is_zero()})
 

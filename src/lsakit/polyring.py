@@ -13,6 +13,12 @@ grammar:
 
 Whitespace is insignificant; implicit multiplication is not allowed.
 
+Coefficients are canonical: an ``int`` when the denominator is 1 and a
+``Fraction`` only for a true fraction, never a float or a bool.
+``as_rational`` makes that form from its input, and arithmetic turns a
+``Fraction`` whose denominator cancels to 1 back into an ``int`` where
+it arises.
+
 Determinants, cofactors and the invertible-submatrix search share one
 Laplace expansion over stored entries, memoized on (rows, columns)
 (``PolyMatrix._minor``); ranks and kernels use integer elimination
@@ -50,7 +56,8 @@ from .errors import (
     UnknownVariable,
 )
 
-Rational = Fraction
+# the canonical coefficient type
+Rational = int | Fraction
 
 # per context, so each thread (which starts at the default) has its own
 _DEGREE_LIMIT: ContextVar[int] = ContextVar("degree_limit", default=16)
@@ -71,12 +78,22 @@ def _check_degree(degree: int, what: str = "product") -> None:
         raise DegreeOverflow(f"{what} degree {degree} exceeds limit {limit}")
 
 
-def as_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def as_rational(value) -> Rational:
+    """``value`` in canonical form: an ``int`` when its denominator is 1,
+    else a ``Fraction``.  Floats and bools are refused."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        # the numerator of an int subclass is a plain int
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
+
+
+def _canonical(terms: dict) -> dict:
+    """``terms`` with each ``Fraction`` value of denominator 1 replaced by
+    its ``int``, in place."""
+    for key, coeff in terms.items():
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            terms[key] = coeff.numerator
+    return terms
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -87,8 +104,9 @@ class Poly:
     """Sparse multivariate polynomial with rational coefficients.
 
     ``coords`` is the ordered tuple of coordinate names; ``terms`` maps
-    exponent tuples (one entry per coordinate) to nonzero coefficients.
-    The zero polynomial has no terms.  Instances are immutable.
+    exponent tuples (one entry per coordinate) to nonzero coefficients,
+    each an int or a Fraction in canonical form (never a float).  The
+    zero polynomial has no terms.  Instances are immutable.
     """
 
     __slots__ = ("coords", "terms", "_degree", "_hash")
@@ -117,7 +135,8 @@ class Poly:
     @classmethod
     def _from(cls, coords: tuple, terms: dict) -> "Poly":
         """Trusted constructor: ``terms`` maps exponent tuples of length
-        ``len(coords)`` with no negative entry to nonzero Fractions."""
+        ``len(coords)`` with no negative entry to nonzero canonical
+        coefficients (ints, or Fractions with denominator > 1)."""
         new = object.__new__(cls)
         new.coords = coords
         new.terms = terms
@@ -143,7 +162,7 @@ class Poly:
         if name not in coords:
             raise IndexOutOfRange(f"'{name}' is not among coordinates {coords}")
         exps = tuple(1 if c == name else 0 for c in coords)
-        return cls._from(coords, {exps: Fraction(1)})
+        return cls._from(coords, {exps: 1})
 
     # -- predicates and views ----------------------------------------
 
@@ -153,11 +172,11 @@ class Poly:
     def is_constant(self) -> bool:
         return self.total_degree <= 0
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         if not self.is_constant():
             raise ValueError(f"'{self}' is not constant")
         if not self.terms:
-            return Fraction(0)
+            return 0
         return next(iter(self.terms.values()))
 
     @property
@@ -168,14 +187,14 @@ class Poly:
             degree = self._degree = max(map(sum, self.terms), default=-1)
         return degree
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Rational]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
                       reverse=True)
 
     # -- arithmetic ---------------------------------------------------
-    # Results are built with ``_from``: operands are clean, exact
-    # arithmetic keeps coefficients Fractions, and a coefficient that
-    # cancels to zero is dropped where it arises.
+    # Results are built with ``_from``: operands are clean, a coefficient
+    # that cancels to zero is dropped where it arises, and a Fraction
+    # whose denominator cancels to 1 becomes an int there.
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -202,10 +221,12 @@ class Poly:
                 terms[exps] = coeff
             else:
                 acc += coeff
-                if acc:
-                    terms[exps] = acc
-                else:
+                if not acc:
                     del terms[exps]
+                elif type(acc) is Fraction and acc.denominator == 1:
+                    terms[exps] = acc.numerator
+                else:
+                    terms[exps] = acc
         return Poly._from(self.coords, terms)
 
     __radd__ = __add__
@@ -227,11 +248,12 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # Fraction times int or Fraction is a Fraction, nonzero here
+            if type(other) is not int:
+                other = as_rational(other)
             if not other:
                 return Poly._from(self.coords, {})
-            return Poly._from(self.coords,
-                              {e: c * other for e, c in self.terms.items()})
+            return Poly._from(self.coords, _canonical(
+                {e: c * other for e, c in self.terms.items()}))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -249,6 +271,8 @@ class Poly:
                     if not coeff:
                         del terms[key]
                         continue
+                if type(coeff) is Fraction and coeff.denominator == 1:
+                    coeff = coeff.numerator
                 terms[key] = coeff
         return Poly._from(self.coords, terms)
 
@@ -273,10 +297,10 @@ class Poly:
             raise IndexOutOfRange(
                 f"coordinate index {index} out of range for {self.coords}")
         # lowering one exponent is injective on the terms it keeps
-        return Poly._from(self.coords, {
+        return Poly._from(self.coords, _canonical({
             exps[:index] + (exps[index] - 1,) + exps[index + 1:]:
                 coeff * exps[index]
-            for exps, coeff in self.terms.items() if exps[index]})
+            for exps, coeff in self.terms.items() if exps[index]}))
 
     # -- coordinate surgery -------------------------------------------
 
@@ -316,7 +340,7 @@ class Poly:
                 terms[key] = coeff
             else:
                 terms.pop(key, None)
-        return Poly._from(rest, terms)
+        return Poly._from(rest, _canonical(terms))
 
     # -- comparison, hashing, printing --------------------------------
 
@@ -494,7 +518,7 @@ def _int(digits: str, pos: int) -> int:
         raise ParseError("integer literal too long", pos) from None
 
 
-def _parse_rational(cursor: _Cursor, negative: bool) -> Fraction:
+def _parse_rational(cursor: _Cursor, negative: bool) -> Rational:
     kind, value, pos = cursor.advance()
     if kind != "int":
         raise ParseError("invalid number", pos, "an integer")
@@ -506,8 +530,8 @@ def _parse_rational(cursor: _Cursor, negative: bool) -> Fraction:
         denominator = _int(value, pos) if kind == "int" else 0
         if denominator == 0:
             raise ParseError("invalid denominator", pos, "a positive integer")
-        return Fraction(numerator, denominator)
-    return Fraction(numerator)
+        return as_rational(Fraction(numerator, denominator))
+    return numerator
 
 
 def _parse_base(cursor: _Cursor, coords) -> Poly:
@@ -900,7 +924,7 @@ class PolyMatrix(SparseModule):
     def is_constant(self) -> bool:
         return all(e.is_constant() for e in self.terms.values())
 
-    def to_rational(self) -> list[list[Fraction]]:
+    def to_rational(self) -> list[list[Rational]]:
         if not self.is_constant():
             raise NonConstantDeterminant("matrix has non-constant entries")
         return [[e.constant_value() for e in row] for row in self.entries]
@@ -934,7 +958,10 @@ class PolyMatrix(SparseModule):
         """Transposed cofactor matrix, from one memo of minors."""
         if self.rows != self.cols:
             raise NotSquare("adjugate requires a square matrix")
-        every, cache, out = tuple(range(self.rows)), {}, {}
+        return self._adjugate({})
+
+    def _adjugate(self, cache: dict) -> "PolyMatrix":
+        every, out = tuple(range(self.rows)), {}
         for i in every:
             for j in every:
                 minor = self._minor(every[:i] + every[i + 1:],
@@ -954,18 +981,19 @@ def matrix_inverse_adjugate(matrix: PolyMatrix) -> PolyMatrix:
     """Polynomial inverse via the adjugate.
 
     Refuses unless the determinant is a nonzero constant, so that the
-    inverse stays inside the polynomial ring.
+    inverse stays inside the polynomial ring.  The determinant and the
+    cofactors come from one memo of minors.
     """
     if matrix.rows != matrix.cols:
         raise NotSquare("inverse requires a square matrix")
-    det = matrix.det()
+    every, cache = tuple(range(matrix.rows)), {}
+    det = matrix._minor(every, every, cache)
     if det.is_zero():
         raise SingularMatrix("matrix determinant is zero")
     if not det.is_constant():
         raise NonConstantDeterminant(
             f"determinant {det} is not constant; polynomial inverse refused")
-    scale = 1 / det.constant_value()
-    return matrix.adjugate().scale(scale)
+    return matrix._adjugate(cache).scale(Fraction(1, det.constant_value()))
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +1001,6 @@ def matrix_inverse_adjugate(matrix: PolyMatrix) -> PolyMatrix:
 # ---------------------------------------------------------------------------
 
 _EXACT_TYPES = {Fraction, int}
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _integer_row(row: list) -> dict:
@@ -1040,7 +1067,7 @@ def _forward_pivots(rows: Iterable[dict], ncols: int) -> dict[int, dict]:
 
 def rational_kernel_and_rank(matrix: Sequence[Sequence],
                              cols: int | None = None) \
-        -> tuple[int, list[tuple[Fraction, ...]]]:
+        -> tuple[int, list[tuple[Rational, ...]]]:
     """Exact rank and kernel basis of a rational matrix.
 
     Returns ``(rank, basis)`` where each basis vector spans the null
@@ -1075,14 +1102,14 @@ def rational_kernel_and_rank(matrix: Sequence[Sequence],
 
     free = [j for j in range(ncols) if j not in pivots]
     slot = {j: pos for pos, j in enumerate(free)}
-    basis = [[_ZERO] * ncols for _ in free]
+    basis = [[0] * ncols for _ in free]
     for j, vec in zip(free, basis):
-        vec[j] = _ONE
+        vec[j] = 1
     for col, row in pivots.items():
         den = row[col]
         for j, v in row.items():
             if j != col:
-                basis[slot[j]][col] = Fraction(-v, den)
+                basis[slot[j]][col] = as_rational(Fraction(-v, den))
     return len(pivots), [tuple(vec) for vec in basis]
 
 

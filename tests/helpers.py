@@ -37,7 +37,6 @@ from lsakit.polyring import (
     PolyMatrix,
     VectorField,
     _add_scaled,
-    as_rational,
     parse_poly,
     rational_kernel_and_rank,
     sort_with_sign,
@@ -441,7 +440,8 @@ def dense_kernel_oracle(matrix, cols=None):
     ``rational_kernel_and_rank``, kept as the reference for its sparse
     integer elimination (both read the basis off the unique reduced
     row echelon form)."""
-    rows = [list(map(as_rational, row)) for row in matrix]
+    # Fraction entries, so that the pivot division below stays exact
+    rows = [list(map(Fraction, row)) for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else (cols or 0)
     for row in rows:

@@ -689,3 +689,35 @@ def test_each_kernel_frame_is_solved_once(monkeypatch, name, searches,
     inverted = counted(monkeypatch, constructions, "matrix_inverse_adjugate")
     cli.run_suite(parse_instance(corpus_path(name)), "all")
     assert (len(found), len(inverted)) == (searches, inverses)
+
+
+@pytest.mark.parametrize("name, quadratic, dets", [
+    ("flat", 1, 4), ("point_e1e2", 0, 1), ("riemannian", 1, 3),
+    ("zero_r2", 1, 3)])
+def test_verify_all_shares_its_quadratic_report_phase_space_and_det(
+        monkeypatch, name, quadratic, dets):
+    # run_suite hands its quadratic report and phase space to the complex
+    # structure and the phase isomorphism it builds.  The determinants
+    # left are the form's and its two leading principal minors (in
+    # check_quadratic) and phi's (in run_suite); the inverses read theirs
+    # off the cofactors they compute anyway.
+    instance = parse_instance(corpus_path(name))
+    quads = [counted(monkeypatch, module, "check_quadratic")
+             for module in (cli, constructions)]
+    phases = [counted(monkeypatch, module, "build_phase_space")
+              for module in (cli, constructions)]
+    expanded = []
+    det = PolyMatrix.det
+
+    def recorded(matrix):
+        expanded.append(matrix)
+        return det(matrix)
+
+    monkeypatch.setattr(PolyMatrix, "det", recorded)
+    report = cli.run_suite(instance, "all")
+    assert report.passed
+    assert sum(map(len, quads)) == quadratic
+    assert sum(map(len, phases)) == 1
+    assert len(expanded) == dets
+    phi = instance.endomorphisms.get("phi")
+    assert sum(matrix is phi for matrix in expanded) == (phi is not None)

@@ -175,6 +175,24 @@ def test_deformed_rejects_invalid():
         deformed_algebroid(alg, omega, 1)
 
 
+@pytest.mark.parametrize("t", [0.1, 1.0, True, False])
+def test_deformed_refuses_a_float_or_bool_parameter(t):
+    # taken as given, 0.1 would be its binary value
+    # 3602879701896397/36028797018963968 and True the integer 1
+    alg = point_e1e2()
+    with pytest.raises(TypeError):
+        deformed_algebroid(alg, scaling_deformation(alg), t)
+
+
+def test_deformed_parameter_is_canonical():
+    alg = point_e1e2()
+    deformed = deformed_algebroid(alg, scaling_deformation(alg),
+                                  Fraction(4, 2))
+    assert all(type(c) is int for i in range(2) for j in range(2)
+               for comp in deformed.c[i][j].terms.values()
+               for c in comp.terms.values())
+
+
 # ---------------------------------------------------------------------------
 # Nijenhuis operators
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from lsakit.polyring import (
     Poly,
     PolyMatrix,
     VectorField,
+    as_rational,
     find_constant_invertible_submatrix,
     matrix_inverse_adjugate,
     parse_poly,
@@ -144,16 +145,22 @@ def test_mixed_partials_commute(terms):
     assert p.partial(0).partial(1) == p.partial(1).partial(0)
 
 
+def is_canonical(value) -> bool:
+    """An int that is not a bool, or a Fraction that is not an integer."""
+    return type(value) is int \
+        or (type(value) is Fraction and value.denominator > 1)
+
+
 def assert_clean(p: Poly) -> None:
     """``p`` holds exactly what the validating constructor makes of it:
-    nonzero Fractions on non-negative exponent tuples of the right
-    length, and the degree the eager formula gives."""
+    nonzero canonical coefficients on non-negative exponent tuples of
+    the right length, and the degree the eager formula gives."""
     assert type(p.coords) is tuple
     assert p == Poly(p.coords, dict(p.terms))
     for exps, coeff in p.terms.items():
         assert type(exps) is tuple and len(exps) == len(p.coords)
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(coeff) is Fraction and coeff != 0
+        assert is_canonical(coeff) and coeff != 0
     assert p.total_degree == max((sum(e) for e in p.terms), default=-1)
 
 
@@ -179,6 +186,49 @@ def test_arithmetic_results_are_clean(ta, tb, scalar, power):
     assert (a - a).is_zero() and (a + (-a)).is_zero()
     assert a.extend(("t", "y", "x")).terms == {
         (0, y, x): c for (x, y), c in a.terms.items()}
+
+
+def test_as_rational_is_canonical_and_refuses_floats_and_bools():
+    assert type(as_rational(Fraction(6, 3))) is int
+    assert as_rational(Fraction(6, 4)) == Fraction(3, 2)
+    assert type(as_rational(7)) is int
+    for value in (0.5, 1.0, True, False, "1"):
+        with pytest.raises(TypeError):
+            as_rational(value)
+    assert type(parse_poly("4/2", X).constant_value()) is int
+    assert type(Poly.zero(X).constant_value()) is int
+
+
+fraction_scalars = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+constant_entries = st.lists(coeffs, min_size=4, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_terms, fraction_scalars, constant_entries,
+       st.lists(st.lists(coeffs, min_size=3, max_size=3), max_size=3))
+def test_no_float_or_noncanonical_coefficient_is_reachable(
+        ta, scalar, entries, rows):
+    # arithmetic, partial and substitute are held to assert_clean by
+    # test_arithmetic_results_are_clean; here the parser, the inverse and
+    # the kernel basis
+    a = mkpoly(ta)
+    assert_clean(parse_poly(str(a), XY))
+    # a constant block and a unipotent polynomial block, each inverted
+    x = Poly.variable("x", XY)
+    blocks = [PolyMatrix(XY, [entries[:2], entries[2:]]),
+              PolyMatrix(XY, [[scalar or 1, a], [0, 1]]),
+              PolyMatrix(XY, [[1, 0], [x * scalar, 1]])]
+    for matrix in blocks:
+        det = matrix.det()
+        if det.is_zero():
+            continue
+        inverse = matrix_inverse_adjugate(matrix)
+        for entry in inverse.terms.values():
+            assert_clean(entry)
+        assert inverse @ matrix == PolyMatrix.identity(2, XY)
+    rank, basis = rational_kernel_and_rank(rows, 3)
+    assert all(is_canonical(v) for vec in basis for v in vec)
+    assert rank + len(basis) == 3
 
 
 def test_degree_limit_fires_on_lazily_filled_degrees():
@@ -640,7 +690,7 @@ def test_kernel_matches_dense_oracle():
         size = None if matrix else cols
         got = rational_kernel_and_rank(matrix, size)
         assert got == dense_kernel_oracle(matrix, size), matrix
-        assert all(type(x) is Fraction for vec in got[1] for x in vec)
+        assert all(is_canonical(x) for vec in got[1] for x in vec)
 
 
 def test_kernel_rank_matches_sympy():

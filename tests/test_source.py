@@ -39,6 +39,51 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _exact_operand(node) -> bool:
+    """A ``Fraction(...)`` call, or a string (the operand of a path join)."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+    return isinstance(node, ast.JoinedStr) \
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def float_divisions(source: str) -> list[str]:
+    """True divisions (``/`` and ``/=``) with neither operand a
+    ``Fraction(...)`` call nor a string: between two ints such a division
+    gives a float."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            operands = (node.target, node.value)
+        else:
+            continue
+        if not any(map(_exact_operand, operands)):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_float_divisions_are_found():
+    source = ("a = 1 / det\n"
+              "b = Fraction(1) / det\n"
+              "c = det / Fraction(v, 2)\n"
+              "d = root / 'corpus' / f'{name}.json'\n"
+              "e = Fraction(1, det)\n"
+              "f //= 2\n"
+              "f /= n\n")
+    assert float_divisions(source) == ["line 1: 1 / det", "line 7: f /= n"]
+
+
+def test_no_module_divides_without_a_fraction():
+    # the kernel's coefficients are ints or Fractions: a division needs a
+    # Fraction operand to stay exact
+    found = {path.name: float_divisions(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) >= 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _references(node, enclosing: frozenset, out: list) -> None:
     """(name, enclosing function names) for every name and attribute
     read under ``node``."""
@@ -128,8 +173,8 @@ HOLD_BY_CONSTRUCTION = {
     ("ideal", "kernel_representations"),
     ("defect-antisymmetry", "check_graded_properties"),
     ("omega-nondegenerate", "build_phase_space"),
-    ("maps-subbundles", "phase_iso_from_lsa_iso"),
-    ("anticommutes-paracomplex", "build_complex_structure"),
+    ("maps-subbundles", "_phase_iso"),
+    ("anticommutes-paracomplex", "_complex_structure"),
 }
 
 
