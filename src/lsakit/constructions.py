@@ -209,7 +209,8 @@ def action_algebroid(algebra: LSAlgebroid, fields: Sequence[VectorField],
         raise NotAnAction(
             f"action condition fails on basis pair ({i + 1}, {j + 1}): "
             f"{lhs} != {rhs}", witness=(i, j))
-    _require_left_symmetric(result)
+    # constant products: the frame associators are the algebra's, gated above
+    result._axioms = True
     return result
 
 
@@ -564,7 +565,8 @@ def check_quadratic(alg: LSAlgebroid, form) -> Report:
     matrix = _form_matrix(form)
     if matrix.rows != alg.rank or matrix.cols != alg.rank:
         raise DimensionMismatch("form shape does not match the bundle rank")
-    det = matrix.det()
+    every, minors = tuple(range(matrix.rows)), {}
+    det = matrix._minor(every, every, minors)
     if not det.is_constant():
         raise NonConstantDeterminant(
             f"determinant {det} is not constant; nondegeneracy uncertifiable")
@@ -596,15 +598,14 @@ def check_quadratic(alg: LSAlgebroid, form) -> Report:
                [] if not det.is_zero() else ["det = 0"])
 
     if matrix.is_constant():
-        rational = matrix.to_rational()
-        minors = [PolyMatrix(matrix.coords, [row[:k] for row in rational[:k]])
-                  .det().constant_value() for k in range(1, matrix.rows + 1)]
-        positive = all(m > 0 for m in minors)
+        leading = [matrix._minor(every[:k], every[:k], minors)
+                   .constant_value() for k in range(1, matrix.rows + 1)]
+        positive = all(m > 0 for m in leading)
         report.add("riemannian",
                    "form is positive definite (leading principal minors)",
                    "pass" if positive else "uncertified",
                    [] if positive else
-                   [f"minor {k + 1} = {m}" for k, m in enumerate(minors)
+                   [f"minor {k + 1} = {m}" for k, m in enumerate(leading)
                     if m <= 0])
     else:
         report.add("riemannian",

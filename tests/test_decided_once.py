@@ -3,6 +3,7 @@ routine, and results the library has just decided not decided again,
 against the loops they replaced (kept in ``helpers``)."""
 
 import functools
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from helpers import (
     square_product_oracle,
     zero_point_algebra,
 )
-from lsakit import cli, constructions, deformations
+from lsakit import cli, constructions, core, deformations
 from lsakit.cohomology import MultiDerivation, def_d
 from lsakit.constructions import (
     _double,
@@ -65,7 +66,12 @@ from lsakit.deformations import (
     trivial_deformation,
 )
 from lsakit.errors import NotAnAction, NotARepresentation, OmegaNotClosed
-from lsakit.instances import CORPUS_NAMES, corpus_path, parse_instance
+from lsakit.instances import (
+    CORPUS_NAMES,
+    algebroid_to_dict,
+    corpus_path,
+    parse_instance,
+)
 from lsakit.polyring import Poly, PolyMatrix, VectorField
 
 COCYCLE_RECORDS = ("cocycle-values", "cocycle-symbol")
@@ -414,6 +420,9 @@ def test_perturbed_action_fields_match_the_action_loop():
         expected = action_condition_oracle(algebra, fields, coords)
         if expected is None:
             built = action_algebroid(algebra, fields, coords)
+            # the verdict action_algebroid stores without deciding it
+            assert built._axioms is True
+            assert check_left_symmetric(built).passed
             assert built.anchor == tuple(fields)
             assert built.c == tuple(tuple(Section(coords, [
                 comp.constant_value() for comp in sec.components])
@@ -692,15 +701,16 @@ def test_each_kernel_frame_is_solved_once(monkeypatch, name, searches,
 
 
 @pytest.mark.parametrize("name, quadratic, dets", [
-    ("flat", 1, 4), ("point_e1e2", 0, 1), ("riemannian", 1, 3),
-    ("zero_r2", 1, 3)])
+    ("flat", 1, 1), ("point_e1e2", 0, 1), ("riemannian", 1, 0),
+    ("zero_r2", 1, 0)])
 def test_verify_all_shares_its_quadratic_report_phase_space_and_det(
         monkeypatch, name, quadratic, dets):
     # run_suite hands its quadratic report and phase space to the complex
-    # structure and the phase isomorphism it builds.  The determinants
-    # left are the form's and its two leading principal minors (in
-    # check_quadratic) and phi's (in run_suite); the inverses read theirs
-    # off the cofactors they compute anyway.
+    # structure and the phase isomorphism it builds.  The determinant
+    # left is phi's (in run_suite): check_quadratic reads the form's and
+    # its leading principal minors off one memo of minors, and the
+    # inverses read theirs off the cofactors they compute anyway.  With
+    # a det per minor, flat took 4 and riemannian and zero_r2 took 3.
     instance = parse_instance(corpus_path(name))
     quads = [counted(monkeypatch, module, "check_quadratic")
              for module in (cli, constructions)]
@@ -721,3 +731,38 @@ def test_verify_all_shares_its_quadratic_report_phase_space_and_det(
     assert len(expanded) == dets
     phi = instance.endomorphisms.get("phi")
     assert sum(matrix is phi for matrix in expanded) == (phi is not None)
+
+
+@pytest.mark.parametrize("name", ["flat", "riemannian", "zero_r2"])
+def test_check_quadratic_expands_the_form_once(monkeypatch, name):
+    # the determinant and every leading principal minor (the last is the
+    # determinant again) come from one memo of minors
+    instance = parse_instance(corpus_path(name))
+    memos, expanded = [], counted(monkeypatch, PolyMatrix, "det")
+    minor = PolyMatrix._minor
+
+    def recorded(matrix, rows, cols, cache):
+        memos.append(cache)
+        return minor(matrix, rows, cols, cache)
+
+    monkeypatch.setattr(PolyMatrix, "_minor", recorded)
+    report = constructions.check_quadratic(instance.algebroid,
+                                           instance.bilinear_form)
+    assert report.record("nondegenerate").status == "pass"
+    assert expanded == []
+    assert memos and all(cache is memos[0] for cache in memos)
+
+
+def test_derive_action_decides_the_anchor_identity_twice(monkeypatch,
+                                                         capsys):
+    # once in the acting algebra's gate and once as the action
+    # condition; the result's verdict follows from the two (it took a
+    # third call in the result's own gate)
+    calls = counted(monkeypatch, core, "_anchor_failures")
+    monkeypatch.setattr(constructions, "_anchor_failures",
+                        core._anchor_failures)
+    assert cli.main(["derive", str(corpus_path("action")), "--action",
+                     "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["derived"] == \
+        algebroid_to_dict(corpus()["action"].algebroid)
+    assert len(calls) == 2

@@ -172,6 +172,7 @@ HOLD_BY_CONSTRUCTION = {
     ("kernel-frame", "kernel_representations"),
     ("ideal", "kernel_representations"),
     ("defect-antisymmetry", "check_graded_properties"),
+    ("graded-leibniz", "check_graded_properties"),
     ("omega-nondegenerate", "build_phase_space"),
     ("maps-subbundles", "_phase_iso"),
     ("anticommutes-paracomplex", "_complex_structure"),
