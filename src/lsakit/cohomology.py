@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations
 from math import comb, lcm
 from typing import Iterator, NamedTuple, Sequence
 
@@ -39,6 +39,7 @@ from .core import (
     Representation,
     Section,
     _coboundary_terms,
+    _frame_expansion,
     anchor_of_section,
     frame_commutator,
     rep_mu_frame,
@@ -54,7 +55,6 @@ from .errors import (
     NotPointCase,
 )
 from .polyring import (
-    Poly,
     Rational,
     SparseModule,
     VectorField,
@@ -116,22 +116,15 @@ class RepCochain(SparseModule):
 
     def evaluate(self, sections: Sequence[Section]) -> Section:
         """Multilinear evaluation on arbitrary sections: the leading slots
-        expand over frame tuples, the last through ``evaluate_last``."""
+        expand over the supports of their sections, the last through
+        ``evaluate_last``."""
         if len(sections) != self.degree:
             raise ArityError(
                 f"degree {self.degree} {type(self).__name__} applied to "
                 f"{len(sections)} sections")
         out: dict = {}
-        one = Poly.constant(1, self.coords)
-        for idx in iter_product(range(self.rank), repeat=self.degree - 1):
-            coeff = one
-            for sec, i in zip(sections, idx):
-                factor = sec.terms.get(i)
-                if factor is None:
-                    break
-                coeff = coeff * factor
-            else:
-                _add_scaled(out, self.evaluate_last(idx, sections[-1]), coeff)
+        for lead, coeff in _frame_expansion(sections[:-1], self.coords):
+            _add_scaled(out, self.evaluate_last(lead, sections[-1]), coeff)
         return Section._from((self.coords, self.s), out)
 
 

@@ -524,26 +524,24 @@ class FormCochain(SparseModule):
             raise DimensionMismatch(
                 f"degree {self.degree} form applied to {len(sections)} sections")
         total = Poly.zero(self.coords)
-        for key, value in self.terms.items():
-            for perm, sign in _permutations_with_sign(key):
-                coeff = Poly.constant(sign, self.coords)
-                for sec, idx in zip(sections, perm):
-                    factor = sec.terms.get(idx)
-                    if factor is None:
-                        break
-                    coeff = coeff * factor
-                else:
-                    total = total + coeff * value
+        for indices, coeff in _frame_expansion(sections, self.coords):
+            value = self._lookup(indices)
+            if value is not None:
+                total = total + coeff * value
         return total
 
 
-def _permutations_with_sign(key: tuple[int, ...]):
-    from itertools import permutations
-    base = list(key)
-    for perm in permutations(range(len(base))):
-        indices = tuple(base[p] for p in perm)
-        _, sign = sort_with_sign(perm)
-        yield indices, sign
+def _frame_expansion(sections: Sequence[Section], coords) \
+        -> list[tuple[tuple[int, ...], Poly]]:
+    """Multilinear expansion of ``sections`` in the frame: each index
+    tuple with entry a in the support of sections[a], and the product of
+    those components.  Tuples that repeat an index are left out, as both
+    callers are alternating in these slots."""
+    out = [((), Poly.constant(1, coords))]
+    for sec in sections:
+        out = [(indices + (i,), coeff * comp) for indices, coeff in out
+               for i, comp in sec.terms.items() if i not in indices]
+    return out
 
 
 def _coboundary_terms(rank: int, degree: int, bracket):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from lsakit.cohomology import (
     DegreeDims,
@@ -190,13 +190,6 @@ def validated_random_cochain(rng, alg, s, degree) -> RepCochain:
                        for _ in range(s)]
         for lead in combinations(range(alg.rank), degree - 1)
         for last in range(alg.rank)})
-
-
-def validated_random_multiderivation(rng, alg, degree) -> MultiDerivation:
-    values = validated_random_cochain(rng, alg, alg.rank, degree).terms
-    return MultiDerivation(alg.coords, alg.rank, degree, values, {
-        lead: [validated_random_poly(rng, alg.coords) for _ in alg.coords]
-        for lead in combinations(range(alg.rank), degree - 1)})
 
 
 def six_term_admissibility_oracle(alg: LSAlgebroid) -> bool:
@@ -540,6 +533,46 @@ def dense_point_dims(alg: LSAlgebroid, rep, n_max: int) -> PointCohomology:
 
 # ---------------------------------------------------------------------------
 # The differentials with their own index and sign bookkeeping: the loops
+# ---------------------------------------------------------------------------
+# Multilinear evaluation as it ran before both classes expanded over the
+# supports of their arguments
+# ---------------------------------------------------------------------------
+
+def form_evaluate_oracle(form: FormCochain, sections) -> Poly:
+    """FormCochain.evaluate as a signed sum over the permutations of
+    each stored index tuple."""
+    total = Poly.zero(form.coords)
+    for key, value in form.terms.items():
+        for perm in permutations(range(len(key))):
+            _, sign = sort_with_sign(perm)
+            coeff = Poly.constant(sign, form.coords)
+            for sec, p in zip(sections, perm):
+                factor = sec.terms.get(key[p])
+                if factor is None:
+                    break
+                coeff = coeff * factor
+            else:
+                total = total + coeff * value
+    return total
+
+
+def cochain_evaluate_oracle(cochain: RepCochain, sections) -> Section:
+    """RepCochain.evaluate (and a multiderivation's) as a loop over every
+    frame tuple of the leading slots."""
+    total = Section.zero(cochain.coords, cochain.s)
+    for idx in product(range(cochain.rank), repeat=cochain.degree - 1):
+        coeff = Poly.constant(1, cochain.coords)
+        for sec, i in zip(sections, idx):
+            factor = sec.terms.get(i)
+            if factor is None:
+                break
+            coeff = coeff * factor
+        else:
+            total = total + cochain.evaluate_last(idx, sections[-1]) \
+                .scale(coeff)
+    return total
+
+
 # lie_form_d, rep_d, def_d and the point-case rows ran before they took
 # their terms from core._coboundary_terms
 # ---------------------------------------------------------------------------

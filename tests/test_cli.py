@@ -12,11 +12,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from helpers import (
     random_algebroid,
     validated_random_cochain,
-    validated_random_multiderivation,
     validated_random_poly,
 )
 
-from lsakit import cli
+from lsakit import cli, cohomology
 from lsakit.cli import build_parser, derive, main, run_suite
 from lsakit.constructions import semidirect_lsa
 from lsakit.core import build_left_mult_rep, check_left_symmetric
@@ -163,16 +162,11 @@ def test_seeded_samplers_match_the_validating_oracles(coords):
         alg = random_algebroid(random.Random(rank), coords, rank)
         for degree in (1, 2, 3):
             for seed in range(12):
-                for sampler, oracle, args in (
-                        (cli._random_cochain, validated_random_cochain,
-                         (alg, 2, degree)),
-                        (cli._random_cochain, validated_random_cochain,
-                         (alg, rank, degree)),
-                        (cli._random_multiderivation,
-                         validated_random_multiderivation, (alg, degree))):
+                for s in (2, rank):
                     rng, expected_rng = random.Random(seed), \
                         random.Random(seed)
-                    assert sampler(rng, *args) == oracle(expected_rng, *args)
+                    assert cli._random_cochain(rng, alg, s, degree) == \
+                        validated_random_cochain(expected_rng, alg, s, degree)
                     assert rng.getstate() == expected_rng.getstate()
         for seed in range(40):
             rng, expected_rng = random.Random(seed), random.Random(seed)
@@ -295,6 +289,67 @@ def test_main_max_degree_zero_reports_degree_zero(capsys):
     dims = next(rec for rec in payload["checks"]
                 if rec["name"] == "cohomology/point-dims")
     assert dims["witnesses"] == ["degree-0 space 1, closed 1"]
+
+
+def broken_representation(name: str) -> dict:
+    """A corpus file whose representation block fails the identities:
+    over the point rho(e_2) and mu(e_1) are changed, and on the flat
+    plane rho(e_1) = d/dx + y E_11 no longer commutes with
+    rho(e_2) = d/dy."""
+    data = json.loads(corpus_path(name).read_text())
+    rep = data["representation"]
+    if name == "point_e1e2":
+        rep["rho"][1] = [["0", "1"], ["0", "0"]]
+        rep["mu"][0] = [["0", "1"], ["2", "0"]]
+    else:
+        rep["rho"][0] = [["y", "0"], ["0", "0"]]
+    return data
+
+
+@pytest.mark.parametrize("name", ["point_e1e2", "flat"])
+def test_main_reports_an_invalid_representation(tmp_path, capsys, name):
+    # point-dims and the O-operator's semidirect product need a valid
+    # representation; they fail with the reason instead of aborting
+    path = write_instance(tmp_path, broken_representation(name))
+    assert main(["verify-all", str(path), "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    status = {rec["name"]: (rec["status"], rec["witnesses"])
+              for rec in json.loads(captured.out)["checks"]}
+    assert status["representation/valid"] == ("fail", [])
+    assert status["o-operator/tilde-nijenhuis"] == (
+        "fail", ["input is not a Lie algebroid representation"])
+    reason = ("fail", ["(rho, mu) fails the representation identities"])
+    if name == "point_e1e2":
+        assert status["cohomology/point-dims"] == reason
+        assert main(["cohomology", "--point", str(path),
+                     "--no-timestamp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        records = json.loads(captured.out)["checks"]
+        assert [rec["status"] for rec in records
+                if rec["name"] == "cohomology/point-dims"] == ["fail"]
+    else:
+        assert "cohomology/point-dims" not in status
+
+
+def test_point_dims_decide_the_representation_once(monkeypatch):
+    # verify-all hands its representation/valid record to point-dims;
+    # cohomology --point decides it there
+    calls = []
+    original = cli.check_representation_lsa
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cli, cohomology):
+        monkeypatch.setattr(module, "check_representation_lsa", counted)
+    instance = load_corpus("point_e1e2")
+    for suite in ("all", "cohomology"):
+        del calls[:]
+        assert run_suite(instance, suite).passed
+        assert len(calls) == 1
 
 
 def test_main_cohomology_cocycle_and_coboundary(capsys):

@@ -1,5 +1,6 @@
 """Tests for the representation and deformation cochain complexes."""
 
+import functools
 import os
 import random
 import subprocess
@@ -16,9 +17,11 @@ import lsakit
 from helpers import (
     action_instance,
     c0_basis_oracle,
+    cochain_evaluate_oracle,
     dense_kernel_oracle,
     dense_point_dims,
     flat_instance,
+    form_evaluate_oracle,
     ladder_instance,
     point_algebra,
     point_e1e2,
@@ -41,10 +44,18 @@ from lsakit.cohomology import (
     rep_d,
     rep_d0,
 )
+from lsakit.constructions import (
+    action_algebroid,
+    lsa_from_phase,
+    semidirect_lsa,
+)
 from lsakit.core import (
+    FormCochain,
+    LSAlgebroid,
     Representation,
     Section,
     build_left_mult_rep,
+    check_left_symmetric,
     rep_mu_frame,
     rep_mu_section,
     rep_rho_frame,
@@ -57,7 +68,7 @@ from lsakit.errors import (
     InvalidDegree,
     NotPointCase,
 )
-from lsakit.instances import load_corpus
+from lsakit.instances import CORPUS_NAMES, load_corpus
 from lsakit.polyring import (
     Poly,
     PolyMatrix,
@@ -262,6 +273,107 @@ def test_def_d_squares_to_zero():
                 D = random_multiderivation(rng, alg, degree)
                 dd = def_d(alg, def_d(alg, D))
                 assert dd.is_zero()
+
+
+@functools.cache
+def built_left_symmetric() -> dict:
+    """Left-symmetric algebroids the library builds, by label: the
+    corpus files that pass the axioms, the semidirect products of their
+    representations, action algebroids and phase-space totals."""
+    built = {}
+    for name in CORPUS_NAMES:
+        instance = load_corpus(name)
+        alg = instance.algebroid
+        if not check_left_symmetric(alg).passed:
+            continue
+        built[name] = alg
+        if instance.representation is not None:
+            built[f"semidirect {name}"] = semidirect_lsa(
+                alg, instance.representation)
+        if instance.action is not None:
+            block = instance.action
+            built[f"action {name}"] = action_algebroid(
+                block.algebra, block.vector_fields, block.coordinates)
+        built[f"phase total {name}"] = lsa_from_phase(
+            sub_adjacent(alg), build_left_mult_rep(alg)).total
+    # e_1.e_2 = e_2 acting by -x d/dx and d/dx
+    coords = ("x",)
+    x = Poly.variable("x", coords)
+    built["action e1e2"] = action_algebroid(
+        point_e1e2(), [VectorField(coords, [-x]),
+                       VectorField(coords, [Poly.constant(1, coords)])],
+        coords)
+    # rho(e_1) = d/dx + y E_11 and rho(e_2) = d/dy + x E_11 is flat, so
+    # the products e_i.u_1 are not constant
+    flat = built["flat"]
+    rho = [PolyMatrix(flat.coords, [[Poly.variable(name, flat.coords), 0],
+                                    [0, 0]]) for name in ("y", "x")]
+    built["semidirect flat, polynomial rho"] = semidirect_lsa(
+        flat, Representation(2, rho))
+    return built
+
+
+def test_def_d_squares_to_zero_on_built_algebroids():
+    # cohomology/def-d-squared is stated by its proof past the axiom
+    # gate; this samples the theorem on what the library builds
+    sources = built_left_symmetric()
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(sources)), st.integers(1, 3),
+           st.randoms(use_true_random=False))
+    def squares_to_zero(label, degree, rng):
+        alg = sources[label]
+        assert check_left_symmetric(alg).passed
+        D = random_multiderivation(rng, alg, degree)
+        dD = def_d(alg, D)
+        assert def_d(alg, dD).is_zero()
+        seen.add((bool(D.symbols), dD.is_zero()))
+
+    squares_to_zero()
+    assert (True, False) in seen
+
+
+def zero_algebroid(coords, rank: int) -> LSAlgebroid:
+    zero = Section.zero(coords, rank)
+    return LSAlgebroid(coords, rank, [[zero] * rank] * rank,
+                       [VectorField.zero(coords)] * rank)
+
+
+def test_evaluation_matches_the_loops_it_replaced():
+    # forms summed over permutations and cochains over every frame tuple;
+    # both now expand over the supports of their section arguments
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(("form", "cochain", "multiderivation")),
+           st.sampled_from(((), ("x",), ("x", "y"))), st.integers(1, 3),
+           st.integers(1, 3), st.booleans(),
+           st.randoms(use_true_random=False))
+    def agree(kind, coords, rank, degree, repeat, rng):
+        alg = zero_algebroid(coords, rank)
+        sections = [random_section(rng, alg, 1) for _ in range(degree)]
+        if repeat and degree > 1:
+            sections[0] = sections[1]  # alternating: the value is zero
+        if kind == "form":
+            value = FormCochain(coords, rank, degree, {
+                key: random_poly(rng, coords, 1)
+                for key in combinations(range(rank), degree)})
+            result = value.evaluate(sections)
+            assert result == form_evaluate_oracle(value, sections)
+        else:
+            if kind == "cochain":
+                value = random_cochain(rng, alg, 2, degree)
+            else:
+                value = random_multiderivation(rng, alg, degree)
+            result = value.evaluate(sections)
+            assert result == cochain_evaluate_oracle(value, sections)
+        outcomes.add((kind, result.is_zero()))
+
+    agree()
+    assert outcomes == {(kind, zero) for kind in ("form", "cochain",
+                                                  "multiderivation")
+                        for zero in (True, False)}
 
 
 def test_def_d_symbol_matches_independent_recomputation():

@@ -681,13 +681,13 @@ def test_graded_check_brackets_no_jacobiator(monkeypatch):
     # deciding every ordered Leibniz triple 171, and sampling the Leibniz
     # rule once per unordered {y, z} 144; that rule now holds by its proof
     calls = []
-    original = multivector._bracket
+    original = multivector.graded_bracket
 
     def counted(*args):
         calls.append(args[1:3])
         return original(*args)
 
-    monkeypatch.setattr(multivector, "_bracket", counted)
+    monkeypatch.setattr(multivector, "graded_bracket", counted)
     report = check_graded_properties(
         load_corpus("flat").algebroid,
         GradedSampleSpec(max_grade=2, max_coeff_degree=1))
