@@ -70,7 +70,7 @@ from .instances import (
     matrix_to_list,
     parse_instance,
 )
-from .multivector import GradedSampleSpec, check_graded_properties
+from .multivector import check_graded_properties
 from .polyring import Poly, PolyMatrix
 from .report import PASS, Report, UNCERTIFIED
 
@@ -206,8 +206,7 @@ def run_suite(instance: InstanceFile, suite: str = "all", *, seed: int = 0,
                     alg, instance.bilinear_form, quad, phase)
                 report.merge(complex_result.report, prefix="complex/")
 
-    report.merge(check_graded_properties(alg, GradedSampleSpec(2, 1)),
-                 prefix="graded/")
+    report.merge(check_graded_properties(alg), prefix="graded/")
 
     if instance.representation is not None:
         rep = instance.representation
@@ -424,7 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _named_endo(instance: InstanceFile, name: str) -> PolyMatrix:
     if name not in instance.endomorphisms:
         raise SchemaError(f"endomorphisms.{name}", "missing")
-    return instance.endomorphisms[name]
+    endo = instance.endomorphisms[name]
+    if endo.rows != endo.cols:
+        raise SchemaError(f"endomorphisms.{name}",
+                          f"must be square, got {endo.rows}x{endo.cols}")
+    return endo
 
 
 def main(argv=None) -> int:

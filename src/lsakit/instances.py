@@ -61,6 +61,16 @@ def _expect_list(data, length, path: str):
     return data
 
 
+def _rank(block: dict, path: str) -> int:
+    """The positive ``rank`` entry of ``block``, whose path is ``path``."""
+    if "rank" not in block:
+        raise SchemaError(path, "missing")
+    rank = _expect(block["rank"], int, path)
+    if rank < 1:
+        raise SchemaError(path, "must be positive")
+    return rank
+
+
 def _poly(text, coords, path: str) -> Poly:
     _expect(text, str, path)
     try:
@@ -120,9 +130,7 @@ def _structure_table(entries, coords, rank, path: str) -> list[list[Section]]:
 
 def _representation(block, coords, rank, path: str) -> Representation:
     _expect(block, dict, path)
-    if "rank" not in block:
-        raise SchemaError(f"{path}.rank", "missing")
-    s = _expect(block["rank"], int, f"{path}.rank")
+    s = _rank(block, f"{path}.rank")
     rho_entries = _expect_list(block.get("rho"), rank, f"{path}.rho")
     rho = [_matrix(rho_entries[i], coords, s, s, f"{path}.rho[{i}]")
            for i in range(rank)]
@@ -149,7 +157,7 @@ def _deformation(block, coords, rank, path: str) -> MultiDerivation:
 def _action_block(block, path: str) -> ActionBlock:
     _expect(block, dict, path)
     algebra_block = _expect(block.get("algebra"), dict, f"{path}.algebra")
-    g_rank = _expect(algebra_block.get("rank"), int, f"{path}.algebra.rank")
+    g_rank = _rank(algebra_block, f"{path}.algebra.rank")
     g_structure = _structure_table(algebra_block.get("structure"), (), g_rank,
                                    f"{path}.algebra.structure")
     algebra = LSAlgebroid((), g_rank, g_structure,
@@ -166,11 +174,7 @@ def _action_block(block, path: str) -> ActionBlock:
 def parse_instance_dict(data: dict, digest: str = "") -> InstanceFile:
     _expect(data, dict, "$")
     coords = _coordinates(data.get("coordinates"), "coordinates")
-    if "rank" not in data:
-        raise SchemaError("rank", "missing")
-    rank = _expect(data["rank"], int, "rank")
-    if rank < 1:
-        raise SchemaError("rank", "must be positive")
+    rank = _rank(data, "rank")
 
     structure = _structure_table(data.get("structure"), coords, rank,
                                  "structure")
@@ -195,8 +199,11 @@ def parse_instance_dict(data: dict, digest: str = "") -> InstanceFile:
     if "endomorphisms" in data:
         block = _expect(data["endomorphisms"], dict, "endomorphisms")
         for key in sorted(block):
+            # the O-operator T maps the representation's bundle to E
+            cols = rank if key != "T" or instance.representation is None \
+                else instance.representation.s
             instance.endomorphisms[key] = _matrix(
-                block[key], coords, rank, rank, f"endomorphisms.{key}")
+                block[key], coords, rank, cols, f"endomorphisms.{key}")
     if "kernel_frame" in data:
         entries = _expect(data["kernel_frame"], list, "kernel_frame")
         instance.kernel_frame = [

@@ -16,11 +16,15 @@ structure; the shifted grading sigma = grade - 1 governs all signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, product
 from typing import Sequence
 
-from .core import LSAlgebroid, Section
+from .core import (
+    LSAlgebroid,
+    Section,
+    _commutator_algebroid,
+    check_lie_algebroid,
+)
 from .errors import DimensionMismatch
 from .polyring import (
     Poly,
@@ -252,7 +256,9 @@ def lie_admissible_defect(alg: LSAlgebroid, x: Multivector, y: Multivector,
 
 @dataclass
 class GradedSampleSpec:
-    """Bounds for the finite certification of the graded identities."""
+    """Bounds of the generators ``sample_generators`` lists: wedge
+    monomials up to ``max_grade`` with monomial coefficients up to
+    ``max_coeff_degree``."""
 
     max_grade: int = 3
     max_coeff_degree: int = 1
@@ -278,16 +284,15 @@ def sample_generators(alg: LSAlgebroid, spec: GradedSampleSpec) \
 
 def check_graded_properties(alg: LSAlgebroid,
                             spec: GradedSampleSpec | None = None) -> Report:
-    """Certify the graded identities on all generator triples up to the
-    sample bounds.
+    """Decide the graded identities of the extended product exactly, from
+    frame identities of the commutator.  ``spec`` bounds nothing here; it
+    is kept for callers, and the tests' sampled oracle reads it.
 
-    Decides vanishing of the graded Lie-admissibility defect and the
-    graded Jacobi identity for the bracket (read off the
-    Lie-admissibility sum).  Four records hold for any tables: the grade
-    rule for the extended product and its agreement with the section
-    product in grade one, by the construction of ``_term_product`` (the
-    proofs stand at the records), ``defect-antisymmetry``, as s^2 = 1
-    below, and ``graded-leibniz``,
+    Four records hold for any tables: the grade rule for the extended
+    product and its agreement with the section product in grade one, by
+    the construction of ``_term_product`` (the proofs stand at the
+    records), ``defect-antisymmetry``, as s^2 = 1 below, and
+    ``graded-leibniz``,
     [X, Y^Z] = [X, Y]^Z + (-1)^(sigma_X |Y|) Y^[X, Z] with sigma = grade - 1.
     For a section u, D_u acts on g e_J by the anchor of u on g plus u.e_j
     in the slot of each e_j, a derivation of the wedge of degree 0.
@@ -300,18 +305,22 @@ def check_graded_properties(alg: LSAlgebroid,
     gains (-1)^|Z| and D_{y_a} X (grade |X|) moves past Z,
     (Y^Z).X = (-1)^(sigma_X |Z|) (Y.X)^Z + Y^(Z.X).  Putting both into
     [X, W] = X.W - (-1)^(sigma_X sigma_W) W.X, with
-    sigma_{Y^Z} = |Y| + |Z| - 1, gives the rule.  The tests sample it as
-    the oracle.
-    """
-    spec = spec or GradedSampleSpec()
-    gens = sample_generators(alg, spec)
-    report = Report("graded structure")
-    # products are pure functions of their (hashable, value keyed)
-    # arguments, so each distinct one is computed once per call
-    mult = cache(lambda x, y: graded_product(alg, x, y))
+    sigma_{Y^Z} = |Y| + |Z| - 1, gives the rule.
 
-    # the associators read every product of two generators
-    prod = [[mult(a, b) for b in gens] for a in gens]
+    Jacobi follows from two frame identities.  The bracket is a graded
+    commutator, so it is graded antisymmetric, and it obeys the Leibniz
+    rule; so its Jacobiator J is a graded derivation of the wedge in
+    each argument.  Multivectors are generated by the coordinates and
+    the frame sections, and a function on the left gives zero, so the
+    bracket of two functions is zero and J vanishes with two function
+    arguments.  So J = 0 everywhere iff J(e_i, e_j, e_k) = 0, the frame
+    Jacobi identity of the commutator on i < j < k, and
+    J(e_i, e_j, x_mu) = 0, its anchor identity on i < j.  The signed
+    cyclic sum of left-symmetry defects is +-J (the product has shifted
+    degree 0), so ``lie-admissible`` and ``graded-jacobi`` share the
+    verdict and the witnesses.
+    """
+    report = Report("graded structure")
     # every key _term_product emits is (m,) + rest, rest of length
     # (k - 1) + (l - 1), or for l = 0 key_x less one factor; a function on
     # the left gives nothing: each has length k + l - 1
@@ -321,56 +330,18 @@ def check_graded_properties(alg: LSAlgebroid,
     # slot pair (a, b) = (0, 0) gives exactly c_ij
     report.add("degree-one-reduction",
                "extended product restricts to the section product", True)
-
-    count = len(gens)
-    sigma = [g.grade() - 1 for g in gens]
-    assoc = cache(lambda i, j, k: mult(prod[i][j], gens[k])
-                  - mult(gens[i], prod[j][k]))
-
-    def defect(i: int, j: int, k: int) -> Multivector:
-        return _swap_defect(assoc(i, j, k), assoc(j, i, k), sigma[i],
-                            sigma[j])
-
-    def cyclic_sum(i: int, j: int, k: int) -> Multivector:
-        # the set builds D(i, i, i) once
-        d = {t: defect(*t) for t in {(i, j, k), (j, k, i), (k, i, j)}}
-        return sum((d[(a, b, c)].scale(-1 if (sigma[a] * sigma[c]) % 2 else 1)
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j))),
-                   Multivector.zero(alg.coords, alg.rank))
-
-    failed_ci: dict = {}  # least rotation -> nonzero cyclic sum
-    ci_witnesses = []
-    jac_witnesses = []
-    for i in range(count):
-        x = gens[i]
-        for j in range(count):
-            y = gens[j]
-            for k in range(count):
-                z = gens[k]
-                # CI is invariant under rotating (i, j, k): its three signed
-                # defects rotate together.  Loop order reaches the least
-                # rotation of each orbit first.
-                orbit = min((i, j, k), (j, k, i), (k, i, j))
-                if orbit == (i, j, k):
-                    ci = cyclic_sum(i, j, k)
-                    if not ci.is_zero():
-                        failed_ci[orbit] = ci
-                # the bracket is the graded commutator of a product of
-                # shifted degree 0, so its Jacobiator at (x, y, z) is +-ci
-                if orbit in failed_ci:
-                    ci_witnesses.append(f"CI({x}, {y}, {z}) = "
-                                        f"{failed_ci[orbit]}")
-                    jac_witnesses.append(f"[{x}, [{y}, {z}]]")
-
+    lie = check_lie_algebroid(_commutator_algebroid(alg))
+    witnesses = [*lie.record("jacobi").witnesses,
+                 *lie.record("anchor-morphism").witnesses][:5]
     report.add("lie-admissible",
                "graded Lie-admissibility defect vanishes on sampled triples",
-               not ci_witnesses, ci_witnesses[:5])
+               not witnesses, witnesses)
     report.add("graded-leibniz",
                "bracket satisfies the graded Leibniz rule on sampled triples",
                True)
     report.add("graded-jacobi",
                "bracket satisfies the graded Jacobi identity on sampled "
-               "triples", not jac_witnesses, jac_witnesses[:5])
+               "triples", not witnesses, witnesses)
     # D(y, x, z) = -s D(x, y, z) for s = (-1)^(sigma_x sigma_y), as s^2 = 1
     report.add("defect-antisymmetry",
                "left-symmetry defect is shifted-antisymmetric in its first "

@@ -333,6 +333,43 @@ def test_main_reports_an_invalid_representation(tmp_path, capsys, name):
         assert "cohomology/point-dims" not in status
 
 
+def small_representation(name: str, T) -> dict:
+    """A corpus file with a rank-1 zero representation and ``T`` as its
+    O-operator."""
+    data = json.loads(corpus_path(name).read_text())
+    data["representation"] = {"rank": 1, "rho": [[["0"]]] * data["rank"]}
+    data["endomorphisms"]["T"] = T
+    return data
+
+
+@pytest.mark.parametrize("name", ["point_e1e2", "flat"])
+def test_main_reads_T_into_the_representation_bundle(tmp_path, capsys, name):
+    # T maps the rank-1 representation bundle to E: it is 2x1, and a 2x2
+    # T is refused where it is parsed
+    path = str(write_instance(tmp_path, small_representation(
+        name, [["1"], ["0"]])))
+    assert main(["verify-all", path, "--no-timestamp"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    statuses = [rec["status"] for rec in json.loads(captured.out)["checks"]
+                if rec["name"].startswith("o-operator/")]
+    assert statuses == ["pass"] * 4
+    # deform and cohomology --coboundary need a square endomorphism
+    commands = [["deform", "--nijenhuis", "T"]]
+    if name == "point_e1e2":
+        commands += [["cohomology", "--coboundary", "T"],
+                     ["deform", "--equivalence", "T"]]
+    for argv in commands:
+        assert main([*argv, path]) == 2
+        assert capsys.readouterr().err == \
+            "error: endomorphisms.T: must be square, got 2x1\n"
+    square = write_instance(tmp_path, small_representation(
+        name, [["1", "0"], ["0", "1"]]), "square.json")
+    assert main(["verify-all", str(square)]) == 2
+    assert capsys.readouterr().err == \
+        "error: endomorphisms.T[0]: expected 1 entries, got 2\n"
+
+
 def test_point_dims_decide_the_representation_once(monkeypatch):
     # verify-all hands its representation/valid record to point-dims;
     # cohomology --point decides it there
@@ -484,6 +521,20 @@ def test_main_rejects_bool_ranks(tmp_path, capsys, path):
     assert main(["check", str(write_instance(tmp_path, data))]) == 2
     assert capsys.readouterr().err == \
         f"error: {path}: expected int, got bool\n"
+
+
+@pytest.mark.parametrize("path", ["rank", "representation.rank",
+                                  "action.algebra.rank"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_main_rejects_ranks_below_one(tmp_path, capsys, path, value):
+    data = with_block(path, value)
+    with pytest.raises(SchemaError) as err:
+        parse_instance_dict(data)
+    assert err.value.path == path
+    instance = str(write_instance(tmp_path, data))
+    for argv in (["check", instance], ["derive", instance, "--action"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: must be positive\n"
 
 
 @pytest.mark.parametrize("entry, message", [

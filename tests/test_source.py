@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 import lsakit
@@ -82,6 +83,24 @@ def test_no_module_divides_without_a_fraction():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(found) >= 10
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def token_count(path: Path) -> int:
+    """Tokens of a module with comments and blank lines not counted, as
+    the CI job summary counts them."""
+    with path.open("rb") as fh:
+        return sum(tok.type not in (tokenize.COMMENT, tokenize.NL,
+                                    tokenize.ENCODING)
+                   for tok in tokenize.tokenize(fh.readline))
+
+
+def test_every_module_fits_the_parsers_first_token_array():
+    # the parser's token array doubles past 8,192 tokens, which raises the
+    # peak memory of compiling the module
+    counts = {path.name: token_count(path)
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(counts) >= 10
+    assert {name: n for name, n in counts.items() if n > 8192} == {}
 
 
 def _references(node, enclosing: frozenset, out: list) -> None:
