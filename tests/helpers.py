@@ -166,32 +166,6 @@ def random_algebroid(rng: random.Random, coords, rank: int,
 # Independent oracles
 # ---------------------------------------------------------------------------
 
-def validated_random_poly(rng: random.Random, coords,
-                          max_degree: int = 1) -> Poly:
-    """The CLI's d^2 sampler as it was, through the validating
-    constructors: oracle for the trusted-constructor draws in ``cli``."""
-    n = len(coords)
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        exps = [0] * n
-        for _ in range(rng.randint(0, max_degree)):
-            if n == 0:
-                break
-            exps[rng.randrange(n)] += 1
-        coeff = Fraction(rng.randint(-3, 3))
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Poly(coords, terms)
-
-
-def validated_random_cochain(rng, alg, s, degree) -> RepCochain:
-    return RepCochain(alg.coords, alg.rank, s, degree, {
-        (lead, last): [validated_random_poly(rng, alg.coords)
-                       for _ in range(s)]
-        for lead in combinations(range(alg.rank), degree - 1)
-        for last in range(alg.rank)})
-
-
 def six_term_admissibility_oracle(alg: LSAlgebroid) -> bool:
     """Direct six-term alternating sum of products on basis triples,
     written without the library's associator helper."""

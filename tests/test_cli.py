@@ -4,16 +4,11 @@ import contextlib
 import copy
 import io
 import json
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import (
-    random_algebroid,
-    validated_random_cochain,
-    validated_random_poly,
-)
+from test_golden_reports import COMMANDS as GOLDEN_COMMANDS
 
 from lsakit import cli, cohomology
 from lsakit.cli import build_parser, derive, main, run_suite
@@ -153,26 +148,6 @@ def test_run_suite_cohomology_skips_the_sub_adjacent(monkeypatch):
     assert report.passed
     assert {rec.name.split("/")[0] for rec in report.records} \
         == {"axioms", "cohomology"}
-
-
-@pytest.mark.parametrize("coords", [(), ("x",), ("x", "y")])
-def test_seeded_samplers_match_the_validating_oracles(coords):
-    # the d^2 samples skip re-validation: same values, same draws
-    for rank in range(1, 5):
-        alg = random_algebroid(random.Random(rank), coords, rank)
-        for degree in (1, 2, 3):
-            for seed in range(12):
-                for s in (2, rank):
-                    rng, expected_rng = random.Random(seed), \
-                        random.Random(seed)
-                    assert cli._random_cochain(rng, alg, s, degree) == \
-                        validated_random_cochain(expected_rng, alg, s, degree)
-                    assert rng.getstate() == expected_rng.getstate()
-        for seed in range(40):
-            rng, expected_rng = random.Random(seed), random.Random(seed)
-            assert cli._random_poly(rng, coords, 3) == \
-                validated_random_poly(expected_rng, coords, 3)
-            assert rng.getstate() == expected_rng.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +295,7 @@ def test_main_reports_an_invalid_representation(tmp_path, capsys, name):
     assert status["o-operator/tilde-nijenhuis"] == (
         "fail", ["input is not a Lie algebroid representation"])
     reason = ("fail", ["(rho, mu) fails the representation identities"])
+    assert status["cohomology/rep-d-squared"] == reason
     if name == "point_e1e2":
         assert status["cohomology/point-dims"] == reason
         assert main(["cohomology", "--point", str(path),
@@ -371,8 +347,8 @@ def test_main_reads_T_into_the_representation_bundle(tmp_path, capsys, name):
 
 
 def test_point_dims_decide_the_representation_once(monkeypatch):
-    # verify-all hands its representation/valid record to point-dims;
-    # cohomology --point decides it there
+    # verify-all hands its representation/valid record to rep-d-squared
+    # and point-dims; cohomology --point decides it there, once for both
     calls = []
     original = cli.check_representation_lsa
 
@@ -382,11 +358,60 @@ def test_point_dims_decide_the_representation_once(monkeypatch):
 
     for module in (cli, cohomology):
         monkeypatch.setattr(module, "check_representation_lsa", counted)
-    instance = load_corpus("point_e1e2")
-    for suite in ("all", "cohomology"):
-        del calls[:]
-        assert run_suite(instance, suite).passed
-        assert len(calls) == 1
+    for name in ("point_e1e2", "flat"):
+        instance = load_corpus(name)
+        for suite in ("all", "cohomology"):
+            del calls[:]
+            report = run_suite(instance, suite)
+            assert report.passed
+            assert report.record("cohomology/rep-d-squared").status == "pass"
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, frame, record, message", [
+    ("ladder", [["1", "0"]], "kernel-frame",
+     "section e_1 has nonzero anchor image"),
+    ("ladder", [["0", "x"]], "ad-closes-on-frame", "frame admits no square"),
+    ("point_e1e2", [["0", "0"]], "ad-closes-on-frame",
+     "frame admits no square"),
+    ("point_e1e2", [["1", "0"], ["1", "0"]], "ad-closes-on-frame",
+     "frame admits no square"),
+])
+def test_main_reports_an_ill_posed_kernel_frame(tmp_path, capsys, name,
+                                               frame, record, message):
+    # the library raises; verify-all fails one kernel record with the
+    # reason instead of aborting
+    data = json.loads(corpus_path(name).read_text())
+    data["kernel_frame"] = frame
+    path = write_instance(tmp_path, data)
+    assert main(["verify-all", str(path), "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    kernel = [(rec["name"], rec["status"], rec["witnesses"])
+              for rec in json.loads(captured.out)["checks"]
+              if rec["name"].startswith("kernel/")]
+    assert len(kernel) == 1
+    assert kernel[0][:2] == (f"kernel/{record}", "fail")
+    assert len(kernel[0][2]) == 1 and kernel[0][2][0].startswith(message)
+
+
+def test_seed_changes_no_output(tmp_path):
+    # nothing is sampled: --seed is accepted and has no effect
+    paths = [corpus_path(name) for name in sorted(CORPUS_NAMES)]
+    paths += [write_instance(tmp_path, broken_representation(name),
+                             f"broken_{name}.json")
+              for name in ("point_e1e2", "flat")]
+    for path in paths:
+        for command in GOLDEN_COMMANDS:
+            runs = []
+            for seed in ("0", "987654321"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([*command, str(path), "--no-timestamp",
+                                 "--seed", seed])
+                runs.append((code, out.getvalue()))
+            assert runs[0] == runs[1], (path.name, command)
 
 
 def test_main_cohomology_cocycle_and_coboundary(capsys):

@@ -32,7 +32,7 @@ from helpers import (
     square_product_oracle,
     zero_point_algebra,
 )
-from lsakit import cli, constructions, core, deformations
+from lsakit import cli, cohomology, constructions, core, deformations
 from lsakit.cohomology import MultiDerivation, def_d
 from lsakit.constructions import (
     _double,
@@ -766,3 +766,16 @@ def test_derive_action_decides_the_anchor_identity_twice(monkeypatch,
     assert json.loads(capsys.readouterr().out)["derived"] == \
         algebroid_to_dict(corpus()["action"].algebroid)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name, decisions", [("flat", 4), ("point_e1e2", 6)])
+def test_representation_decisions_per_verify_all(monkeypatch, name,
+                                                  decisions):
+    # run_suite decides the file's pair for representation/valid;
+    # rep-d-squared, point-dims and the semidirect product read that
+    # verdict.  The rest: derived_reps' gate on the file's pair, its two
+    # derived pairs, and on point_e1e2 the two kernel representations
+    calls = [counted(monkeypatch, module, "check_representation_lsa")
+             for module in (constructions, cli, cohomology)]
+    assert cli.run_suite(parse_instance(corpus_path(name)), "all").passed
+    assert sum(map(len, calls)) == decisions

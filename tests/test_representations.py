@@ -5,6 +5,7 @@ and table loops they replaced (kept in ``helpers``)."""
 import functools
 import sys
 import threading
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,13 @@ from helpers import (
     zero_point_algebra,
 )
 from lsakit import core
-from lsakit.cohomology import assemble_point_differential, point_cohomology_dims
+from lsakit.cli import run_suite
+from lsakit.cohomology import (
+    RepCochain,
+    assemble_point_differential,
+    point_cohomology_dims,
+    rep_d,
+)
 from lsakit.constructions import (
     apply_O_operator,
     build_phase_space,
@@ -46,7 +53,7 @@ from lsakit.core import (
     sub_adjacent,
 )
 from lsakit.errors import DegreeOverflow, DimensionMismatch, NotLeftSymmetric
-from lsakit.instances import corpus_path, parse_instance
+from lsakit.instances import InstanceFile, corpus_path, parse_instance
 from lsakit.polyring import Poly, PolyMatrix, VectorField, set_degree_limit
 
 
@@ -213,6 +220,40 @@ def test_matrix_identities_match_unit_oracles():
 
     agree()
     assert outcomes == {True, False}
+
+
+@st.composite
+def _cochain(draw, alg, s, degree):
+    """A degree-``degree`` cochain with degree-one polynomial values."""
+    return RepCochain(alg.coords, alg.rank, s, degree, {
+        (lead, last): [draw(_degree_one_poly(alg.coords)) for _ in range(s)]
+        for lead in combinations(range(alg.rank), degree - 1)
+        for last in range(alg.rank)})
+
+
+def test_rep_d_squared_is_the_representation_verdict():
+    # on a valid pair rep_d^2 = 0 on every drawn cochain; the record
+    # fails every invalid pair, also where the drawn cochains miss it
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seeded_or_random(), st.data())
+    def agree(pair, data):
+        alg, rep = pair
+        verdict = check_representation_lsa(alg, rep)
+        zero = all(rep_d(alg, rep, rep_d(alg, rep, data.draw(
+                       _cochain(alg, rep.s, degree)), check=False),
+                         check=False).is_zero()
+                   for degree in (1, 2, 3) for _ in range(2))
+        assert zero or not verdict
+        report = run_suite(InstanceFile("drawn", "", alg, rep),
+                           "cohomology", max_degree=0)
+        assert report.record("cohomology/rep-d-squared").status == \
+            ("pass" if verdict else "fail")
+        outcomes.add((verdict, zero))
+
+    agree()
+    assert outcomes == {(True, True), (False, False), (False, True)}
 
 
 def test_anchor_derivatives_enter_the_identities():

@@ -40,6 +40,33 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports of a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = ("import random as r\nfrom os.path import join\n"
+              "from . import core\n")
+    assert imported_modules(source) == {"random", "os"}
+
+
+def test_no_module_imports_random():
+    # every record is decided exactly or stated by its proof; nothing in
+    # the package samples
+    found = {path.name: imported_modules(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) >= 10
+    assert [name for name, modules in found.items()
+            if "random" in modules] == []
+
+
 def _exact_operand(node) -> bool:
     """A ``Fraction(...)`` call, or a string (the operand of a path join)."""
     if isinstance(node, ast.Call):
