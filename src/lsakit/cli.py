@@ -64,7 +64,7 @@ from .instances import (
     matrix_to_list,
     parse_instance,
 )
-from .multivector import check_graded_properties
+from .multivector import _graded_report
 from .polyring import Poly, PolyMatrix
 from .report import PASS, Report, UNCERTIFIED
 
@@ -158,7 +158,8 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
         return report
 
     lie = sub_adjacent(alg)
-    report.merge(check_lie_algebroid(lie), prefix="sub-adjacent/")
+    lie_report = check_lie_algebroid(lie)
+    report.merge(lie_report, prefix="sub-adjacent/")
     report.add("sub-adjacent/left-mult-rep",
                "left multiplication represents the commutator bracket",
                check_representation_lie(lie, build_left_mult_rep(alg)))
@@ -166,8 +167,9 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
     phase = build_phase_space(alg)
     report.merge(phase.report, prefix="phase-space/")
     if instance.bilinear_form is not None:
+        minors: dict = {}
         try:
-            quad = check_quadratic(alg, instance.bilinear_form)
+            quad = check_quadratic(alg, instance.bilinear_form, minors)
         except NonConstantDeterminant as err:
             report.add("quadratic/nondegenerate",
                        "determinant is a nonzero constant",
@@ -176,10 +178,12 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
             report.merge(quad, prefix="quadratic/")
             if quad.passed:
                 complex_result = _complex_structure(
-                    alg, instance.bilinear_form, quad, phase)
+                    alg, instance.bilinear_form, quad, phase, minors)
                 report.merge(complex_result.report, prefix="complex/")
 
-    report.merge(check_graded_properties(alg), prefix="graded/")
+    # sub_adjacent(alg) is the commutator table check_graded_properties
+    # decides, so its verdict is read here, not decided again
+    report.merge(_graded_report(lie_report), prefix="graded/")
 
     if instance.representation is not None:
         rep = instance.representation

@@ -553,7 +553,8 @@ def check_paracomplex(lie: LieAlgebroid, endo: PolyMatrix) -> bool:
         and check_lie_nijenhuis(lie, endo)
 
 
-def check_quadratic(alg: LSAlgebroid, form) -> Report:
+def check_quadratic(alg: LSAlgebroid, form, minors: dict | None = None) \
+        -> Report:
     """Invariance of a symmetric form under left multiplication.
 
     Passes when (x.y, z) + (y, x.z) = anchor(x)(y, z) holds on frame
@@ -561,11 +562,15 @@ def check_quadratic(alg: LSAlgebroid, form) -> Report:
     definiteness is certified through leading principal minors for
     constant forms and reported as uncertified otherwise.  A
     non-constant determinant cannot certify nondegeneracy and raises.
+    The determinant and the leading minors come from one memo of the
+    form's minors: ``minors`` when given, so that a caller inverting the
+    same form reads them again, else a fresh one.
     """
     matrix = _form_matrix(form)
     if matrix.rows != alg.rank or matrix.cols != alg.rank:
         raise DimensionMismatch("form shape does not match the bundle rank")
-    every, minors = tuple(range(matrix.rows)), {}
+    every = tuple(range(matrix.rows))
+    minors = {} if minors is None else minors
     det = matrix._minor(every, every, minors)
     if not det.is_constant():
         raise NonConstantDeterminant(
@@ -678,18 +683,21 @@ def build_complex_structure(alg: LSAlgebroid, form) -> ComplexStructure:
     (certified only for constant positive-definite forms); J
     anticommutes with the canonical paracomplex structure by its layout.
     """
-    quad = check_quadratic(alg, form)
+    minors: dict = {}
+    quad = check_quadratic(alg, form, minors)
     if not quad.passed:
         raise NotQuadratic("the form is not a quadratic structure")
-    return _complex_structure(alg, form, quad, build_phase_space(alg))
+    return _complex_structure(alg, form, quad, build_phase_space(alg),
+                              minors)
 
 
 def _complex_structure(alg: LSAlgebroid, form, quad: Report,
-                       phase: PhaseSpace) -> ComplexStructure:
+                       phase: PhaseSpace, minors: dict) -> ComplexStructure:
     """:func:`build_complex_structure` from the passed quadratic report
-    of ``form`` and the phase space of ``alg``."""
+    of ``form``, the memo of minors it filled, and the phase space of
+    ``alg``."""
     matrix = _form_matrix(form)
-    inverse = matrix_inverse_adjugate(matrix)
+    inverse = matrix_inverse_adjugate(matrix, minors)
     r = alg.rank
     coords = alg.coords
     blocks = [[Poly.zero(coords) if (i < r) == (j < r) else

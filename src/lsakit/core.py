@@ -269,13 +269,29 @@ def check_left_symmetric(alg: LSAlgebroid) -> Report:
 
 def _associator_failures(alg: LSAlgebroid):
     """Frame triples (i, j, k), i < j, where the associator is not
-    symmetric in its first two slots, with both sides."""
+    symmetric in its first two slots, with both sides.
+
+    (e_i, e_j, e_k) = c_ij.e_k - e_i.c_jk, and the product is additive in
+    its left argument, so the two associators agree iff
+    (c_ij - c_ji).e_k = e_i.c_jk - e_j.c_ik: one product of the
+    commutator per triple, and each e_a.c_bk (a != b) enters exactly one
+    triple.  A product with a zero factor is zero and is not formed.
+    Both associators are formed only for a failing triple."""
+    zero = alg.zero_section()
+
+    def mult(left: Section, right: Section) -> Section:
+        return zero if left.is_zero() or right.is_zero() \
+            else section_mult(alg, left, right)
+
     for i, j in combinations(range(alg.rank), 2):
+        commutator = frame_commutator(alg, i, j)
         for k in range(alg.rank):
-            lhs = associator(alg, alg.frame(i), alg.frame(j), alg.frame(k))
-            rhs = associator(alg, alg.frame(j), alg.frame(i), alg.frame(k))
-            if lhs != rhs:
-                yield i, j, k, lhs, rhs
+            if mult(commutator, alg.frame(k)) != \
+                    mult(alg.frame(i), alg.c[j][k]) \
+                    - mult(alg.frame(j), alg.c[i][k]):
+                yield i, j, k, \
+                    associator(alg, alg.frame(i), alg.frame(j), alg.frame(k)), \
+                    associator(alg, alg.frame(j), alg.frame(i), alg.frame(k))
 
 
 def _left_symmetric_report(alg: LSAlgebroid, failures) -> Report:

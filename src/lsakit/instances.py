@@ -71,15 +71,26 @@ def _rank(block: dict, path: str) -> int:
     return rank
 
 
-def _poly(text, coords, path: str) -> Poly:
+# Every parser below takes ``memo``, one dict per parse_instance_dict
+# call: (text, coords) -> Poly and (tuple of texts, coords) -> Section.
+# A key is looked up only after the schema checks of its value, and an
+# entry is stored only once its value parsed, so every error is raised
+# at the same path as without the memo.  Values are immutable, so a
+# repeated entry (most often "0") is one shared object.
+
+def _poly(text, coords, path: str, memo: dict) -> Poly:
     _expect(text, str, path)
-    try:
-        return parse_poly(text, coords)
-    except ParseError as err:
-        raise ParseError(f"{path}: {err.message}", err.position,
-                         err.expected) from None
-    except DegreeOverflow as err:
-        raise DegreeOverflow(f"{path}: {err}") from None
+    key = (text, coords)
+    poly = memo.get(key)
+    if poly is None:
+        try:
+            poly = memo[key] = parse_poly(text, coords)
+        except ParseError as err:
+            raise ParseError(f"{path}: {err.message}", err.position,
+                             err.expected) from None
+        except DegreeOverflow as err:
+            raise DegreeOverflow(f"{path}: {err}") from None
+    return poly
 
 
 def _coordinates(entries, path: str) -> tuple[str, ...]:
@@ -96,90 +107,106 @@ def _coordinates(entries, path: str) -> tuple[str, ...]:
     return tuple(coords)
 
 
-def _section(entries, coords, rank, path: str) -> Section:
+def _section(entries, coords, rank, path: str, memo: dict) -> Section:
     _expect_list(entries, rank, path)
-    return Section(coords, [_poly(entries[k], coords, f"{path}[{k}]")
-                            for k in range(rank)])
+    # only a tuple of texts that parsed before can be found
+    key = (tuple(entries), coords)
+    section = memo.get(key) if all(isinstance(text, str)
+                                   for text in entries) else None
+    if section is None:
+        section = memo[key] = Section(coords, [
+            _poly(entries[k], coords, f"{path}[{k}]", memo)
+            for k in range(rank)])
+    return section
 
 
-def _vector_field(entries, coords, path: str) -> VectorField:
+def _vector_field(entries, coords, path: str, memo: dict) -> VectorField:
     _expect_list(entries, len(coords), path)
-    return VectorField(coords, [_poly(entries[m], coords, f"{path}[{m}]")
-                                for m in range(len(coords))])
+    return VectorField(coords, [
+        _poly(entries[m], coords, f"{path}[{m}]", memo)
+        for m in range(len(coords))])
 
 
-def _matrix(entries, coords, rows, cols, path: str) -> PolyMatrix:
+def _matrix(entries, coords, rows, cols, path: str, memo: dict) \
+        -> PolyMatrix:
     _expect_list(entries, rows, path)
     table = []
     for i in range(rows):
         row = _expect_list(entries[i], cols, f"{path}[{i}]")
-        table.append([_poly(row[j], coords, f"{path}[{i}][{j}]")
+        table.append([_poly(row[j], coords, f"{path}[{i}][{j}]", memo)
                       for j in range(cols)])
     return PolyMatrix(coords, table)
 
 
-def _structure_table(entries, coords, rank, path: str) -> list[list[Section]]:
+def _structure_table(entries, coords, rank, path: str, memo: dict) \
+        -> list[list[Section]]:
     _expect_list(entries, rank, path)
     table = []
     for i in range(rank):
         row = _expect_list(entries[i], rank, f"{path}[{i}]")
-        table.append([_section(row[j], coords, rank, f"{path}[{i}][{j}]")
-                      for j in range(rank)])
+        table.append([_section(row[j], coords, rank, f"{path}[{i}][{j}]",
+                               memo) for j in range(rank)])
     return table
 
 
-def _representation(block, coords, rank, path: str) -> Representation:
+def _representation(block, coords, rank, path: str,
+                    memo: dict) -> Representation:
     _expect(block, dict, path)
     s = _rank(block, f"{path}.rank")
     rho_entries = _expect_list(block.get("rho"), rank, f"{path}.rho")
-    rho = [_matrix(rho_entries[i], coords, s, s, f"{path}.rho[{i}]")
+    rho = [_matrix(rho_entries[i], coords, s, s, f"{path}.rho[{i}]", memo)
            for i in range(rank)]
     if "mu" in block:
         mu_entries = _expect_list(block["mu"], rank, f"{path}.mu")
-        mu = [_matrix(mu_entries[i], coords, s, s, f"{path}.mu[{i}]")
+        mu = [_matrix(mu_entries[i], coords, s, s, f"{path}.mu[{i}]", memo)
               for i in range(rank)]
     else:
         mu = None
     return Representation(s, rho, mu)
 
 
-def _deformation(block, coords, rank, path: str) -> MultiDerivation:
+def _deformation(block, coords, rank, path: str,
+                 memo: dict) -> MultiDerivation:
     _expect(block, dict, path)
     values = _structure_table(block.get("values"), coords, rank,
-                              f"{path}.values")
+                              f"{path}.values", memo)
     symbols_entries = _expect_list(block.get("symbols"), rank,
                                    f"{path}.symbols")
     symbols = [_vector_field(symbols_entries[i], coords,
-                             f"{path}.symbols[{i}]") for i in range(rank)]
+                             f"{path}.symbols[{i}]", memo)
+               for i in range(rank)]
     return deformation_from_tables(coords, rank, values, symbols)
 
 
-def _action_block(block, path: str) -> ActionBlock:
+def _action_block(block, path: str, memo: dict) -> ActionBlock:
     _expect(block, dict, path)
     algebra_block = _expect(block.get("algebra"), dict, f"{path}.algebra")
     g_rank = _rank(algebra_block, f"{path}.algebra.rank")
     g_structure = _structure_table(algebra_block.get("structure"), (), g_rank,
-                                   f"{path}.algebra.structure")
+                                   f"{path}.algebra.structure", memo)
     algebra = LSAlgebroid((), g_rank, g_structure,
                           [VectorField.zero(()) for _ in range(g_rank)])
     coords = _coordinates(block.get("coordinates"), f"{path}.coordinates")
     fields_entries = _expect_list(block.get("vector_fields"), g_rank,
                                   f"{path}.vector_fields")
     fields = [_vector_field(fields_entries[i], coords,
-                            f"{path}.vector_fields[{i}]")
+                            f"{path}.vector_fields[{i}]", memo)
               for i in range(g_rank)]
     return ActionBlock(algebra, coords, fields)
 
 
 def parse_instance_dict(data: dict, digest: str = "") -> InstanceFile:
+    """Validate an instance's JSON data and build its values; each
+    distinct polynomial text is parsed once per call."""
     _expect(data, dict, "$")
     coords = _coordinates(data.get("coordinates"), "coordinates")
     rank = _rank(data, "rank")
+    memo: dict = {}
 
     structure = _structure_table(data.get("structure"), coords, rank,
-                                 "structure")
+                                 "structure", memo)
     anchor_entries = _expect_list(data.get("anchor"), rank, "anchor")
-    anchor = [_vector_field(anchor_entries[i], coords, f"anchor[{i}]")
+    anchor = [_vector_field(anchor_entries[i], coords, f"anchor[{i}]", memo)
               for i in range(rank)]
     algebroid = LSAlgebroid(coords, rank, structure, anchor)
 
@@ -192,10 +219,10 @@ def parse_instance_dict(data: dict, digest: str = "") -> InstanceFile:
     if "representation" in data:
         instance.representation = _representation(data["representation"],
                                                   coords, rank,
-                                                  "representation")
+                                                  "representation", memo)
     if "bilinear_form" in data:
         instance.bilinear_form = _matrix(data["bilinear_form"], coords,
-                                         rank, rank, "bilinear_form")
+                                         rank, rank, "bilinear_form", memo)
     if "endomorphisms" in data:
         block = _expect(data["endomorphisms"], dict, "endomorphisms")
         for key in sorted(block):
@@ -203,21 +230,21 @@ def parse_instance_dict(data: dict, digest: str = "") -> InstanceFile:
             cols = rank if key != "T" or instance.representation is None \
                 else instance.representation.s
             instance.endomorphisms[key] = _matrix(
-                block[key], coords, rank, cols, f"endomorphisms.{key}")
+                block[key], coords, rank, cols, f"endomorphisms.{key}", memo)
     if "kernel_frame" in data:
         entries = _expect(data["kernel_frame"], list, "kernel_frame")
         instance.kernel_frame = [
-            _section(entries[i], coords, rank, f"kernel_frame[{i}]")
+            _section(entries[i], coords, rank, f"kernel_frame[{i}]", memo)
             for i in range(len(entries))]
     if "deformation" in data:
         instance.deformation = _deformation(data["deformation"], coords,
-                                            rank, "deformation")
+                                            rank, "deformation", memo)
     if "deformation_prime" in data:
         instance.deformation_prime = _deformation(data["deformation_prime"],
                                                   coords, rank,
-                                                  "deformation_prime")
+                                                  "deformation_prime", memo)
     if "action" in data:
-        instance.action = _action_block(data["action"], "action")
+        instance.action = _action_block(data["action"], "action", memo)
     return instance
 
 

@@ -320,6 +320,12 @@ def check_graded_properties(alg: LSAlgebroid,
     degree 0), so ``lie-admissible`` and ``graded-jacobi`` share the
     verdict and the witnesses.
     """
+    return _graded_report(check_lie_algebroid(_commutator_algebroid(alg)))
+
+
+def _graded_report(lie: Report) -> Report:
+    """:func:`check_graded_properties` given ``lie``, the
+    :func:`check_lie_algebroid` report of the commutator table."""
     report = Report("graded structure")
     # every key _term_product emits is (m,) + rest, rest of length
     # (k - 1) + (l - 1), or for l = 0 key_x less one factor; a function on
@@ -330,7 +336,6 @@ def check_graded_properties(alg: LSAlgebroid,
     # slot pair (a, b) = (0, 0) gives exactly c_ij
     report.add("degree-one-reduction",
                "extended product restricts to the section product", True)
-    lie = check_lie_algebroid(_commutator_algebroid(alg))
     witnesses = [*lie.record("jacobi").witnesses,
                  *lie.record("anchor-morphism").witnesses][:5]
     report.add("lie-admissible",

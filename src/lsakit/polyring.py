@@ -709,6 +709,8 @@ class VectorField(SparseModule):
             raise DimensionMismatch(
                 f"function over {f.coords}, field over {self.coords}")
         result = Poly.zero(self.coords)
+        if not self.terms or f.is_constant():
+            return result
         for mu, comp in self.terms.items():
             derived = f.partial(mu)
             if not derived.is_zero():
@@ -920,16 +922,17 @@ class PolyMatrix(SparseModule):
         return f"PolyMatrix({self!s})"
 
 
-def matrix_inverse_adjugate(matrix: PolyMatrix) -> PolyMatrix:
+def matrix_inverse_adjugate(matrix: PolyMatrix, cache=None) -> PolyMatrix:
     """Polynomial inverse via the adjugate.
 
     Refuses unless the determinant is a nonzero constant, so that the
     inverse stays inside the polynomial ring.  The determinant and the
-    cofactors come from one memo of minors.
+    cofactors come from one memo of minors: ``cache``, a memo already
+    filled by ``matrix._minor``, or a fresh one.
     """
     if matrix.rows != matrix.cols:
         raise NotSquare("inverse requires a square matrix")
-    every, cache = tuple(range(matrix.rows)), {}
+    every, cache = tuple(range(matrix.rows)), {} if cache is None else cache
     det = matrix._minor(every, every, cache)
     if det.is_zero():
         raise SingularMatrix("matrix determinant is zero")

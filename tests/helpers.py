@@ -957,3 +957,26 @@ def lsa_from_phase_oracle(lie: LieAlgebroid, rep) -> tuple:
     matches = all(frame_commutator(total, i, j) == P.b[i][j]
                   for i in range(2 * r) for j in range(2 * r))
     return None, (base, total, matches)
+
+
+# ---------------------------------------------------------------------------
+# Loop replaced by one frame identity: associator symmetry
+# ---------------------------------------------------------------------------
+
+def associator_symmetry_oracle(alg: LSAlgebroid) -> list:
+    """``associator-symmetry`` witnesses of ``check_left_symmetric``, from
+    both associators of every frame triple (i, j, k), i < j: eight
+    products per triple."""
+    def associator(x, y, z):
+        return section_mult(alg, section_mult(alg, x, y), z) \
+            - section_mult(alg, x, section_mult(alg, y, z))
+
+    witnesses = []
+    for i, j in combinations(range(alg.rank), 2):
+        for k in range(alg.rank):
+            e_i, e_j, e_k = alg.frame(i), alg.frame(j), alg.frame(k)
+            lhs, rhs = associator(e_i, e_j, e_k), associator(e_j, e_i, e_k)
+            if lhs != rhs:
+                witnesses.append(f"(e_{i+1},e_{j+1},e_{k+1}): associator "
+                                 f"{lhs} != {rhs} (arguments swapped)")
+    return witnesses

@@ -4,17 +4,20 @@ import contextlib
 import copy
 import io
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_golden_reports import COMMANDS as GOLDEN_COMMANDS
 
-from lsakit import cli, cohomology
+from lsakit import cli, cohomology, instances
 from lsakit.cli import build_parser, derive, main, run_suite
 from lsakit.constructions import semidirect_lsa
 from lsakit.core import build_left_mult_rep, check_left_symmetric
 from lsakit.errors import ParseError, SchemaError
+from lsakit.polyring import parse_poly
 from lsakit.instances import (
     CORPUS_NAMES,
     algebroid_to_dict,
@@ -90,6 +93,95 @@ def test_parse_missing_blocks_are_none(tmp_path):
     assert instance.bilinear_form is None
     assert instance.endomorphisms == {}
     assert instance.deformation is None
+
+
+def polynomial_texts(node, inside_list=False):
+    """Every string in a list, at any depth under ``node``."""
+    if isinstance(node, str):
+        if inside_list:
+            yield node
+    elif isinstance(node, (list, dict)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from polynomial_texts(child, isinstance(node, list))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_each_polynomial_text_is_parsed_once_per_file(monkeypatch, name):
+    data = json.loads(corpus_path(name).read_text())
+    coords = tuple(data["coordinates"])
+    expected = {(text, coords) for key, value in data.items()
+                if key not in ("coordinates", "action")
+                for text in polynomial_texts(value)}
+    if "action" in data:
+        block = data["action"]
+        expected |= {(text, ()) for text in polynomial_texts(
+            block["algebra"]["structure"])}
+        expected |= {(text, tuple(block["coordinates"]))
+                     for text in polynomial_texts(block["vector_fields"])}
+    calls = []
+
+    def recorded(text, coords):
+        calls.append((text, coords))
+        return parse_poly(text, coords)
+
+    monkeypatch.setattr(instances, "parse_poly", recorded)
+    instance = parse_instance(corpus_path(name))
+    assert sorted(calls) == sorted(expected)
+    # every entry equals its own parse, shared or not
+    alg = instance.algebroid
+    assert [[list(sec.components) for sec in row] for row in alg.c] == \
+        [[[parse_poly(text, coords) for text in sec] for sec in row]
+         for row in data["structure"]]
+    assert [list(field.components) for field in alg.anchor] == \
+        [[parse_poly(text, coords) for text in field]
+         for field in data["anchor"]]
+
+
+def test_parse_errors_keep_their_paths_past_repeated_entries():
+    # the first rows repeat one section; the memo must not hide the
+    # schema error of a later entry, nor hash a list while looking it up
+    data = dict(FLAT)
+    data["structure"] = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", ["0"]]]]
+    with pytest.raises(SchemaError) as err:
+        parse_instance_dict(data)
+    assert str(err.value) == "structure[1][1][1]: expected str, got list"
+    data["structure"] = [[["0", "0"], ["0", "0"]], [["x", "0"], ["x^", 1]]]
+    with pytest.raises(ParseError) as err:
+        parse_instance_dict(data)
+    assert "structure[1][1][0]" in str(err.value)
+
+
+def test_two_files_parsed_concurrently_match_the_serial_parses():
+    # the parse memo lives for one call, so threads share nothing
+    names = ("riemannian", "point_e1e2")
+
+    def outcome(name):
+        instance = parse_instance(corpus_path(name))
+        return [rec.to_dict() for rec in run_suite(instance, "all").records]
+
+    serial = [outcome(name) for name in names]
+    rounds = 4
+    results = [[None] * rounds for _ in names]
+    barrier = threading.Barrier(len(names))
+
+    def work(slot):
+        for k in range(rounds):
+            barrier.wait(timeout=60)
+            results[slot][k] = outcome(names[slot])
+
+    threads = [threading.Thread(target=work, args=(slot,))
+               for slot in range(len(names))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so the two parses interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[expected] * rounds for expected in serial]
 
 
 # ---------------------------------------------------------------------------

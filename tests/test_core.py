@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     action_instance,
+    associator_symmetry_oracle,
     flat_instance,
     ladder_instance,
     nonexample,
@@ -42,8 +43,19 @@ from lsakit.core import (
     section_mult,
     sub_adjacent,
 )
-from lsakit.errors import IndexOutOfRange, NotLeftSymmetric, NotPointCase
-from lsakit.polyring import Poly, PolyMatrix, VectorField, parse_poly
+from lsakit.errors import (
+    DegreeOverflow,
+    IndexOutOfRange,
+    NotLeftSymmetric,
+    NotPointCase,
+)
+from lsakit.polyring import (
+    Poly,
+    PolyMatrix,
+    VectorField,
+    parse_poly,
+    set_degree_limit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +219,30 @@ def test_check_left_symmetric_nonexample_witness():
     rec = report.record("associator-symmetry")
     assert rec.status == "fail"
     assert any("(e_1,e_2,e_2)" in w for w in rec.witnesses)
+
+
+def test_check_left_symmetric_keeps_the_degree_limit():
+    # e_1.e_1 = x^3 e_2 and e_1.e_2 = x^3 e_1: the commutator of (e_1, e_2)
+    # times e_1 is x^6 e_2, past a limit of 4, and the associator loop
+    # meets the same product
+    coords = ("x",)
+    x3 = parse_poly("x^3", coords)
+    zero = Section.zero(coords, 2)
+    alg = LSAlgebroid(coords, 2, [[Section(coords, [0, x3]),
+                                   Section(coords, [x3, 0])], [zero, zero]],
+                      [VectorField.zero(coords)] * 2)
+    set_degree_limit(4)
+    try:
+        with pytest.raises(DegreeOverflow):
+            check_left_symmetric(alg)
+        with pytest.raises(DegreeOverflow):
+            associator_symmetry_oracle(alg)
+    finally:
+        set_degree_limit(16)
+    assert alg._axioms is None
+    witnesses = check_left_symmetric(alg).record("associator-symmetry") \
+        .witnesses
+    assert witnesses and witnesses == tuple(associator_symmetry_oracle(alg))
 
 
 def test_check_left_symmetric_flat():

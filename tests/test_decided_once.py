@@ -13,6 +13,7 @@ from helpers import (
     action_condition_oracle,
     action_instance,
     anchor_relation_oracle,
+    associator_symmetry_oracle,
     deformation_cocycle_oracle,
     flat_instance,
     frame_data,
@@ -22,6 +23,7 @@ from helpers import (
     lie_anchor_oracle,
     lsa_from_phase_oracle,
     lsa_homomorphism_oracle,
+    nonexample,
     o_operator_homomorphism_oracle,
     phase_double_oracle,
     phase_space_report_oracle,
@@ -33,6 +35,7 @@ from helpers import (
     zero_point_algebra,
 )
 from lsakit import cli, cohomology, constructions, core, deformations
+from lsakit import multivector
 from lsakit.cohomology import MultiDerivation, def_d
 from lsakit.constructions import (
     _double,
@@ -48,10 +51,13 @@ from lsakit.core import (
     Representation,
     Section,
     _morphism_failures,
+    anchor_of_section,
+    apply_endo,
     build_left_mult_rep,
     check_left_symmetric,
     check_lie_algebroid,
     check_lsa_homomorphism,
+    section_mult,
     sub_adjacent,
 )
 from lsakit.deformations import (
@@ -72,7 +78,12 @@ from lsakit.instances import (
     corpus_path,
     parse_instance,
 )
-from lsakit.polyring import Poly, PolyMatrix, VectorField
+from lsakit.polyring import (
+    Poly,
+    PolyMatrix,
+    VectorField,
+    matrix_inverse_adjugate,
+)
 
 COCYCLE_RECORDS = ("cocycle-values", "cocycle-symbol")
 
@@ -441,6 +452,146 @@ def test_perturbed_action_fields_match_the_action_loop():
 
 
 # ---------------------------------------------------------------------------
+# Associator symmetry from one frame identity
+# ---------------------------------------------------------------------------
+
+def associator_record_status(alg) -> str:
+    """Assert that the associator-symmetry record carries the eight-product
+    loop's witnesses, byte for byte; return its status."""
+    record = check_left_symmetric(alg).record("associator-symmetry")
+    witnesses = associator_symmetry_oracle(alg)
+    assert record.witnesses == tuple(witnesses)
+    assert record.status == ("fail" if witnesses else "pass")
+    return record.status
+
+
+def test_corpus_and_nonexample_match_the_associator_loop():
+    assert associator_record_status(nonexample()) == "fail"
+    statuses = {name: associator_record_status(instance.algebroid)
+                for name, instance in corpus().items()}
+    assert statuses.pop("nonexample") == "fail"
+    assert set(statuses.values()) == {"pass"}
+
+
+def test_drawn_tables_match_the_associator_loop():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(((), ("x",), ("x", "y"))),
+           st.integers(1, 3))
+    def agree(seed, coords, rank):
+        outcomes.add(associator_record_status(
+            random_algebroid(random.Random(seed), coords, rank)))
+
+    agree()
+    assert outcomes == {"pass", "fail"}
+
+
+def reframed(alg: LSAlgebroid, P: PolyMatrix) -> LSAlgebroid:
+    """``alg`` in the frame b_i = P e_i, for P with a nonzero constant
+    determinant: products P^-1(b_i.b_j), anchors a(b_i).  Left-symmetric
+    iff ``alg`` is, with mostly nonzero products."""
+    inverse = matrix_inverse_adjugate(P)
+    b = [Section(alg.coords, P.column(i)) for i in range(alg.rank)]
+    return LSAlgebroid(
+        alg.coords, alg.rank,
+        [[apply_endo(inverse, section_mult(alg, b[i], b[j]))
+          for j in range(alg.rank)] for i in range(alg.rank)],
+        [anchor_of_section(alg, b[i]) for i in range(alg.rank)])
+
+
+def unit_point_algebra(rank: int) -> LSAlgebroid:
+    """e_1 a two-sided unit, every other product zero: associative."""
+    return point_algebra(rank, {
+        **{(0, k): [int(m == k) for m in range(rank)] for k in range(rank)},
+        **{(k, 0): [int(m == k) for m in range(rank)] for k in range(rank)}})
+
+
+def test_reframed_and_perturbed_tables_match_the_associator_loop():
+    # a passing table in a drawn frame, as it is or with one product (or
+    # one product and its mirror) moved by a random section, or with one
+    # anchor field moved: some triples pass and some fail
+    outcomes = set()
+    algs = [alg for alg in [inst.algebroid for inst in corpus().values()]
+            + list(bases()) + [unit_point_algebra(3)]
+            if alg.rank > 1 and check_left_symmetric(alg).passed]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def agree(data):
+        alg = data.draw(st.sampled_from(algs))
+        r, coords = alg.rank, alg.coords
+        P = PolyMatrix.identity(r, coords)
+        for _ in range(data.draw(st.integers(1, 3))):
+            a, b = data.draw(st.lists(st.integers(0, r - 1), min_size=2,
+                                      max_size=2, unique=True))
+            shear = PolyMatrix.identity(r, coords) + PolyMatrix(coords, [
+                [data.draw(_degree_one_poly(coords)) if (i, j) == (a, b)
+                 else 0 for j in range(r)] for i in range(r)])
+            P = P @ shear
+        alg = reframed(alg, P)
+        assert associator_record_status(alg) == "pass"
+        i, j = (data.draw(st.integers(0, r - 1)) for _ in range(2))
+        c, anchor = [list(row) for row in alg.c], list(alg.anchor)
+        how = data.draw(st.sampled_from(("product", "mirror", "anchor")))
+        if how == "anchor":
+            anchor[i] = anchor[i] + VectorField(coords, [
+                data.draw(_degree_one_poly(coords)) for _ in coords])
+        else:
+            delta = random_esection(random.Random(data.draw(
+                st.integers(0, 2 ** 32))), coords, r, 1)
+            c[i][j] = c[i][j] + delta
+            if how == "mirror" and i != j:
+                c[j][i] = c[j][i] + delta
+        outcomes.add(associator_record_status(
+            LSAlgebroid(coords, r, c, anchor)))
+
+    agree()
+    assert outcomes == {"pass", "fail"}
+
+
+def euler_family(rank: int, coords) -> LSAlgebroid:
+    """e_i.e_i = e_i, every other product zero, and e_i acts by
+    x_k d/dx_k with k = i mod n: left-symmetric."""
+    n = len(coords)
+    c = [[Section.unit(coords, rank, i) if i == j else
+          Section.zero(coords, rank) for j in range(rank)]
+         for i in range(rank)]
+    anchor = [VectorField(coords, [Poly.variable(coords[m], coords)
+                                   if m == i % n else 0 for m in range(n)])
+              for i in range(rank)]
+    return LSAlgebroid(coords, rank, c, anchor)
+
+
+def dense_table(rank: int) -> LSAlgebroid:
+    """Every product and every commutator of frame sections nonzero;
+    anchors d/dx; not left-symmetric."""
+    coords = ("x",)
+    x = Poly.variable("x", coords)
+    c = [[Section(coords, [x * (i + 1) + j + m for m in range(rank)])
+          for j in range(rank)] for i in range(rank)]
+    d_dx = VectorField(coords, (Poly.constant(1, coords),))
+    return LSAlgebroid(coords, rank, c, [d_dx] * rank)
+
+
+def test_check_left_symmetric_forms_one_product_per_triple(monkeypatch):
+    # (c_ij - c_ji).e_k = e_i.c_jk - e_j.c_ik: three products per triple
+    # i < j, none with a zero factor, and both associators (eight more)
+    # only where it fails.  The associator loop takes 8 * C(r, 2) * r.
+    calls = counted(monkeypatch, core, "section_mult")
+    alg = euler_family(4, ("x", "y"))
+    assert check_left_symmetric(alg).passed
+    # commutators vanish; e_i.c_jk is nonzero only for k = j
+    assert len(calls) == 2 * 6 == 12
+    del calls[:]
+    alg = dense_table(3)
+    failures = check_left_symmetric(alg).record("associator-symmetry")
+    assert len(failures.witnesses) == 9
+    assert len(calls) == 3 * 3 * 3 + 8 * 9 == 99
+    assert failures.witnesses == tuple(associator_symmetry_oracle(alg))
+
+
+# ---------------------------------------------------------------------------
 # Homomorphism identity from one generator
 # ---------------------------------------------------------------------------
 
@@ -779,3 +930,42 @@ def test_representation_decisions_per_verify_all(monkeypatch, name,
              for module in (constructions, cli, cohomology)]
     assert cli.run_suite(parse_instance(corpus_path(name)), "all").passed
     assert sum(map(len, calls)) == decisions
+
+
+@pytest.mark.parametrize("name", ["flat", "riemannian", "zero_r2"])
+def test_verify_all_expands_the_form_once(monkeypatch, name):
+    # check_quadratic hands its memo of minors to the inverse of the
+    # form in the complex structure (the inverse expanded it again)
+    instance = parse_instance(corpus_path(name))
+    form = instance.bilinear_form
+    every = tuple(range(form.rows))
+    expansions = []
+    minor = PolyMatrix._minor
+
+    def recorded(matrix, rows, cols, cache):
+        if matrix is form and rows == cols == every \
+                and (rows, cols) not in cache:
+            expansions.append(cache)
+        return minor(matrix, rows, cols, cache)
+
+    monkeypatch.setattr(PolyMatrix, "_minor", recorded)
+    report = cli.run_suite(instance, "all")
+    assert report.record("complex/squares-to-minus-id").status == "pass"
+    assert len(expansions) == 1
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_verify_all_decides_the_commutator_lie_axioms_once(monkeypatch,
+                                                           name):
+    # sub-adjacent/* and graded/lie-admissible, graded-jacobi read one
+    # check_lie_algebroid of the commutator table
+    calls = [counted(monkeypatch, module, "check_lie_algebroid")
+             for module in (cli, multivector)]
+    report = cli.run_suite(parse_instance(corpus_path(name)), "all")
+    axioms = report.record("axioms/associator-symmetry").status == "pass"
+    assert sum(map(len, calls)) == (1 if axioms else 0)
+    if axioms:
+        assert report.record("graded/lie-admissible").witnesses == \
+            report.record("graded/graded-jacobi").witnesses == \
+            (*report.record("sub-adjacent/jacobi").witnesses,
+             *report.record("sub-adjacent/anchor-morphism").witnesses)[:5]

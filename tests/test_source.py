@@ -218,10 +218,10 @@ HOLD_BY_CONSTRUCTION = {
     ("bracket-relation", "lsa_from_phase"),
     ("kernel-frame", "kernel_representations"),
     ("ideal", "kernel_representations"),
-    ("grade-rule", "check_graded_properties"),
-    ("degree-one-reduction", "check_graded_properties"),
-    ("defect-antisymmetry", "check_graded_properties"),
-    ("graded-leibniz", "check_graded_properties"),
+    ("grade-rule", "_graded_report"),
+    ("degree-one-reduction", "_graded_report"),
+    ("defect-antisymmetry", "_graded_report"),
+    ("graded-leibniz", "_graded_report"),
     ("omega-nondegenerate", "build_phase_space"),
     ("maps-subbundles", "_phase_iso"),
     ("anticommutes-paracomplex", "_complex_structure"),
