@@ -167,9 +167,8 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
     phase = build_phase_space(alg)
     report.merge(phase.report, prefix="phase-space/")
     if instance.bilinear_form is not None:
-        minors: dict = {}
         try:
-            quad = check_quadratic(alg, instance.bilinear_form, minors)
+            quad = check_quadratic(alg, instance.bilinear_form)
         except NonConstantDeterminant as err:
             report.add("quadratic/nondegenerate",
                        "determinant is a nonzero constant",
@@ -178,7 +177,7 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
             report.merge(quad, prefix="quadratic/")
             if quad.passed:
                 complex_result = _complex_structure(
-                    alg, instance.bilinear_form, quad, phase, minors)
+                    alg, instance.bilinear_form, quad, phase)
                 report.merge(complex_result.report, prefix="complex/")
 
     # sub_adjacent(alg) is the commutator table check_graded_properties
@@ -187,11 +186,15 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
 
     if instance.representation is not None:
         rep = instance.representation
-        valid = check_representation_lsa(alg, rep)
-        report.add("representation/valid",
-                   "(rho, mu) satisfies the representation identities", valid)
-        if valid:
+        # derived_reps decides the pair in its gate
+        try:
             derived = derived_reps(alg, rep)
+        except NotARepresentation:
+            derived = None
+        report.add("representation/valid",
+                   "(rho, mu) satisfies the representation identities",
+                   derived is not None)
+        if derived is not None:
             report.add("representation/derived-equivalences",
                        "the three dual-representation conditions agree",
                        len(set(derived.equivalences)) == 1,

@@ -491,7 +491,8 @@ def _phase_iso(phi: PolyMatrix, phase1: PhaseSpace,
     its source and target."""
     r = phi.rows
     coords = phi.coords
-    contragredient = matrix_inverse_adjugate(phi.transpose())
+    # (phi^T)^-1 = (phi^-1)^T, from the minors phi.det() left in phi's memo
+    contragredient = matrix_inverse_adjugate(phi).transpose()
     blocks = [[phi.entry(i, j) if i < r and j < r else
                contragredient.entry(i - r, j - r) if i >= r and j >= r else
                Poly.zero(coords)
@@ -553,8 +554,7 @@ def check_paracomplex(lie: LieAlgebroid, endo: PolyMatrix) -> bool:
         and check_lie_nijenhuis(lie, endo)
 
 
-def check_quadratic(alg: LSAlgebroid, form, minors: dict | None = None) \
-        -> Report:
+def check_quadratic(alg: LSAlgebroid, form) -> Report:
     """Invariance of a symmetric form under left multiplication.
 
     Passes when (x.y, z) + (y, x.z) = anchor(x)(y, z) holds on frame
@@ -562,16 +562,14 @@ def check_quadratic(alg: LSAlgebroid, form, minors: dict | None = None) \
     definiteness is certified through leading principal minors for
     constant forms and reported as uncertified otherwise.  A
     non-constant determinant cannot certify nondegeneracy and raises.
-    The determinant and the leading minors come from one memo of the
-    form's minors: ``minors`` when given, so that a caller inverting the
-    same form reads them again, else a fresh one.
+    The determinant and the leading minors come from the form matrix's
+    memo of minors, where a later inverse of the same matrix reads them.
     """
     matrix = _form_matrix(form)
     if matrix.rows != alg.rank or matrix.cols != alg.rank:
         raise DimensionMismatch("form shape does not match the bundle rank")
     every = tuple(range(matrix.rows))
-    minors = {} if minors is None else minors
-    det = matrix._minor(every, every, minors)
+    det = matrix._minor(every, every)
     if not det.is_constant():
         raise NonConstantDeterminant(
             f"determinant {det} is not constant; nondegeneracy uncertifiable")
@@ -603,8 +601,8 @@ def check_quadratic(alg: LSAlgebroid, form, minors: dict | None = None) \
                [] if not det.is_zero() else ["det = 0"])
 
     if matrix.is_constant():
-        leading = [matrix._minor(every[:k], every[:k], minors)
-                   .constant_value() for k in range(1, matrix.rows + 1)]
+        leading = [matrix._minor(every[:k], every[:k]).constant_value()
+                   for k in range(1, matrix.rows + 1)]
         positive = all(m > 0 for m in leading)
         report.add("riemannian",
                    "form is positive definite (leading principal minors)",
@@ -683,21 +681,18 @@ def build_complex_structure(alg: LSAlgebroid, form) -> ComplexStructure:
     (certified only for constant positive-definite forms); J
     anticommutes with the canonical paracomplex structure by its layout.
     """
-    minors: dict = {}
-    quad = check_quadratic(alg, form, minors)
+    quad = check_quadratic(alg, form)
     if not quad.passed:
         raise NotQuadratic("the form is not a quadratic structure")
-    return _complex_structure(alg, form, quad, build_phase_space(alg),
-                              minors)
+    return _complex_structure(alg, form, quad, build_phase_space(alg))
 
 
 def _complex_structure(alg: LSAlgebroid, form, quad: Report,
-                       phase: PhaseSpace, minors: dict) -> ComplexStructure:
+                       phase: PhaseSpace) -> ComplexStructure:
     """:func:`build_complex_structure` from the passed quadratic report
-    of ``form``, the memo of minors it filled, and the phase space of
-    ``alg``."""
+    of ``form`` and the phase space of ``alg``."""
     matrix = _form_matrix(form)
-    inverse = matrix_inverse_adjugate(matrix, minors)
+    inverse = matrix_inverse_adjugate(matrix)
     r = alg.rank
     coords = alg.coords
     blocks = [[Poly.zero(coords) if (i < r) == (j < r) else

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from ._lexer import IDENTIFIER_RE
 from .cohomology import MultiDerivation
 from .core import LieAlgebroid, LSAlgebroid, Representation, Section
 from .deformations import deformation_from_tables
 from .errors import DegreeOverflow, ParseError, SchemaError
-from .polyring import IDENTIFIER_RE, Poly, PolyMatrix, VectorField, parse_poly
+from .polyring import Poly, PolyMatrix, VectorField, parse_poly
 
 
 @dataclass

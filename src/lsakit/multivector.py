@@ -16,7 +16,7 @@ structure; the shifted grading sigma = grade - 1 governs all signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 from .core import (
@@ -256,37 +256,24 @@ def lie_admissible_defect(alg: LSAlgebroid, x: Multivector, y: Multivector,
 
 @dataclass
 class GradedSampleSpec:
-    """Bounds of the generators ``sample_generators`` lists: wedge
-    monomials up to ``max_grade`` with monomial coefficients up to
-    ``max_coeff_degree``."""
+    """Bounds of a sample of wedge monomials: grades up to
+    ``max_grade``, monomial coefficients up to ``max_coeff_degree``.
+    ``check_graded_properties`` decides exactly and reads neither.  The
+    class stays because the benchmark's graded workload
+    (``bench/workloads.py``, ``bench/record_expected.py``) constructs
+    one, and the tests' sampled oracle draws from it."""
 
     max_grade: int = 3
     max_coeff_degree: int = 1
-
-
-def _monomials(coords, max_degree: int) -> list[Poly]:
-    out = sorted((e for e in product(range(max_degree + 1), repeat=len(coords))
-                  if sum(e) <= max_degree), key=lambda e: (sum(e), e))
-    return [Poly(coords, {exps: 1}) for exps in out]
-
-
-def sample_generators(alg: LSAlgebroid, spec: GradedSampleSpec) \
-        -> list[Multivector]:
-    """Wedge monomials with monomial coefficients up to the sample bounds."""
-    gens = []
-    for mono in _monomials(alg.coords, spec.max_coeff_degree):
-        for grade in range(1, min(spec.max_grade, alg.rank) + 1):
-            for key in combinations(range(alg.rank), grade):
-                gens.append(Multivector.basis_wedge(alg.coords, alg.rank,
-                                                    key, mono))
-    return gens
 
 
 def check_graded_properties(alg: LSAlgebroid,
                             spec: GradedSampleSpec | None = None) -> Report:
     """Decide the graded identities of the extended product exactly, from
     frame identities of the commutator.  ``spec`` bounds nothing here; it
-    is kept for callers, and the tests' sampled oracle reads it.
+    stays because the benchmark's graded workload (``bench/workloads.py``,
+    ``bench/record_expected.py``) passes one, and the tests' sampled
+    oracle reads it.
 
     Four records hold for any tables: the grade rule for the extended
     product and its agreement with the section product in grade one, by

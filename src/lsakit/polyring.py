@@ -21,18 +21,19 @@ Coefficients are canonical: an ``int`` when the denominator is 1 and a
 it arises.
 
 Determinants, cofactors and the invertible-submatrix search share one
-Laplace expansion over stored entries, memoized on (rows, columns)
-(``PolyMatrix._minor``); ranks and kernels use integer elimination
-(``_forward_pivots``).
+Laplace expansion over stored entries (``PolyMatrix._minor``), memoized
+on (rows, columns) in the matrix's own memo of minors, one per degree
+limit; ranks and kernels use integer elimination (``_forward_pivots``).
 
 Everything here is immutable after construction and safe to share
 between threads.  Public constructors validate their input; arithmetic
 builds its results through the private trusted constructors
 (``Poly._from``, ``SparseModule._from``), since operands that are
 already valid give valid results.  The only writes after construction
-are the cached ``_hash`` and ``_degree`` fields, each filled on first
-use with a pure function of the value: threads that race on one write
-equal values.
+are the cached ``_hash`` and ``_degree`` fields and a matrix's memo of
+minors (``_minors``), each filled on first use with a pure function of
+the value (and, for a minor, of the degree limit it is filed under):
+threads that race on one write equal values.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
 
-from . import _lexer
 from ._lexer import MAX_NESTING, _Cursor, _int, _size, _sized, _tokenize
 from .errors import (
     DegreeOverflow,
@@ -402,10 +402,6 @@ class Poly:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-# the lexer's identifiers; instance files check coordinate names with it
-IDENTIFIER_RE = _lexer.IDENTIFIER_RE
-
 
 def parse_poly(text: str, coords: Sequence[str]) -> Poly:
     """Parse ``text`` against the polynomial grammar over ``coords``."""
@@ -779,7 +775,7 @@ class PolyMatrix(SparseModule):
     """Matrix with polynomial entries over shared coordinates, stored
     sparsely by ``(row, col)``; ``entries`` is the dense view."""
 
-    __slots__ = ("coords", "rows", "cols")
+    __slots__ = ("coords", "rows", "cols", "_minors")
 
     def __init__(self, coords: Sequence[str], entries: Sequence[Sequence]):
         entries = [tuple(row) for row in entries]
@@ -878,39 +874,43 @@ class PolyMatrix(SparseModule):
         if self.rows != self.cols:
             raise NotSquare(f"{self.rows}x{self.cols} matrix has no determinant")
         every = tuple(range(self.rows))
-        return self._minor(every, every, {})
+        return self._minor(every, every)
 
-    def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...],
-               cache: dict) -> Poly:
+    def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
         """Determinant of the ``rows`` x ``cols`` submatrix, expanded
-        along its first column over stored entries only and memoized in
-        ``cache`` by ``(rows, cols)``."""
+        along its first column over stored entries only.  Memoized by
+        ``(rows, cols)`` in this matrix's memo of minors, one memo per
+        degree limit, so a minor is read back only under the limit that
+        expanded it and raises ``DegreeOverflow`` where a fresh
+        expansion would."""
         if not rows:
             return Poly.constant(1, self.coords)
-        key = (rows, cols)
-        if key not in cache:
-            acc = Poly.zero(self.coords)
+        try:
+            memos = self._minors
+        except AttributeError:
+            memos = self._minors = {}
+        memo = memos.setdefault(_DEGREE_LIMIT.get(), {})
+        minor = memo.get((rows, cols))
+        if minor is None:
+            minor = Poly.zero(self.coords)
             for pos, i in enumerate(rows):
                 entry = self.terms.get((i, cols[0]))
                 if entry is not None:
                     term = entry * self._minor(rows[:pos] + rows[pos + 1:],
-                                               cols[1:], cache)
-                    acc = acc + term if pos % 2 == 0 else acc - term
-            cache[key] = acc
-        return cache[key]
+                                               cols[1:])
+                    minor = minor + term if pos % 2 == 0 else minor - term
+            memo[rows, cols] = minor
+        return minor
 
     def adjugate(self) -> "PolyMatrix":
-        """Transposed cofactor matrix, from one memo of minors."""
+        """Transposed cofactor matrix, from the memo of minors."""
         if self.rows != self.cols:
             raise NotSquare("adjugate requires a square matrix")
-        return self._adjugate({})
-
-    def _adjugate(self, cache: dict) -> "PolyMatrix":
         every, out = tuple(range(self.rows)), {}
         for i in every:
             for j in every:
                 minor = self._minor(every[:i] + every[i + 1:],
-                                    every[:j] + every[j + 1:], cache)
+                                    every[:j] + every[j + 1:])
                 _accumulate(out, (j, i), minor if (i + j) % 2 == 0 else -minor)
         return self._like(out)
 
@@ -922,24 +922,24 @@ class PolyMatrix(SparseModule):
         return f"PolyMatrix({self!s})"
 
 
-def matrix_inverse_adjugate(matrix: PolyMatrix, cache=None) -> PolyMatrix:
+def matrix_inverse_adjugate(matrix: PolyMatrix) -> PolyMatrix:
     """Polynomial inverse via the adjugate.
 
     Refuses unless the determinant is a nonzero constant, so that the
     inverse stays inside the polynomial ring.  The determinant and the
-    cofactors come from one memo of minors: ``cache``, a memo already
-    filled by ``matrix._minor``, or a fresh one.
+    cofactors come from the matrix's memo of minors, so whatever an
+    earlier ``det`` of the same matrix expanded is read, not expanded.
     """
     if matrix.rows != matrix.cols:
         raise NotSquare("inverse requires a square matrix")
-    every, cache = tuple(range(matrix.rows)), {} if cache is None else cache
-    det = matrix._minor(every, every, cache)
+    every = tuple(range(matrix.rows))
+    det = matrix._minor(every, every)
     if det.is_zero():
         raise SingularMatrix("matrix determinant is zero")
     if not det.is_constant():
         raise NonConstantDeterminant(
             f"determinant {det} is not constant; polynomial inverse refused")
-    return matrix._adjugate(cache).scale(Fraction(1, det.constant_value()))
+    return matrix.adjugate().scale(Fraction(1, det.constant_value()))
 
 
 # ---------------------------------------------------------------------------
@@ -1066,9 +1066,9 @@ def find_constant_invertible_submatrix(matrix: PolyMatrix) \
     Searches row subsets of size ``matrix.cols`` in lexicographic order;
     returns None when no such subset exists.
     """
-    cols, cache = tuple(range(matrix.cols)), {}
+    cols = tuple(range(matrix.cols))
     for rows in combinations(range(matrix.rows), matrix.cols):
-        det = matrix._minor(rows, cols, cache)
+        det = matrix._minor(rows, cols)
         if det.is_constant() and not det.is_zero():
             return rows
     return None

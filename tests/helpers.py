@@ -32,7 +32,9 @@ from lsakit.core import (
     sub_adjacent,
 )
 from lsakit.errors import DimensionMismatch
+from lsakit.multivector import Multivector
 from lsakit.polyring import (
+    _DEGREE_LIMIT,
     Poly,
     PolyMatrix,
     VectorField,
@@ -160,6 +162,24 @@ def random_algebroid(rng: random.Random, coords, rank: int,
           for _ in range(rank)] for _ in range(rank)],
         [VectorField(coords, [random_poly(rng, coords, max_degree)
                               for _ in coords]) for _ in range(rank)])
+
+
+def _monomials(coords, max_degree: int) -> list[Poly]:
+    out = sorted((e for e in product(range(max_degree + 1), repeat=len(coords))
+                  if sum(e) <= max_degree), key=lambda e: (sum(e), e))
+    return [Poly(coords, {exps: 1}) for exps in out]
+
+
+def sample_generators(alg, spec) -> list[Multivector]:
+    """Wedge monomials with monomial coefficients up to the bounds of a
+    ``GradedSampleSpec``: the sample the graded oracles draw from."""
+    gens = []
+    for mono in _monomials(alg.coords, spec.max_coeff_degree):
+        for grade in range(1, min(spec.max_grade, alg.rank) + 1):
+            for key in combinations(range(alg.rank), grade):
+                gens.append(Multivector.basis_wedge(alg.coords, alg.rank,
+                                                    key, mono))
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +742,28 @@ def rational_det_oracle(rows) -> Fraction:
                 for c in range(col, n):
                     mat[r][c] -= factor * mat[col][c]
     return det
+
+
+def spy_minors(monkeypatch) -> list:
+    """Wrap ``PolyMatrix._minor``: each call on a nonempty minor appends
+    ``(matrix, rows, cols, memo, expanded)``, with ``memo`` the memo of
+    minors the call read (the matrix's, under the current degree limit)
+    and ``expanded`` whether the minor was missing from it."""
+    calls = []
+    minor = PolyMatrix._minor
+
+    def memo_of(matrix):
+        return getattr(matrix, "_minors", {}).get(_DEGREE_LIMIT.get())
+
+    def recorded(matrix, rows, cols):
+        expanded = (rows, cols) not in (memo_of(matrix) or {})
+        value = minor(matrix, rows, cols)
+        if rows:
+            calls.append((matrix, rows, cols, memo_of(matrix), expanded))
+        return value
+
+    monkeypatch.setattr(PolyMatrix, "_minor", recorded)
+    return calls
 
 
 def det_oracle(matrix: PolyMatrix) -> Poly:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_golden_reports import COMMANDS as GOLDEN_COMMANDS
 
-from lsakit import cli, cohomology, instances
+from lsakit import cli, cohomology, constructions, instances
 from lsakit.cli import build_parser, derive, main, run_suite
 from lsakit.constructions import semidirect_lsa
 from lsakit.core import build_left_mult_rep, check_left_symmetric
@@ -439,8 +439,9 @@ def test_main_reads_T_into_the_representation_bundle(tmp_path, capsys, name):
 
 
 def test_point_dims_decide_the_representation_once(monkeypatch):
-    # verify-all hands its representation/valid record to rep-d-squared
-    # and point-dims; cohomology --point decides it there, once for both
+    # verify-all decides the file's pair in derived_reps' gate and hands
+    # the verdict to representation/valid, rep-d-squared and point-dims;
+    # cohomology --point decides it there, once for both
     calls = []
     original = cli.check_representation_lsa
 
@@ -448,7 +449,7 @@ def test_point_dims_decide_the_representation_once(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    for module in (cli, cohomology):
+    for module in (cli, cohomology, constructions):
         monkeypatch.setattr(module, "check_representation_lsa", counted)
     for name in ("point_e1e2", "flat"):
         instance = load_corpus(name)
@@ -457,7 +458,8 @@ def test_point_dims_decide_the_representation_once(monkeypatch):
             report = run_suite(instance, suite)
             assert report.passed
             assert report.record("cohomology/rep-d-squared").status == "pass"
-            assert len(calls) == 1
+            assert sum(rep is instance.representation
+                       for _, rep in calls) == 1
 
 
 @pytest.mark.parametrize("name, frame, record, message", [

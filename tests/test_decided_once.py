@@ -31,6 +31,7 @@ from helpers import (
     point_e1e2,
     random_algebroid,
     random_esection,
+    spy_minors,
     square_product_oracle,
     zero_point_algebra,
 )
@@ -887,21 +888,18 @@ def test_verify_all_shares_its_quadratic_report_phase_space_and_det(
 @pytest.mark.parametrize("name", ["flat", "riemannian", "zero_r2"])
 def test_check_quadratic_expands_the_form_once(monkeypatch, name):
     # the determinant and every leading principal minor (the last is the
-    # determinant again) come from one memo of minors
+    # determinant again) come from the form's memo of minors
     instance = parse_instance(corpus_path(name))
-    memos, expanded = [], counted(monkeypatch, PolyMatrix, "det")
-    minor = PolyMatrix._minor
-
-    def recorded(matrix, rows, cols, cache):
-        memos.append(cache)
-        return minor(matrix, rows, cols, cache)
-
-    monkeypatch.setattr(PolyMatrix, "_minor", recorded)
-    report = constructions.check_quadratic(instance.algebroid,
-                                           instance.bilinear_form)
+    form = instance.bilinear_form
+    every = tuple(range(form.rows))
+    calls, expanded = spy_minors(monkeypatch), counted(monkeypatch,
+                                                       PolyMatrix, "det")
+    report = constructions.check_quadratic(instance.algebroid, form)
     assert report.record("nondegenerate").status == "pass"
     assert expanded == []
-    assert memos and all(cache is memos[0] for cache in memos)
+    assert calls and all(memo is calls[0][3] for *_, memo, _ in calls)
+    assert sum(matrix is form and rows == cols == every and new
+               for matrix, rows, cols, _, new in calls) == 1
 
 
 def test_derive_action_decides_the_anchor_identity_twice(monkeypatch,
@@ -919,13 +917,13 @@ def test_derive_action_decides_the_anchor_identity_twice(monkeypatch,
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("name, decisions", [("flat", 4), ("point_e1e2", 6)])
+@pytest.mark.parametrize("name, decisions", [("flat", 3), ("point_e1e2", 5)])
 def test_representation_decisions_per_verify_all(monkeypatch, name,
                                                   decisions):
-    # run_suite decides the file's pair for representation/valid;
+    # derived_reps' gate decides the file's pair, and representation/valid,
     # rep-d-squared, point-dims and the semidirect product read that
-    # verdict.  The rest: derived_reps' gate on the file's pair, its two
-    # derived pairs, and on point_e1e2 the two kernel representations
+    # verdict.  The rest: its two derived pairs, and on point_e1e2 the
+    # two kernel representations
     calls = [counted(monkeypatch, module, "check_representation_lsa")
              for module in (constructions, cli, cohomology)]
     assert cli.run_suite(parse_instance(corpus_path(name)), "all").passed
@@ -934,24 +932,48 @@ def test_representation_decisions_per_verify_all(monkeypatch, name,
 
 @pytest.mark.parametrize("name", ["flat", "riemannian", "zero_r2"])
 def test_verify_all_expands_the_form_once(monkeypatch, name):
-    # check_quadratic hands its memo of minors to the inverse of the
-    # form in the complex structure (the inverse expanded it again)
+    # check_quadratic leaves the form's minors in its memo, where the
+    # inverse of the form in the complex structure reads them
     instance = parse_instance(corpus_path(name))
     form = instance.bilinear_form
     every = tuple(range(form.rows))
-    expansions = []
-    minor = PolyMatrix._minor
-
-    def recorded(matrix, rows, cols, cache):
-        if matrix is form and rows == cols == every \
-                and (rows, cols) not in cache:
-            expansions.append(cache)
-        return minor(matrix, rows, cols, cache)
-
-    monkeypatch.setattr(PolyMatrix, "_minor", recorded)
+    calls = spy_minors(monkeypatch)
     report = cli.run_suite(instance, "all")
     assert report.record("complex/squares-to-minus-id").status == "pass"
-    assert len(expansions) == 1
+    assert len({id(memo) for matrix, *_, memo, _ in calls
+                if matrix is form}) == 1
+    assert sum(matrix is form and rows == cols == every and new
+               for matrix, rows, cols, _, new in calls) == 1
+
+
+@pytest.mark.parametrize("name, expansions", [
+    ("flat", 2), ("point_e1e2", 5), ("riemannian", 1), ("ladder", 2),
+    ("zero_r2", 5)])
+def test_verify_all_full_size_expansions(monkeypatch, name, expansions):
+    # one full determinant per matrix inverted or tested: the form's, the
+    # frame solvers' and phi's.  The contragredient of phi is the
+    # transpose of phi's inverse, read off the memo phi.det() filled; as
+    # the inverse of phi^T it took one more on flat and on point_e1e2
+    instance = parse_instance(corpus_path(name))
+    phi = instance.endomorphisms.get("phi")
+    transposes = []
+    transpose = PolyMatrix.transpose
+
+    def recorded(matrix):
+        result = transpose(matrix)
+        if matrix is phi:
+            transposes.append(result)
+        return result
+
+    monkeypatch.setattr(PolyMatrix, "transpose", recorded)
+    calls = spy_minors(monkeypatch)
+    cli.run_suite(instance, "all")
+    full = [matrix for matrix, rows, _, _, new in calls
+            if new and len(rows) == matrix.rows == matrix.cols]
+    assert len(full) == expansions
+    if phi is not None:
+        assert sum(any(matrix is m for m in (phi, *transposes))
+                   for matrix in full) == 1
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

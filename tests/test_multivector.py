@@ -17,6 +17,7 @@ from helpers import (
     point_e1e2,
     random_algebroid,
     random_poly,
+    sample_generators,
     zero_point_algebra,
 )
 import lsakit.multivector as multivector
@@ -38,7 +39,6 @@ from lsakit.multivector import (
     graded_bracket,
     graded_product,
     lie_admissible_defect,
-    sample_generators,
     wedge,
 )
 from lsakit.errors import DegreeOverflow

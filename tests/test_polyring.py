@@ -1,5 +1,6 @@
 """Tests for the exact-arithmetic kernel."""
 
+import contextvars
 import random
 import sys
 import threading
@@ -13,6 +14,7 @@ from helpers import (
     det_oracle,
     random_poly,
     rational_det_oracle,
+    spy_minors,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,7 @@ from lsakit.errors import (
     UnknownVariable,
 )
 from lsakit.polyring import (
+    _DEGREE_LIMIT,
     Poly,
     PolyMatrix,
     VectorField,
@@ -495,23 +498,78 @@ def test_det_and_adjugate_at_sizes_zero_and_one():
 
 
 def test_cofactors_and_row_subsets_share_one_memo(monkeypatch):
-    caches = []
-    minor = PolyMatrix._minor
-
-    def spy(self, rows, cols, cache):
-        caches.append(id(cache))
-        return minor(self, rows, cols, cache)
-
-    monkeypatch.setattr(PolyMatrix, "_minor", spy)
+    # det, the cofactors and the row-subset search read the matrix's own
+    # memo, so no minor is expanded twice, across calls as well
+    calls = spy_minors(monkeypatch)
     x = parse_poly("x", XY)
     square = PolyMatrix(XY, [[1, 2, 0], [x, 1, 1], [0, 1, x]])
     tall = PolyMatrix(XY, [[x, 0], [0, x], [1, 1], [2, 1]])
-    for compute in (square.det, square.adjugate,
-                    lambda: find_constant_invertible_submatrix(tall)):
-        del caches[:]
-        compute()
-        assert len(caches) > 1
-        assert len(set(caches)) == 1
+    for matrix, computations in (
+            (square, (square.det, square.adjugate, square.det)),
+            (tall, (lambda: find_constant_invertible_submatrix(tall),))):
+        del calls[:]
+        for compute in computations:
+            compute()
+        assert len(calls) > 1
+        assert {id(memo) for *_, memo, _ in calls} == \
+            {id(matrix._minors[_DEGREE_LIMIT.get()])}
+        expanded = [(rows, cols) for _, rows, cols, _, new in calls if new]
+        assert len(expanded) == len(set(expanded))
+        assert len(calls) > len(expanded)
+
+
+def test_memoized_minors_keep_the_degree_limit():
+    # a minor stored under one degree limit is not read under another,
+    # so det overflows exactly where a fresh expansion does
+    x, y = parse_poly("x", XY), parse_poly("y", XY)
+    entries = [[x, y, 0], [y, x, y], [0, y, x]]
+    matrix = PolyMatrix(XY, entries)
+    det = matrix.det()
+    assert det == det_oracle(matrix)
+
+    def overflow(m):
+        set_degree_limit(2)
+        with pytest.raises(DegreeOverflow) as err:
+            m.det()
+        return str(err.value)
+
+    message = contextvars.copy_context().run(overflow, matrix)
+    assert message == contextvars.copy_context().run(
+        overflow, PolyMatrix(XY, entries))
+    assert message == "product degree 3 exceeds limit 2"
+    assert matrix.det() == det
+    assert matrix.adjugate() == adjugate_oracle(matrix)
+
+
+def test_threads_share_one_matrix_memo():
+    x, y = parse_poly("x", XY), parse_poly("y", XY)
+    n = 5
+    lower = PolyMatrix(XY, [[1 if i == j else x + j if i > j else 0
+                             for j in range(n)] for i in range(n)])
+    upper = PolyMatrix(XY, [[2 if i == j else y - i if i < j else 0
+                             for j in range(n)] for i in range(n)])
+    matrix = lower @ upper
+    det, adjugate = det_oracle(matrix), adjugate_oracle(matrix)
+    assert det == Poly.constant(2 ** n, XY)
+    inverse = adjugate.scale(Fraction(1, 2 ** n))
+    barrier, results, errors = threading.Barrier(2), [], []
+
+    def work():
+        try:
+            barrier.wait()
+            results.append((matrix.det(), matrix.adjugate(),
+                            matrix_inverse_adjugate(matrix)))
+        except Exception as err:  # reported below, in the main thread
+            errors.append(err)
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert results == [(det, adjugate, inverse)] * 2
+    assert inverse @ matrix == PolyMatrix.identity(n, XY)
 
 
 @pytest.fixture(scope="module")
