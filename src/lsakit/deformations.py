@@ -168,9 +168,12 @@ def check_nijenhuis(alg: LSAlgebroid, endo: PolyMatrix,
     The default evaluates
     N(x).N(y) - N(x.N(y)) - N(N(x).y) + N(N(x.y)) = 0
     on frame pairs; this expression is a bundle map in both slots, so
-    frame checks decide it.  ``paper_literal`` instead evaluates the
-    variant with the two middle applications of N dropped, which is kept
-    for auditing only (it is not function-linear).
+    frame checks decide it.  ``paper_literal`` instead decides the
+    variant L(x, y) = N(x).N(y) - x.N(y) - N(x).y + N(N(x.y)), kept for
+    auditing only.  L is function-linear in x but not in y, so it
+    vanishes on all sections exactly when it vanishes on frame pairs and
+    so does its symbol: L(x, g.y) - g.L(x, y) is
+    a(Nx)(g)(Ny - y) - a(x)(g)(Ny - N^2 y).
     """
     if endo.rows != alg.rank or endo.cols != alg.rank:
         raise DimensionMismatch("endomorphism shape mismatch")
@@ -188,6 +191,18 @@ def check_nijenhuis(alg: LSAlgebroid, endo: PolyMatrix,
                     - apply_endo(endo, inner_left) + last
             if not defect.is_zero():
                 return False
+    if paper_literal:
+        # the symbol is a sum over mu of d(g)/dx^mu times a coefficient,
+        # which must vanish for each mu; it is linear in x and y
+        fields = [anchor_of_section(alg, image) for image in images]
+        moved = [image - alg.frame(j) for j, image in enumerate(images)]
+        kept = [image - apply_endo(endo, image) for image in images]
+        for i in range(alg.rank):
+            for j in range(alg.rank):
+                for lhs, rhs in zip(fields[i].components,
+                                    alg.anchor[i].components):
+                    if moved[j].scale(lhs) != kept[j].scale(rhs):
+                        return False
     return True
 
 

@@ -105,11 +105,6 @@ class OmegaNotClosed(LsakitError):
         self.triple = triple
 
 
-class IncompatibleBracket(LsakitError):
-    """The Lie bracket does not agree with the commutator of the
-    candidate product."""
-
-
 class NotQuadratic(LsakitError):
     """The bilinear form fails the invariance identity."""
 

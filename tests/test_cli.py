@@ -555,6 +555,23 @@ def test_main_paper_literal_flag(capsys):
     capsys.readouterr()
 
 
+def test_main_paper_literal_decides_the_symbol(tmp_path, capsys):
+    # N = -(all ones) on the flat plane: the literal variant vanishes on
+    # frame pairs, but L(e_2, y e_2) = 4 e_1 + 5 e_2
+    data = json.loads(corpus_path("flat").read_text())
+    data["endomorphisms"] = {"N": [["-1", "-1"], ["-1", "-1"]]}
+    path = tmp_path / "flat_literal.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify-all", str(path), "--paper-literal",
+                 "--no-timestamp"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [check["name"] for check in checks
+            if check["status"] != "pass"] == ["nijenhuis-N/condition"]
+    assert main(["deform", "--nijenhuis", "N", str(path), "--paper-literal",
+                 "--no-timestamp"]) == 1
+    capsys.readouterr()
+
+
 def test_main_text_format(capsys):
     assert main(["check", str(corpus_path("flat")), "--format", "text",
                  "--no-timestamp"]) == 0

@@ -58,6 +58,7 @@ from lsakit.core import (
     check_left_symmetric,
     check_lie_algebroid,
     check_lsa_homomorphism,
+    lie_form_d,
     section_mult,
     sub_adjacent,
 )
@@ -721,13 +722,13 @@ def test_drawn_representations_match_the_double_layouts():
                 st.booleans()) else 0 for b in range(r)] for a in range(r)])
             for _ in range(r)])
         try:
-            dual, P, omega, d_omega = _double(lie, rep)
+            dual, P, omega = _double(lie, rep)
         except NotARepresentation:
             outcomes.add("not a representation")
             return
         P_o, omega_o, d_omega_o = phase_double_oracle(lie, rep)
         assert dual.rho_mat == tuple(-(m.transpose()) for m in rep.rho_mat)
-        assert (frame_data(P), omega, d_omega) == \
+        assert (frame_data(P), omega, lie_form_d(P, omega)) == \
             (frame_data(P_o), omega_o, d_omega_o)
         triple, recovered = lsa_from_phase_oracle(lie, rep)
         if triple is None:
@@ -991,3 +992,25 @@ def test_verify_all_decides_the_commutator_lie_axioms_once(monkeypatch,
             report.record("graded/graded-jacobi").witnesses == \
             (*report.record("sub-adjacent/jacobi").witnesses,
              *report.record("sub-adjacent/anchor-morphism").witnesses)[:5]
+
+
+@pytest.mark.parametrize("command, name, decisions", [
+    ("verify-all", "point_e1e2", 1), ("verify-all", "zero_r2", 1),
+    ("verify-all", "double_e1e2", 1), ("verify-all", "nonexample", 1),
+    ("check", "point_e1e2", 0), ("check", "zero_r2", 0),
+    ("check", "double_e1e2", 0), ("check", "nonexample", 1),
+    ("cohomology", "point_e1e2", 0), ("cohomology", "zero_r2", 0)])
+def test_point_jacobi_decisions_per_command(monkeypatch, capsys, command,
+                                            name, decisions):
+    # a passing associator-symmetry record makes axioms/lie-admissible
+    # pass, so the frame Jacobi identity of the commutator is decided
+    # only in check_lie_algebroid of the sub-adjacent (verify-all) and
+    # on a file that fails the axioms (nonexample, which stops there);
+    # check_lie_admissible decided it once more on every point file
+    calls = counted(monkeypatch, core, "_jacobi_failures")
+    argv = [command, str(corpus_path(name)), "--no-timestamp"]
+    if command == "cohomology":
+        argv.append("--point")
+    cli.main(argv)
+    capsys.readouterr()
+    assert len(calls) == decisions

@@ -1,21 +1,26 @@
 """Tests for deformations, Nijenhuis operators and equivalences."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     action_instance,
     flat_instance,
     ladder_instance,
     point_e1e2,
+    random_section,
     zero_point_algebra,
 )
 from lsakit.cohomology import MultiDerivation, def_d
 from lsakit.constructions import check_lie_nijenhuis
 from lsakit.core import (
     Section,
+    apply_endo,
     check_left_symmetric,
+    section_mult,
     sub_adjacent,
 )
 from lsakit.deformations import (
@@ -29,6 +34,7 @@ from lsakit.deformations import (
     trivial_deformation,
 )
 from lsakit.errors import NotADeformation, NotNijenhuis
+from lsakit.instances import corpus_path, parse_instance
 from lsakit.polyring import Poly, PolyMatrix, VectorField
 
 ALL_INSTANCES = (flat_instance, point_e1e2, action_instance, ladder_instance,
@@ -224,6 +230,63 @@ def test_nijenhuis_paper_literal_variant_differs():
     assert not check_nijenhuis(alg, doubled, paper_literal=True)
     assert check_nijenhuis(alg, PolyMatrix((), [[0, 0], [0, 1]]),
                            paper_literal=True)
+
+
+def literal_defect(alg, endo, x, y):
+    """L(x, y) = Nx.Ny - x.Ny - Nx.y + N(N(x.y)) on two sections."""
+    nx, ny = apply_endo(endo, x), apply_endo(endo, y)
+    return section_mult(alg, nx, ny) - section_mult(alg, x, ny) \
+        - section_mult(alg, nx, y) \
+        + apply_endo(endo, apply_endo(endo, section_mult(alg, x, y)))
+
+
+def test_paper_literal_variant_is_decided_off_the_frame():
+    # N = -(all ones) on the flat plane: L vanishes on frame pairs, and
+    # its symbol does not
+    alg = flat_instance()
+    endo = PolyMatrix(alg.coords, [[-1, -1], [-1, -1]])
+    assert all(literal_defect(alg, endo, alg.frame(i), alg.frame(j))
+               .is_zero() for i in range(2) for j in range(2))
+    y = Poly.variable("y", alg.coords)
+    assert literal_defect(alg, endo, alg.frame(1), alg.frame(1).scale(y)) \
+        == Section(alg.coords, [4, 5])
+    assert not check_nijenhuis(alg, endo, paper_literal=True)
+
+
+def test_paper_literal_verdict_matches_evaluation_on_sections():
+    # a pass: L vanishes on drawn polynomial sections; a failure: L is
+    # nonzero on a frame pair (e_i, e_j) or on a pair (e_i, x e_j) with
+    # x a coordinate
+    algs = [flat_instance(), ladder_instance(), action_instance(),
+            parse_instance(corpus_path("riemannian")).algebroid]
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def agree(data):
+        alg = data.draw(st.sampled_from(algs))
+        r, coords = alg.rank, alg.coords
+        endo = PolyMatrix(coords, [[data.draw(st.sampled_from((-1, 0, 1)))
+                                    for _ in range(r)] for _ in range(r)])
+        verdict = check_nijenhuis(alg, endo, paper_literal=True)
+        frames = [alg.frame(i) for i in range(r)]
+        on_frames = all(literal_defect(alg, endo, x, y).is_zero()
+                        for x in frames for y in frames)
+        if verdict:
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+            for _ in range(3):
+                assert literal_defect(alg, endo, random_section(rng, alg),
+                                      random_section(rng, alg)).is_zero()
+        else:
+            factors = [Poly.variable(name, coords) for name in coords]
+            assert not on_frames or any(
+                not literal_defect(alg, endo, x, y.scale(g)).is_zero()
+                for x in frames for y in frames for g in factors)
+        outcomes.add((verdict, on_frames))
+
+    agree()
+    # (False, True): only the symbol fails
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_lsa_nijenhuis_implies_lie_nijenhuis():
