@@ -13,13 +13,14 @@ sides of every violated identity.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidDegree,
+    LsakitError,
     NotLeftSymmetric,
     NotPointCase,
 )
@@ -186,12 +187,19 @@ class LSAlgebroid(FrameAlgebroid):
 
 
 class LieAlgebroid(FrameAlgebroid):
-    """Lie algebroid on a trivial bundle, stored via frame brackets."""
+    """Lie algebroid on a trivial bundle, stored via frame brackets.  The
+    constructor refuses a table that is not skew-symmetric, so a reader
+    of the pairs i < j reads the whole table."""
 
     __slots__ = ("b",)
 
     def __init__(self, coords, rank: int, b, anchor):
         self.b = self._tables(coords, rank, b, anchor, "bracket")
+        for i, j in combinations_with_replacement(range(rank), 2):
+            if not (self.b[i][j] + self.b[j][i]).is_zero():
+                raise LsakitError(
+                    f"bracket table is not skew-symmetric at (e_{i+1},"
+                    f"e_{j+1}): {self.b[i][j]} vs -({self.b[j][i]})")
 
 
 def _check_on_bundle(alg: FrameAlgebroid, *sections: Section) -> None:
@@ -264,7 +272,10 @@ def check_left_symmetric(alg: LSAlgebroid) -> Report:
     The verdict is stored on ``alg``, so the axiom gate of every
     construction on it decides the axioms at most once while they hold.
     """
-    return _left_symmetric_report(alg, _associator_failures(alg))
+    report = _left_symmetric_report(_associator_failures(alg),
+                                    _anchor_failures(alg, frame_commutator))
+    alg._axioms = report.passed
+    return report
 
 
 def _associator_failures(alg: LSAlgebroid):
@@ -294,8 +305,9 @@ def _associator_failures(alg: LSAlgebroid):
                     associator(alg, alg.frame(j), alg.frame(i), alg.frame(k))
 
 
-def _left_symmetric_report(alg: LSAlgebroid, failures) -> Report:
-    """``check_left_symmetric`` given its associator failures."""
+def _left_symmetric_report(failures, anchor_failures) -> Report:
+    """``check_left_symmetric``'s records from its associator and anchor
+    failures."""
     report = Report("left-symmetric axioms")
     witnesses = [f"(e_{i+1},e_{j+1},e_{k+1}): associator {lhs} != {rhs} "
                  f"(arguments swapped)" for i, j, k, lhs, rhs in failures]
@@ -307,11 +319,10 @@ def _left_symmetric_report(alg: LSAlgebroid, failures) -> Report:
     anchor_witnesses = [
         f"(e_{i+1},e_{j+1}): anchor(commutator) = {lhs} but "
         f"[anchor,anchor] = {rhs}"
-        for i, j, lhs, rhs in _anchor_failures(alg, frame_commutator)]
+        for i, j, lhs, rhs in anchor_failures]
     report.add("anchor-morphism",
                "anchor takes product commutators to vector-field brackets",
                not anchor_witnesses, anchor_witnesses)
-    alg._axioms = report.passed
     return report
 
 
@@ -348,17 +359,11 @@ def _jacobi_failures(alg: LieAlgebroid):
 
 
 def check_lie_algebroid(alg: LieAlgebroid) -> Report:
-    """Verify skewness, the frame Jacobi identity, and the anchor
-    bracket-morphism identity."""
+    """Verify the frame Jacobi identity and the anchor bracket-morphism
+    identity; skewness holds by construction."""
     report = Report("Lie algebroid axioms")
-    skew = []
-    for i in range(alg.rank):
-        for j in range(i, alg.rank):
-            if not (alg.b[i][j] + alg.b[j][i]).is_zero():
-                skew.append(f"(e_{i+1},e_{j+1}): {alg.b[i][j]} vs "
-                            f"-({alg.b[j][i]})")
-    report.add("skew-symmetry", "bracket table is skew-symmetric",
-               not skew, skew)
+    # the LieAlgebroid constructor refuses a table that is not skew
+    report.add("skew-symmetry", "bracket table is skew-symmetric", True)
 
     jacobi = list(_jacobi_failures(alg))
     report.add("jacobi", "frame Jacobi identity", not jacobi, jacobi)

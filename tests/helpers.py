@@ -39,6 +39,7 @@ from lsakit.polyring import (
     PolyMatrix,
     VectorField,
     _add_scaled,
+    matrix_inverse_adjugate,
     parse_poly,
     rational_kernel_and_rank,
     sort_with_sign,
@@ -111,6 +112,26 @@ def ladder_instance() -> LSAlgebroid:
     anchor = [VectorField(coords, (Poly.constant(1, coords),)),
               VectorField.zero(coords)]
     return LSAlgebroid(coords, 2, c, anchor)
+
+
+def reframed(alg: LSAlgebroid, P: PolyMatrix) -> LSAlgebroid:
+    """``alg`` in the frame b_i = P e_i, for P with a nonzero constant
+    determinant: products P^-1(b_i.b_j), anchors a(b_i).  Left-symmetric
+    iff ``alg`` is, with mostly nonzero products."""
+    inverse = matrix_inverse_adjugate(P)
+    b = [Section(alg.coords, P.column(i)) for i in range(alg.rank)]
+    return LSAlgebroid(
+        alg.coords, alg.rank,
+        [[apply_endo(inverse, section_mult(alg, b[i], b[j]))
+          for j in range(alg.rank)] for i in range(alg.rank)],
+        [anchor_of_section(alg, b[i]) for i in range(alg.rank)])
+
+
+def unit_point_algebra(rank: int) -> LSAlgebroid:
+    """e_1 a two-sided unit, every other product zero: associative."""
+    return point_algebra(rank, {
+        **{(0, k): [int(m == k) for m in range(rank)] for k in range(rank)},
+        **{(k, 0): [int(m == k) for m in range(rank)] for k in range(rank)}})
 
 
 def flat_line_rank2() -> LSAlgebroid:

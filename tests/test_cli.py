@@ -572,6 +572,22 @@ def test_main_paper_literal_decides_the_symbol(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_deform_nijenhuis_stops_at_the_axiom_gate(tmp_path, capsys):
+    # the identity is Nijenhuis for any product, but its trivial
+    # deformation needs the axioms; this exited 1 with "deformation
+    # equations fail"
+    data = json.loads(corpus_path("nonexample").read_text())
+    data["endomorphisms"] = {"N": [["1", "0"], ["0", "1"]]}
+    path = write_instance(tmp_path, data)
+    for fmt in ("json", "text"):
+        assert main(["deform", str(path), "--nijenhuis", "N", "--format",
+                     fmt, "--no-timestamp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: instance fails the left-symmetric axioms\n"
+
+
 def test_main_text_format(capsys):
     assert main(["check", str(corpus_path("flat")), "--format", "text",
                  "--no-timestamp"]) == 0

@@ -34,6 +34,7 @@ from lsakit.core import (
     FormCochain,
     LieAlgebroid,
     Representation,
+    Section,
     lie_form_d,
 )
 from lsakit.polyring import PolyMatrix, VectorField
@@ -76,11 +77,13 @@ def test_lie_form_d_matches_its_loop():
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(algebroids(), st.integers(0, 3), st.randoms(use_true_random=False))
     def agree(alg, degree, rng):
-        # a bracket table with no axiom imposed
-        lie = LieAlgebroid(alg.coords, alg.rank,
-                           [[random_esection(rng, alg.coords, alg.rank)
-                             for _ in range(alg.rank)]
-                            for _ in range(alg.rank)], alg.anchor)
+        # a skew bracket table with no other axiom imposed
+        upper = {pair: random_esection(rng, alg.coords, alg.rank)
+                 for pair in combinations(range(alg.rank), 2)}
+        lie = LieAlgebroid(alg.coords, alg.rank, [
+            [upper[i, j] if i < j else -upper[j, i] if i > j
+             else Section.zero(alg.coords, alg.rank)
+             for j in range(alg.rank)] for i in range(alg.rank)], alg.anchor)
         form = FormCochain(lie.coords, lie.rank, degree, {
             key: random_poly(rng, lie.coords, 1)
             for key in combinations(range(lie.rank), degree)})

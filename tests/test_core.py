@@ -18,6 +18,7 @@ from helpers import (
     nonexample,
     point_algebra,
     point_e1e2,
+    random_esection,
     random_poly,
     random_section,
     six_term_admissibility_oracle,
@@ -46,6 +47,7 @@ from lsakit.core import (
 from lsakit.errors import (
     DegreeOverflow,
     IndexOutOfRange,
+    LsakitError,
     NotLeftSymmetric,
     NotPointCase,
 )
@@ -294,6 +296,55 @@ def test_check_lie_algebroid_bad_anchor():
     report = check_lie_algebroid(lie)
     assert not report.passed
     assert report.record("anchor-morphism").status == "fail"
+
+
+def skew_failures(b) -> list:
+    """Pairs i <= j with b_ij + b_ji != 0 and both entries: the loop of
+    the skew-symmetry record before the constructor refused them."""
+    return [(i, j, b[i][j], b[j][i]) for i in range(len(b))
+            for j in range(i, len(b)) if not (b[i][j] + b[j][i]).is_zero()]
+
+
+def test_lie_algebroid_refuses_a_table_that_is_not_skew():
+    # b_21 = e_1, b_12 = 0 over a point: lsa_from_phase passed this table
+    zero, e1 = Section.zero((), 2), Section.unit((), 2, 0)
+    with pytest.raises(LsakitError) as info:
+        LieAlgebroid((), 2, [[zero, zero], [e1, zero]],
+                     [VectorField.zero(())] * 2)
+    assert str(info.value) == \
+        "bracket table is not skew-symmetric at (e_1,e_2): 0 vs -(e_1)"
+
+
+def test_drawn_tables_are_refused_at_the_first_pair_that_is_not_skew():
+    outcomes = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(((), ("x",))),
+           st.integers(1, 3), st.booleans())
+    def agree(seed, coords, rank, skew):
+        rng = random.Random(seed)
+        b = [[random_esection(rng, coords, rank, 1) for _ in range(rank)]
+             for _ in range(rank)]
+        if skew:
+            b = [[b[i][j] if i < j else -b[j][i] if i > j
+                  else Section.zero(coords, rank) for j in range(rank)]
+                 for i in range(rank)]
+        failures = skew_failures(b)
+        anchor = [VectorField.zero(coords)] * rank
+        if failures:
+            i, j, lhs, rhs = failures[0]
+            with pytest.raises(LsakitError) as info:
+                LieAlgebroid(coords, rank, b, anchor)
+            assert str(info.value).endswith(
+                f"(e_{i+1},e_{j+1}): {lhs} vs -({rhs})")
+        else:
+            lie = LieAlgebroid(coords, rank, b, anchor)
+            assert check_lie_algebroid(lie).record("skew-symmetry").status \
+                == "pass"
+        outcomes.add(not failures)
+
+    agree()
+    assert outcomes == {True, False}
 
 
 def test_section_bracket_leibniz():

@@ -31,8 +31,10 @@ from helpers import (
     point_e1e2,
     random_algebroid,
     random_esection,
+    reframed,
     spy_minors,
     square_product_oracle,
+    unit_point_algebra,
     zero_point_algebra,
 )
 from lsakit import cli, cohomology, constructions, core, deformations
@@ -52,23 +54,20 @@ from lsakit.core import (
     Representation,
     Section,
     _morphism_failures,
-    anchor_of_section,
-    apply_endo,
     build_left_mult_rep,
     check_left_symmetric,
     check_lie_algebroid,
     check_lsa_homomorphism,
     lie_form_d,
-    section_mult,
     sub_adjacent,
 )
 from lsakit.deformations import (
     FORMAL,
-    _deform,
     check_deformation,
     check_equivalence,
     check_nijenhuis,
     deformation_from_tables,
+    deformed_algebroid,
     extend_algebroid,
     fresh_parameter,
     trivial_deformation,
@@ -84,7 +83,6 @@ from lsakit.polyring import (
     Poly,
     PolyMatrix,
     VectorField,
-    matrix_inverse_adjugate,
 )
 
 COCYCLE_RECORDS = ("cocycle-values", "cocycle-symbol")
@@ -367,8 +365,11 @@ def test_drawn_algebroids_match_the_anchor_morphism_loops():
         alg = random_algebroid(random.Random(seed), coords, rank)
         status = anchor_record_status(check_left_symmetric(alg),
                                       left_symmetric_anchor_oracle(alg))
-        # the same tables read as brackets, skew or not
-        lie = LieAlgebroid(coords, rank, alg.c, alg.anchor)
+        # the skew part of the same tables read as brackets
+        zero = Section.zero(coords, rank)
+        lie = LieAlgebroid(coords, rank, [
+            [alg.c[i][j] if i < j else zero if i == j else -alg.c[j][i]
+             for j in range(rank)] for i in range(rank)], alg.anchor)
         assert anchor_record_status(check_lie_algebroid(lie),
                                     lie_anchor_oracle(lie)) == status
         outcomes.add(status)
@@ -487,26 +488,6 @@ def test_drawn_tables_match_the_associator_loop():
 
     agree()
     assert outcomes == {"pass", "fail"}
-
-
-def reframed(alg: LSAlgebroid, P: PolyMatrix) -> LSAlgebroid:
-    """``alg`` in the frame b_i = P e_i, for P with a nonzero constant
-    determinant: products P^-1(b_i.b_j), anchors a(b_i).  Left-symmetric
-    iff ``alg`` is, with mostly nonzero products."""
-    inverse = matrix_inverse_adjugate(P)
-    b = [Section(alg.coords, P.column(i)) for i in range(alg.rank)]
-    return LSAlgebroid(
-        alg.coords, alg.rank,
-        [[apply_endo(inverse, section_mult(alg, b[i], b[j]))
-          for j in range(alg.rank)] for i in range(alg.rank)],
-        [anchor_of_section(alg, b[i]) for i in range(alg.rank)])
-
-
-def unit_point_algebra(rank: int) -> LSAlgebroid:
-    """e_1 a two-sided unit, every other product zero: associative."""
-    return point_algebra(rank, {
-        **{(0, k): [int(m == k) for m in range(rank)] for k in range(rank)},
-        **{(k, 0): [int(m == k) for m in range(rank)] for k in range(rank)}})
 
 
 def test_reframed_and_perturbed_tables_match_the_associator_loop():
@@ -659,7 +640,7 @@ def test_corpus_trivial_deformations_match_the_intertwiner_loops():
             omega, report = trivial_deformation(alg, endo)
             param = fresh_parameter(alg.coords)
             lifted = extend_algebroid(alg, param)
-            deformed = _deform(alg, omega, FORMAL, param)
+            deformed = deformed_algebroid(alg, omega, FORMAL, param)
             tpoly = Poly.variable(param, lifted.coords)
             family = PolyMatrix.identity(alg.rank, lifted.coords) + \
                 PolyMatrix(lifted.coords, [[entry.extend(lifted.coords)
@@ -811,12 +792,15 @@ def counted(monkeypatch, module, name) -> list:
 
 
 def test_trivial_deformation_checks_its_candidate_once(monkeypatch):
+    # every record holds by its proof past the axiom gate and the
+    # Nijenhuis condition, so the candidate is not checked at all (it
+    # took one check_deformation)
     calls = counted(monkeypatch, deformations, "check_deformation")
     alg = point_e1e2()
     omega, report = trivial_deformation(alg,
                                         PolyMatrix((), [[0, 0], [0, 1]]))
     assert report.passed
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_phase_space_of_one_structure_is_built_once(monkeypatch):
@@ -1014,3 +998,55 @@ def test_point_jacobi_decisions_per_command(monkeypatch, capsys, command,
     cli.main(argv)
     capsys.readouterr()
     assert len(calls) == decisions
+
+
+@pytest.mark.parametrize("name, decisions", [
+    ("flat", 1), ("point_e1e2", 0), ("ladder", 0), ("zero_r2", 1),
+    ("action", 0)])
+def test_torsion_decisions_per_verify_all(monkeypatch, name, decisions):
+    # complex/integrability is the one left, on the files with a
+    # bilinear form; lie-implication and o-operator/tilde-nijenhuis hold
+    # by their proofs (flat took 3, point_e1e2 3, ladder 2, zero_r2 2 and
+    # action 1)
+    calls = counted(monkeypatch, constructions, "_torsion_failures")
+    cli.run_suite(parse_instance(corpus_path(name)), "all")
+    assert len(calls) == decisions
+
+
+def nijenhuis_spies(monkeypatch) -> tuple:
+    """Counted calls of check_nijenhuis, check_deformation and the lift
+    to the formal parameter, wherever the CLI reaches them."""
+    return ([counted(monkeypatch, module, "check_nijenhuis")
+             for module in (cli, deformations)],
+            [counted(monkeypatch, module, "check_deformation")
+             for module in (cli, deformations)],
+            counted(monkeypatch, deformations, "extend_algebroid"))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_nijenhuis_decisions_per_verify_all(monkeypatch, name):
+    # one check_nijenhuis per operator; past it the trivial deformation's
+    # records hold by their proofs, so check_deformation runs only on
+    # the file's deformation block and nothing is lifted (it took two
+    # check_nijenhuis, one check_deformation and two lifts per operator)
+    instance = parse_instance(corpus_path(name))
+    nijenhuis, deformation, lifts = nijenhuis_spies(monkeypatch)
+    cli.run_suite(instance, "all")
+    operators = [key for key in instance.endomorphisms if key[0] == "N"]
+    assert sum(map(len, nijenhuis)) == len(operators)
+    assert [args[1] for calls in deformation for args in calls] == \
+        [block for block in [instance.deformation] if block is not None]
+    assert lifts == []
+
+
+@pytest.mark.parametrize("name", ["action", "flat", "ladder", "point_e1e2",
+                                  "zero_r2"])
+def test_deform_nijenhuis_decides_the_condition_once(monkeypatch, capsys,
+                                                     name):
+    # it took two check_nijenhuis and one check_deformation
+    nijenhuis, deformation, lifts = nijenhuis_spies(monkeypatch)
+    assert cli.main(["deform", str(corpus_path(name)), "--nijenhuis", "N",
+                     "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert (sum(map(len, nijenhuis)), sum(map(len, deformation)),
+            len(lifts)) == (1, 0, 0)

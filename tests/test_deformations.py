@@ -10,6 +10,7 @@ from helpers import (
     action_instance,
     flat_instance,
     ladder_instance,
+    nonexample,
     point_e1e2,
     random_section,
     zero_point_algebra,
@@ -33,7 +34,7 @@ from lsakit.deformations import (
     specialize_algebroid,
     trivial_deformation,
 )
-from lsakit.errors import NotADeformation, NotNijenhuis
+from lsakit.errors import NotADeformation, NotLeftSymmetric, NotNijenhuis
 from lsakit.instances import corpus_path, parse_instance
 from lsakit.polyring import Poly, PolyMatrix, VectorField
 
@@ -350,6 +351,16 @@ def test_trivial_deformation_rejects_non_nijenhuis():
         pytest.skip("operator unexpectedly Nijenhuis")
     with pytest.raises(NotNijenhuis):
         trivial_deformation(alg, swap)
+
+
+
+def test_trivial_deformation_rejects_a_structure_that_fails_the_axioms():
+    # the identity is Nijenhuis for any product, but the proof of the
+    # report's records needs the axioms
+    alg = nonexample()
+    assert check_nijenhuis(alg, PolyMatrix.identity(2, ()))
+    with pytest.raises(NotLeftSymmetric):
+        trivial_deformation(alg, PolyMatrix.identity(2, ()))
 
 
 # ---------------------------------------------------------------------------
