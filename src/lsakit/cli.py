@@ -20,7 +20,6 @@ from .cohomology import MultiDerivation, def_d, point_cohomology_dims
 from .constructions import (
     _complex_structure,
     _phase_iso,
-    _semidirect,
     apply_O_operator,
     check_representation_lie,
     build_phase_space,
@@ -33,12 +32,11 @@ from .constructions import (
     semidirect_lsa,
 )
 from .core import (
-    Representation,
+    _lie_algebroid_report,
     _require_left_symmetric,
     build_left_mult_rep,
     check_left_symmetric,
     check_lie_admissible,
-    check_lie_algebroid,
     sub_adjacent,
 )
 from .deformations import (
@@ -69,28 +67,14 @@ from .report import PASS, Report, UNCERTIFIED
 SUITES = ("axioms", "cohomology", "all")
 
 
-def _instance_rep(instance: InstanceFile) -> Representation:
-    if instance.representation is not None:
-        return instance.representation
-    return build_left_mult_rep(instance.algebroid)
-
-
 def _add_cohomology(report: Report, instance: InstanceFile,
-                    max_degree: int) -> None:
+                    max_degree: int, valid: bool) -> None:
     """d^2 = 0 for the representation and deformation differentials, each
     by its proof, and the exact dimensions when the base is a point and a
-    representation is given.  The representation records read one
-    verdict: ``representation/valid`` under verify-all, decided here
-    under ``cohomology --point``."""
+    representation is given.  ``valid`` is the caller's verdict on the
+    file's representation (true with no block)."""
     alg = instance.algebroid
     rep = instance.representation
-    if rep is None:
-        valid = True
-    else:
-        try:
-            valid = report.record("representation/valid").status == PASS
-        except KeyError:
-            valid = check_representation_lsa(alg, rep)
     reason = [] if valid else ["(rho, mu) fails the representation identities"]
     # The frame identities check_representation_lsa decides are function
     # linear in both arguments, so they hold on all sections: Gamma(V) is
@@ -158,15 +142,19 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
     if not axioms.passed or suite == "axioms":
         return report
     if suite == "cohomology":
-        _add_cohomology(report, instance, max_degree)
+        rep = instance.representation
+        _add_cohomology(report, instance, max_degree,
+                        rep is None or check_representation_lsa(alg, rep))
         return report
 
-    lie = sub_adjacent(alg)
-    lie_report = check_lie_algebroid(lie)
+    # past the gate the commutator is a Lie algebroid: its Jacobiator is
+    # the cyclic sum of the associator swaps (x, y, z) - (y, x, z), and its
+    # anchor identity is axioms/anchor-morphism.  L_[x,y] = [L_x, L_y] is
+    # the left-symmetry identity
+    lie_report = _lie_algebroid_report([], ())
     report.merge(lie_report, prefix="sub-adjacent/")
     report.add("sub-adjacent/left-mult-rep",
-               "left multiplication represents the commutator bracket",
-               check_representation_lie(lie, build_left_mult_rep(alg)))
+               "left multiplication represents the commutator bracket", True)
 
     phase = build_phase_space(alg)
     report.merge(phase.report, prefix="phase-space/")
@@ -184,30 +172,32 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
                     alg, instance.bilinear_form, quad, phase)
                 report.merge(complex_result.report, prefix="complex/")
 
-    # sub_adjacent(alg) is the commutator table check_graded_properties
-    # decides, so its verdict is read here, not decided again
+    # graded/lie-admissible and graded-jacobi read the sub-adjacent records
     report.merge(_graded_report(lie_report), prefix="graded/")
 
+    valid = True
     if instance.representation is not None:
-        rep = instance.representation
         # derived_reps decides the pair in its gate
         try:
-            derived = derived_reps(alg, rep)
+            derived = derived_reps(alg, instance.representation)
         except NotARepresentation:
             derived = None
+        valid = derived is not None
         report.add("representation/valid",
                    "(rho, mu) satisfies the representation identities",
-                   derived is not None)
-        if derived is not None:
+                   valid)
+        if valid:
+            # derived_reps computes one condition: the involution
+            # (rho, mu) -> (rho* - mu*, -mu*) preserves representations
+            # and swaps the first two, and the third is the first
             report.add("representation/derived-equivalences",
                        "the three dual-representation conditions agree",
-                       len(set(derived.equivalences)) == 1,
-                       [f"conditions = {derived.equivalences}"])
-            product = _semidirect(alg, alg.c, rep.s, rep.rho_mat,
-                                  rep.mu_mat)
+                       True, [f"conditions = {derived.equivalences}"])
+            # the semidirect product by a representation is
+            # left-symmetric: its frame associators are the coupling and
+            # representation identities derived_reps' gate decided
             report.add("representation/semidirect-valid",
-                       "semidirect product passes the axioms",
-                       check_left_symmetric(product).passed)
+                       "semidirect product passes the axioms", True)
             # e_i.u - u.e_i = (rho - mu)(e_i)u = [e_i, u], u.v = 0 = [u, v],
             # and the commutator of alg is the sub-adjacent bracket
             report.add("representation/semidirect-commutator",
@@ -232,7 +222,7 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
         report.merge(check_deformation(alg, instance.deformation),
                      prefix="deformation/")
 
-    _add_cohomology(report, instance, max_degree)
+    _add_cohomology(report, instance, max_degree, valid)
 
     if instance.kernel_frame:
         try:
@@ -249,15 +239,19 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
             report.merge(kernel, prefix="kernel/")
 
     if "T" in instance.endomorphisms:
-        rep = _instance_rep(instance)
+        lie = sub_adjacent(alg)
+        rep = instance.representation or build_left_mult_rep(alg)
         result = apply_O_operator(lie, rep, instance.endomorphisms["T"])
         report.add("o-operator/condition",
                    "operator intertwines the action with the bracket",
                    result.is_O, result.witnesses)
         if result.is_O:
+            # u.v = rho(Tu)v is left-symmetric with anchor a o T when rho
+            # represents the bracket (Bai 2007); otherwise it is decided
+            is_rep = check_representation_lie(lie, rep)
             report.add("o-operator/induced-axioms",
                        "induced structure passes the axioms",
-                       check_left_symmetric(result.induced).passed)
+                       is_rep or check_left_symmetric(result.induced).passed)
             # the induced commutator is rho(Tu)v - rho(Tv)u, which the
             # O-operator identity has just compared with the bracket
             report.add("o-operator/homomorphism",
@@ -267,7 +261,6 @@ def run_suite(instance: InstanceFile, suite: str = "all", *,
             # product by rho its torsion at (x + u, y + v) is
             # [Tu, Tv] - T(rho(Tu)v - rho(Tv)u), the O-operator defect;
             # that product needs rho to represent the bracket
-            is_rep = check_representation_lie(lie, rep)
             report.add("o-operator/tilde-nijenhuis",
                        "block extension is Nijenhuis on the semidirect "
                        "product", is_rep, [] if is_rep else
@@ -475,13 +468,13 @@ def main(argv=None) -> int:
             report = Report(instance.name)
             if args.nijenhuis:
                 endo = _named_endo(instance, args.nijenhuis)
+                _require_left_symmetric(alg)
                 is_nij = check_nijenhuis(alg, endo,
                                          paper_literal=args.paper_literal)
                 report.add("nijenhuis-condition",
                            "endomorphism satisfies the Nijenhuis condition",
                            is_nij)
                 if is_nij and not args.paper_literal:
-                    _require_left_symmetric(alg)
                     report.merge(_trivial_report())
             elif args.deformation:
                 report = check_deformation(alg, instance.deformation)

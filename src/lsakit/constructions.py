@@ -12,7 +12,7 @@ them on frame tuples decides them on arbitrary sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .core import (
@@ -152,27 +152,27 @@ def derived_reps(alg: LSAlgebroid, rep: Representation) -> DerivedReps:
     three equivalent conditions tying them together.
 
     ``on_bundle`` carries (rho - mu, 0); ``on_dual`` carries
-    (rho* - mu*, -mu*).  The equivalence triple records whether
-    (E; rho - mu, -mu) is a representation, whether (E*; rho*, mu*) is a
-    representation, and whether the mu matrices commute pairwise; the
-    three answers always agree.
+    (rho* - mu*, -mu*).  The conditions are: (E; rho - mu, -mu) is a
+    representation, (E*; rho*, mu*) is one, and the mu anticommute,
+    mu(x)mu(y) + mu(y)mu(x) = 0.  The involution
+    (rho, mu) -> (rho* - mu*, -mu*) preserves representations and maps
+    the second pair to the first, whose coupling identity is that of
+    (rho, mu) plus the third; so only the third is computed.
     """
     if not check_representation_lsa(alg, rep):
         raise NotARepresentation("(rho, mu) fails the representation identities")
-    diff = [r - m for r, m in zip(rep.rho_mat, rep.mu_mat)]
+    M = rep.mu_mat
     rho_star = [-(m.transpose()) for m in rep.rho_mat]
-    mu_star = [-(m.transpose()) for m in rep.mu_mat]
-    on_bundle = Representation(rep.s, diff)
+    mu_star = [-(m.transpose()) for m in M]
+    on_bundle = Representation(rep.s,
+                               [r - m for r, m in zip(rep.rho_mat, M)])
     on_dual = Representation(rep.s,
                              [rs - ms for rs, ms in zip(rho_star, mu_star)],
                              [-(ms) for ms in mu_star])
-    cond1 = check_representation_lsa(
-        alg, Representation(rep.s, diff, [-(m) for m in rep.mu_mat]))
-    cond2 = check_representation_lsa(
-        alg, Representation(rep.s, rho_star, mu_star))
-    cond3 = all(rep.mu_mat[i] @ rep.mu_mat[j] == rep.mu_mat[j] @ rep.mu_mat[i]
-                for i, j in combinations(range(alg.rank), 2))
-    return DerivedReps(on_bundle, on_dual, (cond1, cond2, cond3))
+    anticommute = all((M[i] @ M[j] + M[j] @ M[i]).is_zero()
+                      for i, j in combinations_with_replacement(
+                          range(alg.rank), 2))
+    return DerivedReps(on_bundle, on_dual, (anticommute,) * 3)
 
 
 # ---------------------------------------------------------------------------

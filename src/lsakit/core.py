@@ -361,18 +361,22 @@ def _jacobi_failures(alg: LieAlgebroid):
 def check_lie_algebroid(alg: LieAlgebroid) -> Report:
     """Verify the frame Jacobi identity and the anchor bracket-morphism
     identity; skewness holds by construction."""
+    return _lie_algebroid_report(
+        list(_jacobi_failures(alg)),
+        _anchor_failures(alg, lambda lie, i, j: lie.b[i][j]))
+
+
+def _lie_algebroid_report(jacobi: list, anchor_failures) -> Report:
+    """``check_lie_algebroid``'s records from its Jacobi witnesses and
+    anchor failures."""
     report = Report("Lie algebroid axioms")
     # the LieAlgebroid constructor refuses a table that is not skew
     report.add("skew-symmetry", "bracket table is skew-symmetric", True)
-
-    jacobi = list(_jacobi_failures(alg))
     report.add("jacobi", "frame Jacobi identity", not jacobi, jacobi)
-
     anchor_witnesses = [
         f"(e_{i+1},e_{j+1}): anchor[e_i,e_j] = {lhs} but "
         f"[anchor,anchor] = {rhs}"
-        for i, j, lhs, rhs in _anchor_failures(
-            alg, lambda lie, i, j: lie.b[i][j])]
+        for i, j, lhs, rhs in anchor_failures]
     report.add("anchor-morphism",
                "anchor is a bracket morphism to vector fields",
                not anchor_witnesses, anchor_witnesses)

@@ -14,15 +14,25 @@ from lsakit.cohomology import (
     def_d,
     rep_d0,
 )
-from lsakit.constructions import canonical_paracomplex, check_paracomplex
+from lsakit.constructions import (
+    _semidirect,
+    apply_O_operator,
+    canonical_paracomplex,
+    check_paracomplex,
+    check_representation_lie,
+    check_representation_lsa,
+)
 from lsakit.core import (
     FormCochain,
     LieAlgebroid,
     LSAlgebroid,
     Representation,
     Section,
+    _commutator_algebroid,
     anchor_of_section,
     apply_endo,
+    check_left_symmetric,
+    check_lie_algebroid,
     frame_commutator,
     rep_mu_frame,
     rep_rho_frame,
@@ -1043,3 +1053,59 @@ def associator_symmetry_oracle(alg: LSAlgebroid) -> list:
                 witnesses.append(f"(e_{i+1},e_{j+1},e_{k+1}): associator "
                                  f"{lhs} != {rhs} (arguments swapped)")
     return witnesses
+
+
+# ---------------------------------------------------------------------------
+# Computations verify-all replaced by the paper's theorems
+# ---------------------------------------------------------------------------
+
+def sub_adjacent_oracle(alg: LSAlgebroid):
+    """``check_lie_algebroid`` of the commutator table with the same
+    anchor, with no axiom gate: the report verify-all merged as
+    ``sub-adjacent/*``."""
+    return check_lie_algebroid(_commutator_algebroid(alg))
+
+
+def left_mult_rep_oracle(alg: LSAlgebroid) -> bool:
+    """Does left multiplication represent the commutator bracket?  The
+    check behind ``sub-adjacent/left-mult-rep``, with no axiom gate."""
+    return check_representation_lie(_commutator_algebroid(alg),
+                                    left_mult_oracle(alg))
+
+
+def right_mult_matrices(alg: LSAlgebroid) -> list[PolyMatrix]:
+    """R_j, right multiplication by e_j: column i is e_i.e_j."""
+    r = alg.rank
+    return [PolyMatrix(alg.coords, [[alg.c[i][j].components[k]
+                                     for i in range(r)] for k in range(r)])
+            for j in range(r)]
+
+
+def semidirect_axioms_oracle(alg: LSAlgebroid, rep) -> bool:
+    """The axioms of the semidirect product by (rho, mu), decided on its
+    table: ``representation/semidirect-valid`` before it was written by
+    its theorem."""
+    return check_left_symmetric(
+        _semidirect(alg, alg.c, rep.s, rep.rho_mat, rep.mu_mat)).passed
+
+
+def derived_conditions_oracle(alg: LSAlgebroid, rep) -> tuple[bool, bool]:
+    """Whether (E; rho - mu, -mu) and (E*; rho*, mu*) are
+    representations, each decided in full: the first two conditions
+    ``derived_reps`` computed before it read them off anticommutation."""
+    diff = [r - m for r, m in zip(rep.rho_mat, rep.mu_mat)]
+    return (check_representation_lsa(
+                alg, Representation(rep.s, diff, [-m for m in rep.mu_mat])),
+            check_representation_lsa(
+                alg, Representation(rep.s,
+                                    [-(m.transpose()) for m in rep.rho_mat],
+                                    [-(m.transpose()) for m in rep.mu_mat])))
+
+
+def induced_axioms_oracle(lie: LieAlgebroid, rep, T) -> bool:
+    """The axioms of the structure u.v = rho(Tu)v that an O-operator
+    induces, decided on its table: ``o-operator/induced-axioms`` before
+    a representation rho made it a pass."""
+    result = apply_O_operator(lie, rep, T)
+    assert result.is_O
+    return check_left_symmetric(result.induced).passed

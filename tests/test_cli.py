@@ -575,17 +575,38 @@ def test_main_paper_literal_decides_the_symbol(tmp_path, capsys):
 def test_main_deform_nijenhuis_stops_at_the_axiom_gate(tmp_path, capsys):
     # the identity is Nijenhuis for any product, but its trivial
     # deformation needs the axioms; this exited 1 with "deformation
-    # equations fail"
+    # equations fail", and under --paper-literal it exited 0 with a
+    # passing nijenhuis-condition
     data = json.loads(corpus_path("nonexample").read_text())
     data["endomorphisms"] = {"N": [["1", "0"], ["0", "1"]]}
     path = write_instance(tmp_path, data)
     for fmt in ("json", "text"):
-        assert main(["deform", str(path), "--nijenhuis", "N", "--format",
-                     fmt, "--no-timestamp"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == \
-            "error: instance fails the left-symmetric axioms\n"
+        for literal in ([], ["--paper-literal"]):
+            assert main(["deform", str(path), "--nijenhuis", "N",
+                         "--format", fmt, "--no-timestamp",
+                         *literal]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                "error: instance fails the left-symmetric axioms\n"
+
+
+def test_main_regular_representation_has_agreeing_derived_conditions(
+        tmp_path, capsys):
+    # (L, R) on e.e = e: mu(e)mu(e) + mu(e)mu(e) = 2 != 0, so neither
+    # derived pair is a representation.  The third condition read "the
+    # mu commute" and printed (False, False, True) with exit 1
+    data = {"name": "unit-r1", "coordinates": [], "rank": 1,
+            "structure": [[["1"]]], "anchor": [[]],
+            "representation": {"rank": 1, "rho": [[["1"]]],
+                               "mu": [[["1"]]]}}
+    path = write_instance(tmp_path, data)
+    assert main(["verify-all", str(path), "--format", "text",
+                 "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    assert "[       PASS] representation/valid" in out
+    assert "[       PASS] representation/derived-equivalences" in out
+    assert "    conditions = (False, False, False)\n" in out
 
 
 def test_main_text_format(capsys):

@@ -902,17 +902,29 @@ def test_derive_action_decides_the_anchor_identity_twice(monkeypatch,
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("name, decisions", [("flat", 3), ("point_e1e2", 5)])
+@pytest.mark.parametrize("name, decisions", [("flat", 1), ("point_e1e2", 3)])
 def test_representation_decisions_per_verify_all(monkeypatch, name,
                                                   decisions):
     # derived_reps' gate decides the file's pair, and representation/valid,
     # rep-d-squared, point-dims and the semidirect product read that
-    # verdict.  The rest: its two derived pairs, and on point_e1e2 the
-    # two kernel representations
+    # verdict.  The rest: on point_e1e2 the two kernel representations.
+    # derived_reps decided its two derived pairs as well (flat took 3
+    # and point_e1e2 5); it now reads their verdict off anticommutation
     calls = [counted(monkeypatch, module, "check_representation_lsa")
              for module in (constructions, cli, cohomology)]
     assert cli.run_suite(parse_instance(corpus_path(name)), "all").passed
     assert sum(map(len, calls)) == decisions
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_verify_all_decides_the_axioms_once(monkeypatch, name):
+    # the gate; the semidirect product and the O-operator's induced
+    # structure are left-symmetric by their theorems (flat, ladder and
+    # point_e1e2 took 3, zero_r2 2)
+    calls = [counted(monkeypatch, module, "check_left_symmetric")
+             for module in (core, cli, constructions)]
+    cli.run_suite(parse_instance(corpus_path(name)), "all")
+    assert sum(map(len, calls)) == 1
 
 
 @pytest.mark.parametrize("name", ["flat", "riemannian", "zero_r2"])
@@ -964,13 +976,16 @@ def test_verify_all_full_size_expansions(monkeypatch, name, expansions):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_verify_all_decides_the_commutator_lie_axioms_once(monkeypatch,
                                                            name):
-    # sub-adjacent/* and graded/lie-admissible, graded-jacobi read one
-    # check_lie_algebroid of the commutator table
+    # the axiom gate decides them: the Jacobiator of the commutator is the
+    # cyclic sum of associator swaps, and its anchor identity is
+    # axioms/anchor-morphism.  sub-adjacent/* and graded/lie-admissible,
+    # graded-jacobi are written past the gate, with no
+    # check_lie_algebroid (it ran once on every passing file)
     calls = [counted(monkeypatch, module, "check_lie_algebroid")
-             for module in (cli, multivector)]
+             for module in (core, multivector)]
     report = cli.run_suite(parse_instance(corpus_path(name)), "all")
     axioms = report.record("axioms/associator-symmetry").status == "pass"
-    assert sum(map(len, calls)) == (1 if axioms else 0)
+    assert calls == [[], []]
     if axioms:
         assert report.record("graded/lie-admissible").witnesses == \
             report.record("graded/graded-jacobi").witnesses == \
@@ -979,18 +994,19 @@ def test_verify_all_decides_the_commutator_lie_axioms_once(monkeypatch,
 
 
 @pytest.mark.parametrize("command, name, decisions", [
-    ("verify-all", "point_e1e2", 1), ("verify-all", "zero_r2", 1),
-    ("verify-all", "double_e1e2", 1), ("verify-all", "nonexample", 1),
+    ("verify-all", "point_e1e2", 0), ("verify-all", "zero_r2", 0),
+    ("verify-all", "double_e1e2", 0), ("verify-all", "nonexample", 1),
     ("check", "point_e1e2", 0), ("check", "zero_r2", 0),
     ("check", "double_e1e2", 0), ("check", "nonexample", 1),
     ("cohomology", "point_e1e2", 0), ("cohomology", "zero_r2", 0)])
 def test_point_jacobi_decisions_per_command(monkeypatch, capsys, command,
                                             name, decisions):
     # a passing associator-symmetry record makes axioms/lie-admissible
-    # pass, so the frame Jacobi identity of the commutator is decided
-    # only in check_lie_algebroid of the sub-adjacent (verify-all) and
-    # on a file that fails the axioms (nonexample, which stops there);
-    # check_lie_admissible decided it once more on every point file
+    # and sub-adjacent/jacobi pass, so the frame Jacobi identity of the
+    # commutator is decided only on a file that fails the axioms
+    # (nonexample, which stops there).  check_lie_admissible decided it
+    # once more on every point file, and check_lie_algebroid of the
+    # sub-adjacent once under verify-all
     calls = counted(monkeypatch, core, "_jacobi_failures")
     argv = [command, str(corpus_path(name)), "--no-timestamp"]
     if command == "cohomology":

@@ -238,7 +238,10 @@ HOLD_BY_CONSTRUCTION = {
     ("sub-adjacent-matches", "lsa_from_phase"),
     ("representation/semidirect-commutator", "run_suite"),
     ("o-operator/homomorphism", "run_suite"),
-    ("skew-symmetry", "check_lie_algebroid"),
+    ("skew-symmetry", "_lie_algebroid_report"),
+    ("sub-adjacent/left-mult-rep", "run_suite"),
+    ("representation/derived-equivalences", "run_suite"),
+    ("representation/semidirect-valid", "run_suite"),
     ("intertwiner-product", "_trivial_report"),
     ("intertwiner-anchor", "_trivial_report"),
     ("nijenhuis-{name}/lie-implication", "run_suite"),
@@ -248,5 +251,5 @@ HOLD_BY_CONSTRUCTION = {
 def test_records_that_hold_by_construction_are_pinned():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert len(HOLD_BY_CONSTRUCTION) == 25
+    assert len(HOLD_BY_CONSTRUCTION) == 28
     assert constant_passes(sources) == HOLD_BY_CONSTRUCTION
