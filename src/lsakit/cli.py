@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .cohomology import MultiDerivation, def_d, point_cohomology_dims
@@ -55,6 +55,7 @@ from .errors import (
 )
 from .instances import (
     InstanceFile,
+    _two_form_to_table,
     algebroid_to_dict,
     lie_algebroid_to_dict,
     matrix_to_list,
@@ -290,9 +291,7 @@ def derive(instance: InstanceFile, what: str) -> dict:
         phase = build_phase_space(alg)
         return {
             "phase_space": lie_algebroid_to_dict(phase.P),
-            "omega": [[str(phase.omega.component((i, j)))
-                       for j in range(phase.P.rank)]
-                      for i in range(phase.P.rank)],
+            "omega": _two_form_to_table(phase.omega),
             "paracomplex": matrix_to_list(phase.paracomplex),
             "closed": phase.report.record("omega-closed").status,
         }
@@ -337,12 +336,78 @@ def _payload(instance: InstanceFile, report: Report,
     return payload
 
 
+def _json_write(value, indent: str, out: list) -> None:
+    """Append the chunks of ``value`` to ``out``; ``indent`` is a newline
+    followed by the indentation of the line ``value`` starts on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            if isinstance(item, str):
+                out.append(sep + _quote(key) + ": " + _quote(item))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _json_write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if isinstance(value[0], str):
+            # most lists hold only texts (a table row, a record's
+            # witnesses): one chunk for the whole list
+            try:
+                items = ("," + inner).join(map(_quote, value))
+            except TypeError:  # a later item is not a str
+                pass
+            else:
+                out.append("[" + inner + items + indent + "]")
+                return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not "
+                        f"JSON serializable")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, for the values a
+    report holds: dicts with str keys, lists, strs, ints, bools and None.
+    The standard encoder runs in pure Python whenever ``indent`` is set;
+    this writer makes one chunk per key and one per list of texts."""
+    out: list = []
+    _json_write(value, "\n", out)
+    return "".join(out)
+
+
 def _emit(payload: dict, report: Report | None, fmt: str) -> None:
     if fmt == "text" and report is not None:
         print(report.render_text())
         print(f"overall: {payload['status']}")
     else:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
 
 
 @functools.cache
@@ -442,7 +507,7 @@ def main(argv=None) -> int:
                     "semidirect" if args.semidirect else "action")
             payload = _header(instance, timestamp)
             payload["derived"] = derive(instance, what)
-            print(json.dumps(payload, indent=2))
+            print(_json_text(payload))
             return 0
         elif args.command == "cohomology":
             report = Report(instance.name)

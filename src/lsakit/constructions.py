@@ -349,10 +349,10 @@ def canonical_pairing_form(coords, rank: int) -> FormCochain:
 
 def canonical_paracomplex(coords, rank: int) -> PolyMatrix:
     """Identity on the bundle part, minus identity on the dual part."""
-    return PolyMatrix(coords,
-                      [[(1 if i == j else 0) if i < rank else
-                        (-1 if i == j else 0)
-                        for j in range(2 * rank)] for i in range(2 * rank)])
+    coords = tuple(coords)
+    one, minus_one = Poly.constant(1, coords), Poly.constant(-1, coords)
+    return PolyMatrix._from((coords, 2 * rank, 2 * rank), {
+        (i, i): one if i < rank else minus_one for i in range(2 * rank)})
 
 
 def _double(lie: LieAlgebroid, rep: Representation) -> tuple:

@@ -471,10 +471,6 @@ def rep_mu_frame(rep: Representation, j: int, u: Section) -> Section:
     return apply_endo(rep.mu_mat[j], u)
 
 
-def rep_mu_section(rep: Representation, x: Section, u: Section) -> Section:
-    return apply_endo(_at(rep.mu_mat, x, rep.s), u)
-
-
 def build_left_mult_rep(alg: LSAlgebroid) -> Representation:
     """Left multiplication as a representation of the sub-adjacent Lie
     algebroid on the bundle itself."""

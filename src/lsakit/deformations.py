@@ -71,15 +71,6 @@ def extend_algebroid(alg: LSAlgebroid, param: str) -> LSAlgebroid:
     return LSAlgebroid(new_coords, alg.rank, c, anchor)
 
 
-def specialize_algebroid(alg: LSAlgebroid, param: str, value) -> LSAlgebroid:
-    """Substitute a rational value for a formal parameter coordinate."""
-    c = [[alg.c[i][j].substitute(param, value) for j in range(alg.rank)]
-         for i in range(alg.rank)]
-    anchor = [field.substitute(param, value) for field in alg.anchor]
-    new_coords = tuple(name for name in alg.coords if name != param)
-    return LSAlgebroid(new_coords, alg.rank, c, anchor)
-
-
 def check_deformation(alg: LSAlgebroid, omega: MultiDerivation) -> Report:
     """Full validity report for a candidate deformation.
 

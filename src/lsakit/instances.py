@@ -19,7 +19,13 @@ from pathlib import Path
 
 from ._lexer import IDENTIFIER_RE
 from .cohomology import MultiDerivation
-from .core import LieAlgebroid, LSAlgebroid, Representation, Section
+from .core import (
+    FormCochain,
+    LieAlgebroid,
+    LSAlgebroid,
+    Representation,
+    Section,
+)
 from .deformations import deformation_from_tables
 from .errors import DegreeOverflow, ParseError, SchemaError
 from .polyring import Poly, PolyMatrix, VectorField, parse_poly
@@ -108,6 +114,18 @@ def _coordinates(entries, path: str) -> tuple[str, ...]:
     return tuple(coords)
 
 
+def _nonzero(entries, coords, path: str, memo: dict) -> dict:
+    """Index -> polynomial for the nonzero entries of a list of texts.
+    Every value comes from ``parse_poly`` over ``coords``, so the trusted
+    constructors below take these terms without validating them again."""
+    terms = {}
+    for k, text in enumerate(entries):
+        poly = _poly(text, coords, f"{path}[{k}]", memo)
+        if poly.terms:
+            terms[k] = poly
+    return terms
+
+
 def _section(entries, coords, rank, path: str, memo: dict) -> Section:
     _expect_list(entries, rank, path)
     # only a tuple of texts that parsed before can be found
@@ -115,28 +133,25 @@ def _section(entries, coords, rank, path: str, memo: dict) -> Section:
     section = memo.get(key) if all(isinstance(text, str)
                                    for text in entries) else None
     if section is None:
-        section = memo[key] = Section(coords, [
-            _poly(entries[k], coords, f"{path}[{k}]", memo)
-            for k in range(rank)])
+        section = memo[key] = Section._from(
+            (coords, rank), _nonzero(entries, coords, path, memo))
     return section
 
 
 def _vector_field(entries, coords, path: str, memo: dict) -> VectorField:
     _expect_list(entries, len(coords), path)
-    return VectorField(coords, [
-        _poly(entries[m], coords, f"{path}[{m}]", memo)
-        for m in range(len(coords))])
+    return VectorField._from((coords,), _nonzero(entries, coords, path, memo))
 
 
 def _matrix(entries, coords, rows, cols, path: str, memo: dict) \
         -> PolyMatrix:
     _expect_list(entries, rows, path)
-    table = []
+    terms = {}
     for i in range(rows):
         row = _expect_list(entries[i], cols, f"{path}[{i}]")
-        table.append([_poly(row[j], coords, f"{path}[{i}][{j}]", memo)
-                      for j in range(cols)])
-    return PolyMatrix(coords, table)
+        for j, poly in _nonzero(row, coords, f"{path}[{i}]", memo).items():
+            terms[i, j] = poly
+    return PolyMatrix._from((coords, rows, cols), terms)
 
 
 def _structure_table(entries, coords, rank, path: str, memo: dict) \
@@ -264,17 +279,22 @@ def parse_instance(path) -> InstanceFile:
 # Serialization of derived structures
 # ---------------------------------------------------------------------------
 
+def _texts(terms: dict, keys) -> list[str]:
+    """The printed value at each key, ``"0"`` where none is stored."""
+    return [str(terms[key]) if key in terms else "0" for key in keys]
+
+
 def section_to_list(section: Section) -> list[str]:
-    return [str(comp) for comp in section.components]
+    return _texts(section.terms, range(section.rank))
 
 
 def _frame_data_to_dict(alg, key: str, table) -> dict:
+    directions = range(len(alg.coords))
     return {
         "coordinates": list(alg.coords),
         "rank": alg.rank,
         key: [[section_to_list(sec) for sec in row] for row in table],
-        "anchor": [[str(comp) for comp in field.components]
-                   for field in alg.anchor],
+        "anchor": [_texts(field.terms, directions) for field in alg.anchor],
     }
 
 
@@ -287,8 +307,18 @@ def lie_algebroid_to_dict(alg: LieAlgebroid) -> dict:
 
 
 def matrix_to_list(matrix: PolyMatrix) -> list[list[str]]:
-    return [[str(matrix.entry(i, j)) for j in range(matrix.cols)]
+    return [_texts(matrix.terms, [(i, j) for j in range(matrix.cols)])
             for i in range(matrix.rows)]
+
+
+def _two_form_to_table(form: FormCochain) -> list[list[str]]:
+    """The full antisymmetric table of a 2-form, from its stored
+    components at i < j."""
+    table = [["0"] * form.rank for _ in range(form.rank)]
+    for (i, j), value in form.terms.items():
+        table[i][j] = str(value)
+        table[j][i] = str(-value)
+    return table
 
 
 # ---------------------------------------------------------------------------

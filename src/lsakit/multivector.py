@@ -240,20 +240,6 @@ def _swap_defect(assoc_xyz: Multivector, assoc_yxz: Multivector, sx: int,
     return assoc_xyz - assoc_yxz.scale(-1 if (sx * sy) % 2 else 1)
 
 
-def lie_admissible_defect(alg: LSAlgebroid, x: Multivector, y: Multivector,
-                          z: Multivector) -> Multivector:
-    """Signed cyclic sum of left-symmetry defects; vanishes identically
-    for the extended multiplication."""
-    gx, gy, gz = _require_homogeneous(x, y, z)
-
-    def sign(u, v):
-        return -1 if ((u - 1) * (v - 1)) % 2 else 1
-
-    return left_symmetry_defect(alg, x, y, z).scale(sign(gx, gz)) \
-        + left_symmetry_defect(alg, y, z, x).scale(sign(gy, gx)) \
-        + left_symmetry_defect(alg, z, x, y).scale(sign(gz, gy))
-
-
 @dataclass
 class GradedSampleSpec:
     """Bounds of a sample of wedge monomials: grades up to

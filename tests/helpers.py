@@ -28,6 +28,7 @@ from lsakit.core import (
     LSAlgebroid,
     Representation,
     Section,
+    _at,
     _commutator_algebroid,
     anchor_of_section,
     apply_endo,
@@ -42,7 +43,11 @@ from lsakit.core import (
     sub_adjacent,
 )
 from lsakit.errors import DimensionMismatch
-from lsakit.multivector import Multivector
+from lsakit.multivector import (
+    Multivector,
+    _require_homogeneous,
+    left_symmetry_defect,
+)
 from lsakit.polyring import (
     _DEGREE_LIMIT,
     Poly,
@@ -1109,3 +1114,65 @@ def induced_axioms_oracle(lie: LieAlgebroid, rep, T) -> bool:
     result = apply_O_operator(lie, rep, T)
     assert result.is_O
     return check_left_symmetric(result.induced).passed
+
+
+# ---------------------------------------------------------------------------
+# Helpers with no caller in the package
+# ---------------------------------------------------------------------------
+
+def rep_mu_section(rep: Representation, x: Section, u: Section) -> Section:
+    """mu(x)u for any section x: the matrix sum_k x^k mu_k applied to u."""
+    return apply_endo(_at(rep.mu_mat, x, rep.s), u)
+
+
+def specialize_algebroid(alg: LSAlgebroid, param: str, value) -> LSAlgebroid:
+    """Substitute a rational value for a formal parameter coordinate."""
+    c = [[alg.c[i][j].substitute(param, value) for j in range(alg.rank)]
+         for i in range(alg.rank)]
+    anchor = [field.substitute(param, value) for field in alg.anchor]
+    new_coords = tuple(name for name in alg.coords if name != param)
+    return LSAlgebroid(new_coords, alg.rank, c, anchor)
+
+
+def lie_admissible_defect(alg: LSAlgebroid, x: Multivector, y: Multivector,
+                          z: Multivector) -> Multivector:
+    """Signed cyclic sum of left-symmetry defects; vanishes identically
+    for the extended multiplication."""
+    gx, gy, gz = _require_homogeneous(x, y, z)
+
+    def sign(u, v):
+        return -1 if ((u - 1) * (v - 1)) % 2 else 1
+
+    return left_symmetry_defect(alg, x, y, z).scale(sign(gx, gz)) \
+        + left_symmetry_defect(alg, y, z, x).scale(sign(gy, gx)) \
+        + left_symmetry_defect(alg, z, x, y).scale(sign(gz, gy))
+
+
+# ---------------------------------------------------------------------------
+# Serialization through the dense views
+# ---------------------------------------------------------------------------
+
+def section_to_list_oracle(section: Section) -> list[str]:
+    return [str(c) for c in section.components]
+
+
+def matrix_to_list_oracle(matrix: PolyMatrix) -> list[list[str]]:
+    return [[str(matrix.entry(i, j)) for j in range(matrix.cols)]
+            for i in range(matrix.rows)]
+
+
+def two_form_table_oracle(form: FormCochain) -> list[list[str]]:
+    return [[str(form.component((i, j))) for j in range(form.rank)]
+            for i in range(form.rank)]
+
+
+def frame_data_oracle(alg, key: str, table) -> dict:
+    """``algebroid_to_dict`` (key ``structure``) or
+    ``lie_algebroid_to_dict`` (key ``bracket``) through ``components``."""
+    return {
+        "coordinates": list(alg.coords),
+        "rank": alg.rank,
+        key: [[section_to_list_oracle(sec) for sec in row] for row in table],
+        "anchor": [[str(comp) for comp in field.components]
+                   for field in alg.anchor],
+    }

@@ -27,6 +27,7 @@ from helpers import (
     point_e1e2,
     random_poly,
     random_section,
+    rep_mu_section,
     sum_of_e1e2,
     zero_point_algebra,
 )
@@ -57,7 +58,6 @@ from lsakit.core import (
     build_left_mult_rep,
     check_left_symmetric,
     rep_mu_frame,
-    rep_mu_section,
     rep_rho_frame,
     section_mult,
     sub_adjacent,

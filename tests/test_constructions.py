@@ -18,6 +18,7 @@ from helpers import (
     paracomplex_concomitant_oracle,
     point_e1e2,
     random_section,
+    rep_mu_section,
     two_form_d_oracle,
 )
 from lsakit.constructions import (
@@ -164,7 +165,7 @@ def test_rep_lsa_left_right_on_point_algebra():
     # independent brute-force oracle over all basis pairs
     def oracle():
         units = [Section.unit((), 2, m) for m in range(2)]
-        from lsakit.core import rep_mu_frame, rep_mu_section, rep_rho_frame
+        from lsakit.core import rep_mu_frame, rep_rho_frame
         for i in range(2):
             for j in range(2):
                 for u in units:

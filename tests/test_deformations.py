@@ -13,6 +13,7 @@ from helpers import (
     nonexample,
     point_e1e2,
     random_section,
+    specialize_algebroid,
     zero_point_algebra,
 )
 from lsakit.cohomology import MultiDerivation, def_d
@@ -31,7 +32,6 @@ from lsakit.deformations import (
     check_nijenhuis,
     deformation_from_tables,
     deformed_algebroid,
-    specialize_algebroid,
     trivial_deformation,
 )
 from lsakit.errors import NotADeformation, NotLeftSymmetric, NotNijenhuis

@@ -13,6 +13,7 @@ from helpers import (
     action_instance,
     flat_instance,
     ladder_instance,
+    lie_admissible_defect,
     point_algebra,
     point_e1e2,
     random_algebroid,
@@ -38,7 +39,6 @@ from lsakit.multivector import (
     check_graded_properties,
     graded_bracket,
     graded_product,
-    lie_admissible_defect,
     wedge,
 )
 from lsakit.errors import DegreeOverflow
