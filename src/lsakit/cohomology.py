@@ -17,12 +17,16 @@ point-case rows below; each adds its own action terms.
 
 Over a zero-dimensional base both complexes are finite dimensional.
 The structure constants and the representation matrices are then read
-once into integer tables over one common denominator; each differential
-is emitted from them as sparse integer rows, and exact integer
-elimination to echelon form gives its rank, hence the cocycle,
-coboundary and cohomology dimensions.  No dense matrix and no kernel
-basis is built on that path; ``assemble_point_differential`` gives the
-dense rational view of the same rows.
+once per call, from their sparse terms, into integer tables over one
+common denominator.  The representation identities are decided on
+those tables by integer products, and each differential is emitted
+from them as sparse integer rows: one row template per omitted argument
+and last index, built with the tables and shared by every degree, plus
+the commutator insertions.  Exact integer elimination to echelon form
+gives each rank, hence the cocycle, coboundary and cohomology
+dimensions.  No dense matrix, no polynomial and no kernel basis is
+built on that path; ``assemble_point_differential`` gives the dense
+rational view of the same rows.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .core import (
     Section,
     _coboundary_terms,
     _frame_expansion,
+    _require_left_symmetric,
     anchor_of_section,
     frame_commutator,
     rep_mu_frame,
@@ -345,7 +350,12 @@ class _PointTables(NamedTuple):
     """Structure tables of a point-base pair, all scaled by ``den``:
     ``rho[i][m]`` and ``mu[i][m]`` are row m of the matrices as
     ``{col: int}``, ``prod[i][j]`` the product e_i.e_j as ``{k: int}``,
-    ``comm[i, j]`` the commutator (i < j) as ``{k: int}``."""
+    ``comm[i, j]`` the commutator (i < j) as ``{k: int}``.
+
+    ``templates[i][last]`` holds the s rows, as ``{offset: int}`` within
+    one domain block of r * s columns, that an omitted argument e_i adds
+    to the codomain block ending in ``last``: rho_i on the last slot,
+    mu_last on slot i, minus e_i.e_last inserted into the last slot."""
     den: int
     rank: int
     s: int
@@ -353,39 +363,107 @@ class _PointTables(NamedTuple):
     mu: list
     prod: list
     comm: dict
+    templates: list
 
 
 def _point_tables(alg: LSAlgebroid, rep: Representation) -> _PointTables:
     """Integer tables of a point-base pair, computed once per call.
 
-    Every rho, mu and product entry is scaled by one common denominator;
-    each differential is linear in them, so scaling changes no rank.
+    Every rho, mu and product entry is scaled by one common denominator
+    (the lcm over the coefficients that are not ``int``); each
+    differential is linear in them, so scaling changes no rank.  The
+    entries are read from the sparse terms; over a point each stored
+    polynomial is one nonzero constant.
     """
     _require_rank_domain(rep, alg)
-    r = alg.rank
-    rho = [mat.to_rational() for mat in rep.rho_mat]
-    mu = [mat.to_rational() for mat in rep.mu_mat]
-    prod = [[{k: v.constant_value() for k, v in alg.c[i][j].terms.items()}
-             for j in range(r)] for i in range(r)]
-    den = lcm(*{v.denominator for mats in (rho, mu) for mat in mats
-                for row in mat for v in row},
-              *{v.denominator for row in prod for table in row
-                for v in table.values()})
+    r, s = alg.rank, rep.s
+    rho = [mat.terms for mat in rep.rho_mat]
+    mu = [mat.terms for mat in rep.mu_mat]
+    prod = [[alg.c[i][j].terms for j in range(r)] for i in range(r)]
+    den = lcm(*{v.denominator
+                for terms in (*rho, *mu, *(t for row in prod for t in row))
+                for p in terms.values() for v in p.terms.values()
+                if type(v) is not int})
 
-    def scaled(mat):
-        return [{p: v.numerator * (den // v.denominator)
-                 for p, v in enumerate(row) if v} for row in mat]
+    def scaled(p):
+        (v,) = p.terms.values()
+        if type(v) is int:
+            return v * den
+        return v.numerator * (den // v.denominator)
 
-    prod = [[{k: v.numerator * (den // v.denominator)
-              for k, v in table.items()} for table in row] for row in prod]
+    def rows(terms):
+        out = [{} for _ in range(s)]
+        for (m, p), entry in terms.items():
+            out[m][p] = scaled(entry)
+        return out
+
+    rho = [rows(terms) for terms in rho]
+    mu = [rows(terms) for terms in mu]
+    prod = [[{k: scaled(v) for k, v in terms.items()} for terms in row]
+            for row in prod]
     comm = {}
     for i, j in combinations(range(r), 2):
         total = dict(prod[i][j])
         for k, v in prod[j][i].items():
             total[k] = total.get(k, 0) - v
         comm[i, j] = {k: v for k, v in total.items() if v}
-    return _PointTables(den, r, rep.s, [scaled(m) for m in rho],
-                        [scaled(m) for m in mu], prod, comm)
+    templates = [[_row_template(rho[i], mu[last], prod[i][last], i, last, s)
+                  for last in range(r)] for i in range(r)]
+    return _PointTables(den, r, s, rho, mu, prod, comm, templates)
+
+
+def _row_template(rho_i: list, mu_last: list, product: dict, i: int,
+                  last: int, s: int) -> list[dict]:
+    """The rows an omitted argument e_i adds to a codomain block ending
+    in ``last``, at offsets within its domain block (see _PointTables)."""
+    rows = [{last * s + p: v for p, v in entries.items()}
+            for entries in rho_i]
+    for row, entries in zip(rows, mu_last):
+        for p, v in entries.items():
+            row[i * s + p] = row.get(i * s + p, 0) + v
+    for k, v in product.items():
+        for m, row in enumerate(rows):
+            row[k * s + m] = row.get(k * s + m, 0) - v
+    return [{col: v for col, v in row.items() if v} for row in rows]
+
+
+def _is_point_representation(tables: _PointTables) -> bool:
+    """The representation identities over a point, decided on the
+    tables: sum_k (c_ij^k - c_ji^k) R_k = [R_i, R_j] for i < j, and
+    R_i M_j - M_j R_i = sum_k c_ij^k M_k - M_j M_i for all i, j (the
+    anchor is zero).  Both sides of each scale by den^2."""
+    rho, mu, prod = tables.rho, tables.mu, tables.prod
+    for i, j in combinations(range(tables.rank), 2):
+        if not _vanishes(tables.s,
+                         [(v, rho[k]) for k, v in tables.comm[i, j].items()],
+                         [(-1, rho[i], rho[j]), (1, rho[j], rho[i])]):
+            return False
+    for i in range(tables.rank):
+        for j in range(tables.rank):
+            if not _vanishes(tables.s,
+                             [(-v, mu[k]) for k, v in prod[i][j].items()],
+                             [(1, rho[i], mu[j]), (-1, mu[j], rho[i]),
+                              (1, mu[j], mu[i])]):
+                return False
+    return True
+
+
+def _vanishes(s: int, linear: list, products: list) -> bool:
+    """Is sum c X + sum c A B zero, over ``(c, X)`` in ``linear`` and
+    ``(c, A, B)`` in ``products``, for s x s integer matrices given by
+    their rows ``{col: int}``?"""
+    for m in range(s):
+        total: dict = {}
+        for c, mat in linear:
+            for p, v in mat[m].items():
+                total[p] = total.get(p, 0) + c * v
+        for c, left, right in products:
+            for q, a in left[m].items():
+                for p, b in right[q].items():
+                    total[p] = total.get(p, 0) + c * a * b
+        if any(total.values()):
+            return False
+    return True
 
 
 def _point_rows(tables: _PointTables, degree: int) -> Iterator[dict]:
@@ -395,34 +473,29 @@ def _point_rows(tables: _PointTables, degree: int) -> Iterator[dict]:
 
     Each block of rows (one codomain key, all value indices) receives the
     four terms of :func:`rep_d`: rho on the omitted argument, mu on the
-    last slot, the product inserted into the last slot and the
-    commutator inserted into the leading slots.
+    last slot and the product inserted into the last slot, scattered
+    together as the template of the omitted argument, and the commutator
+    inserted into the leading slots.  The omitted arguments of one key
+    leave distinct tuples, so their templates fill disjoint columns.
     """
-    r, s = tables.rank, tables.s
-    rho, mu, prod, comm = tables.rho, tables.mu, tables.prod, tables.comm
+    r, s, templates = tables.rank, tables.s, tables.templates
     position = {lead: pos
                 for pos, lead in enumerate(combinations(range(r), degree - 1))}
     for _, omitted, inserted in _coboundary_terms(
-            r, degree, lambda i, j: comm[i, j]):
+            r, degree, lambda i, j: tables.comm[i, j]):
         # first column of each domain block (rest, 0, 0)
-        omitted = [(sign, position[rest] * r * s, i_a)
+        omitted = [(sign, position[rest] * r * s, templates[i_a])
                    for sign, i_a, rest in omitted]
         inserted = [(position[key] * r * s, v) for key, v in inserted]
         for last in range(r):
             rows = [{} for _ in range(s)]
-            for sign, start, i_a in omitted:
-                base = start + last * s
-                for row, entries in zip(rows, rho[i_a]):
-                    for p, v in entries.items():
-                        row[base + p] = row.get(base + p, 0) + sign * v
-                base = start + i_a * s
-                for row, entries in zip(rows, mu[last]):
-                    for p, v in entries.items():
-                        row[base + p] = row.get(base + p, 0) + sign * v
-                for k, v in prod[i_a][last].items():
-                    base = start + k * s
-                    for m2, row in enumerate(rows):
-                        row[base + m2] = row.get(base + m2, 0) - sign * v
+            for sign, start, template in omitted:
+                for row, entries in zip(rows, template[last]):
+                    for col, v in entries.items():
+                        row[start + col] = sign * v
+            if not inserted:
+                yield from rows
+                continue
             for start, v in inserted:
                 base = start + last * s
                 for m2, row in enumerate(rows):
@@ -491,21 +564,25 @@ def point_cohomology_dims(alg: LSAlgebroid, rep: Representation,
     """Cocycle, coboundary and cohomology dimensions in degrees 1..n_max
     over a point base, via exact rank computations.
 
-    The degree-zero space is the subspace cut out by the curvature-style
-    membership condition; both its dimension and the dimension of its
-    kernel under the degree-zero differential are reported.  Each
-    dimension is a column count minus the rank of integer rows built
-    from the structure tables; no matrix is stored densely and no kernel
-    basis is formed.
+    With ``check`` the algebra must pass the axiom gate
+    (``NotLeftSymmetric``) and (rho, mu) the representation identities
+    (``NotARepresentation``), decided on the integer tables with the
+    result ``check_representation_lsa`` gives.  The degree-zero space is
+    the subspace cut out by the curvature-style membership condition;
+    both its dimension and the dimension of its kernel under the
+    degree-zero differential are reported.  Each dimension is a column
+    count minus the rank of integer rows scattered from the tables' row
+    templates; no matrix is stored densely and no kernel basis is formed.
     """
     if n_max < 0:
         raise InvalidDegree(f"maximum degree must be at least 0, got {n_max}")
     if not alg.is_point():
         raise NotPointCase("cohomology dimensions require a point base")
-    if check and not check_representation_lsa(alg, rep):
-        raise NotARepresentation("(rho, mu) fails the representation identities")
-
+    if check:
+        _require_left_symmetric(alg)
     tables = _point_tables(alg, rep)
+    if check and not _is_point_representation(tables):
+        raise NotARepresentation("(rho, mu) fails the representation identities")
     r, s = alg.rank, rep.s
     # degree 0: C0 is the kernel of the condition rows, its closed part
     # the kernel of those rows stacked on the rows of d0

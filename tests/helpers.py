@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from lsakit.cohomology import (
     DegreeDims,
@@ -706,6 +707,35 @@ def def_d_oracle(alg: LSAlgebroid, deriv: MultiDerivation) -> MultiDerivation:
             entries[(lead, None)] = VectorField._from((alg.coords,), field)
     return MultiDerivation._from((alg.coords, alg.rank, alg.rank, n + 1),
                                  entries)
+
+
+def point_tables_oracle(alg, rep) -> tuple:
+    """The integer tables of cohomology._point_tables (every field but
+    the row templates), read through the dense rational matrices."""
+    r = alg.rank
+    rho = [mat.to_rational() for mat in rep.rho_mat]
+    mu = [mat.to_rational() for mat in rep.mu_mat]
+    prod = [[{k: v.constant_value() for k, v in alg.c[i][j].terms.items()}
+             for j in range(r)] for i in range(r)]
+    den = lcm(*{Fraction(v).denominator for mats in (rho, mu) for mat in mats
+                for row in mat for v in row},
+              *{Fraction(v).denominator for row in prod for table in row
+                for v in table.values()})
+
+    def scaled(v):
+        v = Fraction(v)
+        return v.numerator * (den // v.denominator)
+
+    rho, mu = ([[{p: scaled(v) for p, v in enumerate(row) if v} for row in mat]
+                for mat in mats] for mats in (rho, mu))
+    prod = [[{k: scaled(v) for k, v in table.items()} for table in row]
+            for row in prod]
+    comm = {}
+    for i, j in combinations(range(r), 2):
+        total = {k: prod[i][j].get(k, 0) - prod[j][i].get(k, 0)
+                 for k in {*prod[i][j], *prod[j][i]}}
+        comm[i, j] = {k: v for k, v in total.items() if v}
+    return den, r, rep.s, rho, mu, prod, comm
 
 
 def point_rows_oracle(tables, degree: int):

@@ -17,6 +17,7 @@ from helpers import (
     nonexample,
     point_e1e2,
     point_rows_oracle,
+    point_tables_oracle,
     random_algebroid,
     random_esection,
     random_poly,
@@ -145,3 +146,19 @@ def test_point_rows_match_their_loop(alg, degree, s, rng):
     tables = _point_tables(alg, rep)
     assert list(_point_rows(tables, degree)) == \
         list(point_rows_oracle(tables, degree))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(algebroids(coords=((),)), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_point_tables_match_the_dense_read(alg, s, rng):
+    # the sparse read of _point_tables against the to_rational read it
+    # replaced, on tables that are almost never left-symmetric
+    rep = Representation(s, _matrices(rng, alg, s),
+                         _matrices(rng, alg, s) if rng.random() < 0.5
+                         else None)
+    tables = _point_tables(alg, rep)
+    assert tuple(tables)[:7] == point_tables_oracle(alg, rep)
+    assert all(type(v) is int
+               for table in (*tables.rho, *tables.mu) for row in table
+               for v in row.values())

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -688,6 +689,39 @@ def test_point_cohomology_rank_zero_closed_space():
     result = point_cohomology_dims(alg, rep, 2)
     assert (result.c0_dim, result.c0_closed_dim) == (2, 2)
     assert all_dims(result) == all_dims(dense_point_dims(alg, rep, 2))
+
+
+def test_point_cohomology_shared_across_threads_matches_serial():
+    # the tables and row templates are built per call, so threads that
+    # share one pair (its axiom verdict not stored yet) see the serial
+    # result; four threads, more than a two-core runner has cores
+    def fresh():
+        return sum_of_e1e2(2), lrep(sum_of_e1e2(2))
+
+    serial = point_cohomology_dims(*fresh(), 4)
+    alg, rep = fresh()
+    assert alg._axioms is None
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(slot):
+        barrier.wait(timeout=60)
+        results[slot] = point_cohomology_dims(alg, rep, 4)
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so the calls interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == serial for result in results)
 
 
 @pytest.mark.parametrize("count", [1, 3])

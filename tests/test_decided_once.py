@@ -1066,3 +1066,30 @@ def test_deform_nijenhuis_decides_the_condition_once(monkeypatch, capsys,
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert (sum(map(len, nijenhuis)), sum(map(len, deformation)),
             len(lifts)) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_point_cohomology_reads_one_set_of_tables(monkeypatch, valid):
+    # the representation gate and the rows of every degree read the
+    # integer tables of one _point_tables call; the gate took a
+    # sub-adjacent algebroid, check_representation_lsa's PolyMatrix
+    # products and a second dense to_rational read of the matrices
+    instance = parse_instance(corpus_path("point_e1e2"))
+    alg, rep = instance.algebroid, instance.representation
+    if not valid:
+        rep = Representation(rep.s, rep.rho_mat, [
+            m + PolyMatrix.identity(rep.s, ()) for m in rep.mu_mat])
+    assert constructions.check_representation_lsa(alg, rep) is valid
+    tables = counted(monkeypatch, cohomology, "_point_tables")
+    avoided = [counted(monkeypatch, module, name) for module, name in (
+        (cohomology, "check_representation_lsa"),
+        (constructions, "check_representation_lsa"),
+        (core, "sub_adjacent"), (constructions, "sub_adjacent"),
+        (PolyMatrix, "to_rational"))]
+    if valid:
+        assert cohomology.point_cohomology_dims(alg, rep, 3, check=True)
+    else:
+        with pytest.raises(NotARepresentation):
+            cohomology.point_cohomology_dims(alg, rep, 3, check=True)
+    assert len(tables) == 1
+    assert avoided == [[]] * 5

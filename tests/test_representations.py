@@ -15,18 +15,23 @@ from helpers import (
     flat_instance,
     frame_data,
     ladder_instance,
+    nonexample,
     point_algebra,
     point_e1e2,
+    reframed,
     representation_lie_oracle,
     representation_lsa_oracle,
     semidirect_lie_oracle,
     semidirect_lsa_oracle,
+    unit_point_algebra,
     zero_point_algebra,
 )
 from lsakit import core
 from lsakit.cli import run_suite
 from lsakit.cohomology import (
     RepCochain,
+    _is_point_representation,
+    _point_tables,
     assemble_point_differential,
     point_cohomology_dims,
     rep_d,
@@ -52,9 +57,20 @@ from lsakit.core import (
     check_left_symmetric,
     sub_adjacent,
 )
-from lsakit.errors import DegreeOverflow, DimensionMismatch, NotLeftSymmetric
+from lsakit.errors import (
+    DegreeOverflow,
+    DimensionMismatch,
+    NotARepresentation,
+    NotLeftSymmetric,
+)
 from lsakit.instances import InstanceFile, corpus_path, parse_instance
-from lsakit.polyring import Poly, PolyMatrix, VectorField, set_degree_limit
+from lsakit.polyring import (
+    Poly,
+    PolyMatrix,
+    VectorField,
+    matrix_inverse_adjugate,
+    set_degree_limit,
+)
 
 
 def unit_algebra() -> LSAlgebroid:
@@ -220,6 +236,130 @@ def test_matrix_identities_match_unit_oracles():
 
     agree()
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The point gate on the integer tables
+# ---------------------------------------------------------------------------
+
+POINT_ALGEBRAS = (
+    lambda: point_algebra(0, {}), lambda: zero_point_algebra(1),
+    lambda: point_algebra(1, {(0, 0): [1]}), zero_point_algebra, point_e1e2,
+    unit_algebra, lambda: unit_point_algebra(2),
+    lambda: zero_point_algebra(3), lambda: unit_point_algebra(3),
+    # point_e1e2 plus an idempotent
+    lambda: point_algebra(3, {(0, 1): [0, 1, 0], (2, 2): [0, 0, 1]}))
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _lower_triangular(draw, n):
+    """An invertible constant matrix: drawn fractions below a diagonal of
+    nonzero ones."""
+    return PolyMatrix((), [
+        [draw(_fractions.filter(bool)) if i == j
+         else draw(_fractions) if i > j else 0 for j in range(n)]
+        for i in range(n)])
+
+
+@st.composite
+def point_pairs(draw):
+    """A left-symmetric point algebra of rank 0 to 3 in a drawn rational
+    frame, with left multiplication, the regular pair (L, R), a derived
+    pair or the zero pair, conjugated by a drawn rational matrix, or with
+    drawn rational matrices on a fibre of rank 0 to 3; mu may be absent,
+    and one entry may be perturbed."""
+    alg = draw(st.sampled_from(POINT_ALGEBRAS))()
+    if alg.rank:
+        alg = reframed(alg, draw(_lower_triangular(alg.rank)))
+    r = alg.rank
+    left = build_left_mult_rep(alg)
+    kind = draw(st.sampled_from(("left", "regular", "derived", "zero",
+                                 "drawn")))
+    if kind == "left":
+        rep = left
+    elif kind == "regular":
+        rep = Representation(r, left.rho_mat, [
+            PolyMatrix((), [alg.c[j][i].components for j in range(r)])
+            .transpose() for i in range(r)])
+    elif kind == "derived":
+        derived = derived_reps(alg, left)
+        rep = draw(st.sampled_from((derived.on_bundle, derived.on_dual)))
+    else:
+        s = draw(st.integers(0, 3))
+        if kind == "zero":
+            rep = Representation(s, [PolyMatrix.zeros(s, s, ())] * r)
+        else:
+            mats = st.lists(st.lists(st.lists(_fractions, min_size=s,
+                                              max_size=s),
+                                     min_size=s, max_size=s),
+                            min_size=r, max_size=r)
+            rep = Representation(
+                s, [PolyMatrix((), m) for m in draw(mats)],
+                [PolyMatrix((), m) for m in draw(mats)]
+                if draw(st.booleans()) else None)
+    s = rep.s
+    if s and draw(st.booleans()):
+        S = draw(_lower_triangular(s))
+        S_inv = matrix_inverse_adjugate(S)
+        rep = Representation(s, [S_inv @ R @ S for R in rep.rho_mat],
+                             [S_inv @ M @ S for M in rep.mu_mat])
+    if s and r and draw(st.booleans()):
+        tables = [list(rep.rho_mat), list(rep.mu_mat)]
+        t, i = draw(st.integers(0, 1)), draw(st.integers(0, r - 1))
+        m, p = draw(st.integers(0, s - 1)), draw(st.integers(0, s - 1))
+        bump = PolyMatrix._from(((), s, s), {
+            (m, p): Poly.constant(draw(_fractions.filter(bool)), ())})
+        tables[t][i] = tables[t][i] + bump
+        rep = Representation(s, *tables)
+    return alg, rep
+
+
+def test_point_gate_matches_check_representation_lsa():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(point_pairs())
+    def agree(pair):
+        alg, rep = pair
+        verdict = check_representation_lsa(alg, rep)
+        tables = _point_tables(alg, rep)
+        assert _is_point_representation(tables) == verdict
+        if verdict:
+            assert point_cohomology_dims(alg, rep, 1) == \
+                point_cohomology_dims(alg, rep, 1, check=False)
+        else:
+            with pytest.raises(NotARepresentation):
+                point_cohomology_dims(alg, rep, 1)
+        seen.add((verdict, alg.rank, rep.s, tables.den > 1,
+                  all(m.is_zero() for m in rep.mu_mat)))
+
+    agree()
+    assert {v for v, *_ in seen} == {True, False}
+    assert {r for _, r, *_ in seen} == {0, 1, 2, 3}
+    assert {s for _, _, s, *_ in seen} == {0, 1, 2, 3}
+    assert {(v, big) for v, _, _, big, _ in seen} >= \
+        {(True, True), (False, True)}
+    assert {(v, absent) for v, *_, absent in seen} >= \
+        {(True, True), (False, True)}
+
+
+@pytest.mark.parametrize("rep, misshapen", [
+    (Representation(2, [PolyMatrix.identity(2, ())] * 3), True),
+    (_off_coords("rho"), True), (_off_coords("mu"), True),
+    (Representation(2, [PolyMatrix.identity(2, ())] * 2), False)])
+def test_point_gate_decides_the_axioms_first(rep, misshapen):
+    # past the axiom gate the tables refuse a misshapen pair; without
+    # the check they are read from a table that fails the axioms
+    alg = nonexample()
+    with pytest.raises(NotLeftSymmetric):
+        point_cohomology_dims(alg, rep, 2)
+    if misshapen:
+        with pytest.raises(DimensionMismatch):
+            point_cohomology_dims(alg, rep, 2, check=False)
+    else:
+        assert point_cohomology_dims(alg, rep, 2, check=False).degrees
 
 
 @st.composite
