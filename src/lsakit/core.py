@@ -180,7 +180,7 @@ class LSAlgebroid(FrameAlgebroid):
 
     def __init__(self, coords, rank: int, c, anchor):
         self.c = self._tables(coords, rank, c, anchor, "product")
-        # graded_product's memo of products of unit wedge monomials
+        # graded_product's memos of term products, one per degree limit
         self._products: dict = {}
         # check_left_symmetric stores its verdict here for the axiom gate
         self._axioms: bool | None = None

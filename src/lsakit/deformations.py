@@ -15,8 +15,9 @@ intertwining record as a pass by that proof, and decides none again.
 
 The formal parameter of ``deformed_algebroid(..., FORMAL)`` is realized
 as a genuine extra base coordinate that no anchor field differentiates,
-so "for all t" statements become single polynomial identities; rational
-specializations substitute the parameter away.
+so "for all t" statements become single polynomial identities.  A
+rational t builds x.y + t w(x, y) and a + t sigma_w directly over the
+original coordinates; nothing is substituted.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ structure; the shifted grading sigma = grade - 1 governs all signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .core import (
@@ -30,9 +29,8 @@ from .polyring import (
     Poly,
     SparseModule,
     _accumulate,
-    _canonical,
-    _check_degree,
     _index_tuple,
+    _limit_memo,
     _poly_value,
     sort_with_sign,
 )
@@ -116,32 +114,26 @@ def wedge(x: Multivector, y: Multivector) -> Multivector:
     return x._like(terms)
 
 
-def _term_product(alg: LSAlgebroid, key_x, exp_x, key_y, exp_y) \
-        -> tuple[int, tuple]:
-    """Extended product of the wedge monomials x^exp_x e_{key_x} and
-    x^exp_y e_{key_y}.  Slot by slot, the pair of factors (a, b)
-    contributes the section product of e_{key_x[a]} and e_{key_y[b]}
-    wedged with the remaining factors; the coefficients multiply through
-    except where the anchor of the left factor differentiates the
-    coefficient carried by the first right slot (b == 0).  Returns the
-    highest degree a polynomial product reaches (the degree limit must
-    admit it) and (wedge key, exponents, coefficient) triples.
+def _term_product(alg: LSAlgebroid, key_x, poly_x: Poly, key_y,
+                  poly_y: Poly) -> dict:
+    """Extended product of the terms poly_x e_{key_x} and poly_y e_{key_y},
+    as wedge key -> nonzero polynomial.  Slot by slot, the pair of
+    factors (a, b) contributes the section product of e_{key_x[a]} and
+    e_{key_y[b]} wedged with the remaining factors; the coefficients
+    multiply through except where the anchor of the left factor
+    differentiates the coefficient carried by the first right slot
+    (b == 0).  Bilinear over Q in (poly_x, poly_y).
     """
     k, l = len(key_x), len(key_y)
+    out: dict = {}
     if k == 0:
-        return -1, ()  # a function acting from the left gives zero
-    poly_x, poly_y = Poly(alg.coords, {exp_x: 1}), Poly(alg.coords, {exp_y: 1})
-    both, dy, out = poly_x * poly_y if l else None, sum(exp_y), {}
-    degrees = [poly_x.total_degree + dy if l else -1]
+        return out  # a function acting from the left gives zero
+    both = poly_x * poly_y if l else None
     for a in range(k):
         i = key_x[a]
-        # the anchor multiplies each component into a partial of poly_y
-        degrees += [comp.total_degree + dy - 1
-                    for mu, comp in alg.anchor[i].terms.items() if exp_y[mu]]
         derived = alg.anchor[i].apply(poly_y)
         if not derived.is_zero():
             derived = poly_x * derived
-            degrees.append(derived.total_degree)
             if l == 0:
                 # sections differentiate the function through the anchor;
                 # the coefficient slot factors out by left linearity
@@ -150,7 +142,6 @@ def _term_product(alg: LSAlgebroid, key_x, exp_x, key_y, exp_y) \
         for b in range(l):
             j = key_y[b]
             terms = {m: both * comp for m, comp in alg.c[i][j].terms.items()}
-            degrees += [value.total_degree for value in terms.values()]
             if b == 0 and not derived.is_zero():
                 _accumulate(terms, j, derived)
             pair_sign = -1 if (a + b) % 2 else 1
@@ -159,55 +150,46 @@ def _term_product(alg: LSAlgebroid, key_x, exp_x, key_y, exp_y) \
                 merged, sign = sort_with_sign((m,) + rest)
                 if sign != 0:
                     _accumulate(out, merged, value * (pair_sign * sign))
-    return max(degrees), tuple((key, exps, coeff) for key, value in out.items()
-                               for exps, coeff in value.terms.items())
+    return out
+
+
+def _graded_sum(alg: LSAlgebroid, x: Multivector, y: Multivector,
+                bracket: bool) -> Multivector:
+    """x.y, or with ``bracket`` [x, y], summed over the pairs of terms.
+    The bracket adds -(-1)^((k-1)(l-1)) times the product in the other
+    order for a pair of grades k and l.  Each product of two terms comes
+    from the algebroid's memo filed under the current degree limit."""
+    x._check(y)
+    if x.coords != alg.coords or x.rank != alg.rank:
+        raise DimensionMismatch("multivectors do not live on this bundle")
+    memo, out = _limit_memo(alg._products), {}
+    for key_x, poly_x in x.terms.items():
+        for key_y, poly_y in y.terms.items():
+            pairs = [((key_x, poly_x, key_y, poly_y), 1)]
+            if bracket:
+                twist = 1 if (len(key_x) - 1) * (len(key_y) - 1) % 2 else -1
+                pairs.append(((key_y, poly_y, key_x, poly_x), twist))
+            for pair, sign in pairs:
+                terms = memo.get(pair)
+                if terms is None:
+                    terms = memo.setdefault(
+                        pair, tuple(_term_product(alg, *pair).items()))
+                for key, value in terms:
+                    _accumulate(out, key, value if sign == 1 else -value)
+    return x._like(out)
 
 
 def graded_product(alg: LSAlgebroid, x: Multivector, y: Multivector) \
         -> Multivector:
-    """Extended multiplication; drops total grade by one.  Bilinear over Q,
-    so each pair of coefficient terms scales the algebroid's memoized
-    product of unit wedge monomials, under the current degree limit."""
-    x._check(y)
-    if x.coords != alg.coords or x.rank != alg.rank:
-        raise DimensionMismatch("multivectors do not live on this bundle")
-    memo, sums = alg._products, {}
-    for (key_x, poly_x), (key_y, poly_y) in product(x.terms.items(),
-                                                    y.terms.items()):
-        for (exp_x, coeff_x), (exp_y, coeff_y) in product(
-                poly_x.terms.items(), poly_y.terms.items()):
-            pair = (key_x, exp_x, key_y, exp_y)
-            top, terms = memo.get(pair) or \
-                memo.setdefault(pair, _term_product(alg, *pair))
-            _check_degree(top)
-            scale = coeff_x * coeff_y
-            for key, exps, coeff in terms:
-                acc = sums.setdefault(key, {})
-                value = acc.get(exps)
-                acc[exps] = coeff * scale if value is None \
-                    else value + coeff * scale
-    # the memoized terms are clean: only cancelled coefficients drop out
-    out = {key: Poly._from(alg.coords,
-                           _canonical({e: c for e, c in acc.items() if c}))
-           for key, acc in sums.items()}
-    return x._like({key: v for key, v in out.items() if not v.is_zero()})
+    """Extended multiplication; drops total grade by one."""
+    return _graded_sum(alg, x, y, False)
 
 
 def graded_bracket(alg: LSAlgebroid, x: Multivector, y: Multivector) \
         -> Multivector:
-    """Graded commutator of the extended multiplication over the
-    homogeneous components (the Schouten bracket of the sub-adjacent
-    structure)."""
-    x._check(y)
-    total = Multivector.zero(alg.coords, alg.rank)
-    for k in x.grades():
-        xk = x.homogeneous_component(k)
-        for l in y.grades():
-            yl = y.homogeneous_component(l)
-            sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
-            total = total + graded_product(alg, xk, yl) \
-                - graded_product(alg, yl, xk).scale(sign)
-    return total
+    """Graded commutator of the extended multiplication (the Schouten
+    bracket of the sub-adjacent structure)."""
+    return _graded_sum(alg, x, y, True)
 
 
 def _require_homogeneous(*items: Multivector) -> tuple[int, ...]:

@@ -47,6 +47,7 @@ from lsakit.errors import DimensionMismatch
 from lsakit.multivector import (
     Multivector,
     _require_homogeneous,
+    graded_product,
     left_symmetry_defect,
 )
 from lsakit.polyring import (
@@ -1176,6 +1177,23 @@ def lie_admissible_defect(alg: LSAlgebroid, x: Multivector, y: Multivector,
     return left_symmetry_defect(alg, x, y, z).scale(sign(gx, gz)) \
         + left_symmetry_defect(alg, y, z, x).scale(sign(gy, gx)) \
         + left_symmetry_defect(alg, z, x, y).scale(sign(gz, gy))
+
+
+def graded_bracket_oracle(alg: LSAlgebroid, x: Multivector,
+                          y: Multivector) -> Multivector:
+    """The graded bracket as a sum over homogeneous components,
+    [x_k, y_l] = x_k.y_l - (-1)^((k-1)(l-1)) y_l.x_k, each side a
+    graded_product of whole multivectors."""
+    x._check(y)
+    total = Multivector.zero(alg.coords, alg.rank)
+    for k in x.grades():
+        xk = x.homogeneous_component(k)
+        for l in y.grades():
+            yl = y.homogeneous_component(l)
+            sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
+            total = total + graded_product(alg, xk, yl) \
+                - graded_product(alg, yl, xk).scale(sign)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from test_golden_reports import COMMANDS as GOLDEN_COMMANDS
 
 from lsakit import cli, cohomology, constructions, instances
 from lsakit.cli import build_parser, derive, main, run_suite
-from lsakit.constructions import semidirect_lsa
+from lsakit.constructions import check_quadratic, semidirect_lsa
 from lsakit.core import build_left_mult_rep, check_left_symmetric
-from lsakit.errors import ParseError, SchemaError
+from lsakit.errors import NonConstantDeterminant, ParseError, SchemaError
 from lsakit.polyring import parse_poly
 from lsakit.instances import (
     CORPUS_NAMES,
@@ -766,6 +766,48 @@ def test_main_malformed_deformation_values_exit_2(tmp_path, capsys, mutate,
     for argv in (["check"], ["deform", "--deformation"]):
         assert main([*argv, path]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_deformation_prime_block(tmp_path, capsys):
+    # a second candidate equal to the first parses to the same
+    # multiderivation, and their difference is d N = 0 for N = diag(0, 1)
+    data = json.loads(corpus_path("point_e1e2").read_text())
+    data["deformation_prime"] = copy.deepcopy(data["deformation"])
+    path = str(write_instance(tmp_path, data))
+    instance = parse_instance(path)
+    assert instance.deformation_prime == instance.deformation
+
+    def exactness(target):
+        main(["deform", "--equivalence", "N", target, "--no-timestamp"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        return [c["status"] for c in checks if c["name"] == "exactness"]
+
+    assert exactness(str(corpus_path("point_e1e2"))) == ["fail"]
+    assert exactness(path) == ["pass"]
+    data["deformation_prime"]["values"].pop()
+    path = str(write_instance(tmp_path, data))
+    for argv in (["check"], ["deform", "--equivalence", "N"]):
+        assert main([*argv, path]) == 2
+        assert capsys.readouterr().err == \
+            "error: deformation_prime.values: expected 2 entries, got 1\n"
+
+
+def test_verify_all_non_constant_form_determinant(tmp_path, capsys):
+    # a form whose determinant is x leaves nondegeneracy uncertified, and
+    # no complex structure is built from it
+    data = json.loads(corpus_path("riemannian").read_text())
+    data["bilinear_form"] = [["x", "0"], ["0", "1"]]
+    path = str(write_instance(tmp_path, data))
+    instance = parse_instance(path)
+    with pytest.raises(NonConstantDeterminant) as err:
+        check_quadratic(instance.algebroid, instance.bilinear_form)
+    assert main(["verify-all", path, "--no-timestamp"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c for c in checks if c["name"].startswith("quadratic/")] == [
+        {"name": "quadratic/nondegenerate",
+         "identity": "determinant is a nonzero constant",
+         "status": "uncertified", "witnesses": [str(err.value)]}]
+    assert not [c for c in checks if c["name"].startswith("complex/")]
 
 
 # ---------------------------------------------------------------------------

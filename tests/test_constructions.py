@@ -22,6 +22,7 @@ from helpers import (
     two_form_d_oracle,
 )
 from lsakit.constructions import (
+    BilinearForm,
     _torsion_failures,
     action_algebroid,
     apply_O_operator,
@@ -663,6 +664,52 @@ def test_quadratic_kernel_descend():
                                     PolyMatrix.identity(2, ("x", "y")), [])
 
 
+def test_bilinear_form_refuses_non_square_and_non_symmetric():
+    coords = ("x",)
+    x, one = parse_poly("x", coords), Poly.constant(1, coords)
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        BilinearForm(PolyMatrix(coords, [[one, x]]))
+    with pytest.raises(DimensionMismatch, match="must be symmetric"):
+        BilinearForm(PolyMatrix(coords, [[one, x], [one, one]]))
+    square = PolyMatrix(coords, [[one, x], [x, one]])
+    assert BilinearForm(square).matrix is square
+
+
+@pytest.mark.parametrize("build, form", [
+    (flat_instance, [["2", "1"], ["1", "1"]]),
+    (flat_instance, [["1", "0"], ["0", "1"]]),
+    (flat_instance, [["1", "x"], ["x", "x^2 + 1"]]),
+    (point_e1e2, [["1", "0"], ["0", "1"]]),
+    (flat_line_rank2, [["1", "0"], ["0", "1"]]),
+    (flat_line_rank2, [["1", "0"], ["0", "-1"]])])
+def test_bilinear_form_reads_as_its_matrix(build, form):
+    # check_quadratic, build_complex_structure and quadratic_kernel_descend
+    # give equal results for BilinearForm(m) and for m
+    alg = build()
+    matrix = PolyMatrix(alg.coords, [[parse_poly(text, alg.coords)
+                                      for text in row] for row in form])
+    wrapped = BilinearForm(matrix)
+    assert check_quadratic(alg, wrapped).to_dict() == \
+        check_quadratic(alg, matrix).to_dict()
+
+    def outcome(call, form, *args):
+        try:
+            result = call(alg, form, *args)
+        except NotQuadratic as err:
+            return str(err)
+        if isinstance(result, bool):
+            return result
+        return result.J, result.report.to_dict()
+
+    assert outcome(build_complex_structure, wrapped) == \
+        outcome(build_complex_structure, matrix)
+    # the frame sections the anchor annihilates span a kernel frame
+    kernel = [alg.frame(i) for i in range(alg.rank) if alg.anchor[i].is_zero()]
+    for frame in ([], kernel):
+        assert outcome(quadratic_kernel_descend, wrapped, frame) == \
+            outcome(quadratic_kernel_descend, matrix, frame)
+
+
 def test_quadratic_kernel_descend_errors():
     alg = flat_line_rank2()
     form = PolyMatrix.identity(2, ("x",))
@@ -781,6 +828,17 @@ def test_kernel_representations_rejects_bad_frame():
     alg = ladder_instance()
     with pytest.raises(FrameNotInKernel):
         kernel_representations(alg, [Section.unit(("x",), 2, 0)])
+
+
+def test_empty_kernel_frame():
+    # the span of no sections: only the frame record, and only the zero
+    # section is expressed, by no coefficients
+    for alg in (ladder_instance(), point_e1e2()):
+        report = kernel_representations(alg, [])
+        assert [(rec.name, rec.status) for rec in report.records] == \
+            [("kernel-frame", "pass")]
+        assert express_in_frame([], alg.zero_section()) == []
+        assert express_in_frame([], alg.frame(0)) is None
 
 
 def test_express_in_frame():

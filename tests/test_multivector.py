@@ -5,13 +5,15 @@ import functools
 import random
 import sys
 import threading
-from itertools import product as triples
+from fractions import Fraction
+from itertools import combinations, product as triples
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from helpers import (
     action_instance,
     flat_instance,
+    graded_bracket_oracle,
     ladder_instance,
     lie_admissible_defect,
     point_algebra,
@@ -41,7 +43,7 @@ from lsakit.multivector import (
     graded_product,
     wedge,
 )
-from lsakit.errors import DegreeOverflow
+from lsakit.errors import DegreeOverflow, DimensionMismatch
 from lsakit.polyring import Poly, VectorField, parse_poly, set_degree_limit
 from lsakit.report import Report
 
@@ -277,6 +279,138 @@ def test_reused_product_respects_lowered_degree_limit():
         assert graded_product(alg, x, y) == warm
     finally:
         set_degree_limit(16)
+
+
+def random_multivector(rng, alg) -> Multivector:
+    """Up to three terms of mixed grades, each coefficient a polynomial of
+    up to three terms with Fraction values."""
+    keys = [key for grade in range(alg.rank + 1)
+            for key in combinations(range(alg.rank), grade)]
+    return Multivector(alg.coords, alg.rank,
+                       {key: random_poly(rng, alg.coords, 2, 3)
+                        for key in rng.sample(keys, min(3, len(keys)))})
+
+
+def test_products_match_oracles_on_polynomial_coefficients():
+    # graded_product against the rule-based expansion, graded_bracket
+    # against the sum over homogeneous components, on a cold memo and
+    # again on the memo the first round warmed
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from((((), 2), ((), 3), (("x",), 2), (("x",), 3),
+                            (("x", "y"), 2))),
+           st.integers(0, 2 ** 32))
+    def agree(shape, seed):
+        rng = random.Random(seed)
+        alg = random_algebroid(rng, *shape)
+        x, y = random_multivector(rng, alg), random_multivector(rng, alg)
+        # the oracles run on the same tables with a memo of their own
+        twin = random_algebroid(random.Random(seed), *shape)
+        product = rule_based_product(twin, x, y)
+        bracket = graded_bracket_oracle(twin, x, y)
+        for _ in range(2):
+            assert graded_product(alg, x, y) == product
+            assert graded_bracket(alg, x, y) == bracket
+        for value in (*x.terms.values(), *y.terms.values()):
+            seen.add(("terms", min(len(value.terms), 2)))
+            seen.update(("fraction", type(c) is Fraction)
+                        for c in value.terms.values())
+        seen.add(("mixed", not (x.is_homogeneous() and y.is_homogeneous())))
+        seen.add(("nonzero", not bracket.is_zero()))
+
+    agree()
+    assert seen >= {("terms", 2), ("fraction", True), ("mixed", True),
+                    ("nonzero", True)}
+
+
+def test_bracket_checks_the_bundle_on_zero_operands():
+    # the product loop checks the bundle before it reads any term
+    alg, other = flat_instance(), ladder_instance()
+    zero = Multivector.zero(other.coords, other.rank)
+    for operation in (graded_product, graded_bracket):
+        with pytest.raises(DimensionMismatch):
+            operation(alg, zero, zero)
+
+
+def overflow_algebroid() -> LSAlgebroid:
+    """Rank 2 over (x, y) with e_1 . e_2 = x e_1, every other product
+    and both anchors zero."""
+    coords = ("x", "y")
+    zero = Section.zero(coords, 2)
+    e1x = Section(coords, [parse_poly("x", coords), Poly.zero(coords)])
+    return LSAlgebroid(coords, 2, [[zero, e1x], [zero, zero]],
+                       [VectorField.zero(coords)] * 2)
+
+
+def _outcomes(alg, pairs, limit: int) -> list:
+    """Each product of ``pairs`` under ``limit``, or the DegreeOverflow
+    message it raises, in a context of its own."""
+    def run():
+        set_degree_limit(limit)
+        out = []
+        for x, y in pairs:
+            try:
+                out.append(graded_product(alg, x, y))
+            except DegreeOverflow as err:
+                out.append(str(err))
+        return out
+
+    return contextvars.copy_context().run(run)
+
+
+def test_reused_product_overflows_with_the_fresh_message():
+    # the fresh product first exceeds limit 6 at degree 7 (x^3*y times
+    # x*y^2); after a product under limit 16, the same algebroid must
+    # raise the same message
+    alg = overflow_algebroid()
+    x = mv_terms(alg, {(0,): "x^3*y"})
+    y = mv_terms(alg, {(1,): "x*y^2"})
+    assert _outcomes(alg, [(x, y)], 16) == [mv_terms(alg, {(0,): "x^5*y^3"})]
+    fresh = _outcomes(overflow_algebroid(), [(x, y)], 6)
+    assert fresh == ["product degree 7 exceeds limit 6"]
+    assert _outcomes(alg, [(x, y)], 6) == fresh
+    assert _outcomes(alg, [(x, y)], 7) == \
+        _outcomes(overflow_algebroid(), [(x, y)], 7)
+
+
+def test_products_shared_across_threads_at_two_limits():
+    # two threads on one algebroid, one under limit 6 and one under 8:
+    # each sees exactly the results and messages of a fresh serial run
+    coords = ("x", "y")
+    texts = ["x", "x*y + 1/2", "2/3*x^2*y - y^3", "x^4*y + x"]
+    gens = [Multivector(coords, 2, {key: parse_poly(text, coords)})
+            for text in texts for key in ((0,), (1,), (0, 1))]
+    pairs = [(x, y) for x in gens for y in gens]
+    serial = {limit: _outcomes(overflow_algebroid(), pairs, limit)
+              for limit in (6, 8)}
+    for outcomes in serial.values():
+        assert any(isinstance(o, str) for o in outcomes)
+        assert any(isinstance(o, Multivector) and not o.is_zero()
+                   for o in outcomes)
+    assert serial[6] != serial[8]
+    shared = overflow_algebroid()
+    barrier = threading.Barrier(2)
+    results = {}
+
+    def run(limit):
+        barrier.wait()
+        results[limit] = [_outcomes(shared, pairs, limit) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(limit,))
+               for limit in serial]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {limit: [outcomes] * 3
+                       for limit, outcomes in serial.items()}
 
 
 def test_graded_check_shared_across_threads():
