@@ -176,12 +176,10 @@ class LSAlgebroid(FrameAlgebroid):
     left-symmetric algebra over the rationals.
     """
 
-    __slots__ = ("c", "_products", "_axioms")
+    __slots__ = ("c", "_axioms")
 
     def __init__(self, coords, rank: int, c, anchor):
         self.c = self._tables(coords, rank, c, anchor, "product")
-        # graded_product's memos of term products, one per degree limit
-        self._products: dict = {}
         # check_left_symmetric stores its verdict here for the axiom gate
         self._axioms: bool | None = None
 

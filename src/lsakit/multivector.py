@@ -30,7 +30,6 @@ from .polyring import (
     SparseModule,
     _accumulate,
     _index_tuple,
-    _limit_memo,
     _poly_value,
     sort_with_sign,
 )
@@ -157,25 +156,21 @@ def _graded_sum(alg: LSAlgebroid, x: Multivector, y: Multivector,
                 bracket: bool) -> Multivector:
     """x.y, or with ``bracket`` [x, y], summed over the pairs of terms.
     The bracket adds -(-1)^((k-1)(l-1)) times the product in the other
-    order for a pair of grades k and l.  Each product of two terms comes
-    from the algebroid's memo filed under the current degree limit."""
+    order for a pair of grades k and l."""
     x._check(y)
     if x.coords != alg.coords or x.rank != alg.rank:
         raise DimensionMismatch("multivectors do not live on this bundle")
-    memo, out = _limit_memo(alg._products), {}
+    out: dict = {}
     for key_x, poly_x in x.terms.items():
         for key_y, poly_y in y.terms.items():
-            pairs = [((key_x, poly_x, key_y, poly_y), 1)]
+            for key, value in _term_product(alg, key_x, poly_x, key_y,
+                                            poly_y).items():
+                _accumulate(out, key, value)
             if bracket:
                 twist = 1 if (len(key_x) - 1) * (len(key_y) - 1) % 2 else -1
-                pairs.append(((key_y, poly_y, key_x, poly_x), twist))
-            for pair, sign in pairs:
-                terms = memo.get(pair)
-                if terms is None:
-                    terms = memo.setdefault(
-                        pair, tuple(_term_product(alg, *pair).items()))
-                for key, value in terms:
-                    _accumulate(out, key, value if sign == 1 else -value)
+                for key, value in _term_product(alg, key_y, poly_y, key_x,
+                                                poly_x).items():
+                    _accumulate(out, key, value if twist == 1 else -value)
     return x._like(out)
 
 

@@ -22,9 +22,8 @@ it arises.
 
 Determinants, cofactors and the invertible-submatrix search share one
 Laplace expansion over stored entries (``PolyMatrix._minor``), memoized
-on (rows, columns) in the matrix's own memos of minors, one per degree
-limit (``_limit_memo``); ranks and kernels use integer elimination
-(``_forward_pivots``).
+on (rows, columns) in the matrix's own memo of minors, one per degree
+limit; ranks and kernels use integer elimination (``_forward_pivots``).
 
 Everything here is immutable after construction and safe to share
 between threads.  Public constructors validate their input; arithmetic
@@ -79,14 +78,6 @@ def _check_degree(degree: int, what: str = "product") -> None:
     limit = _DEGREE_LIMIT.get()
     if degree > limit:
         raise DegreeOverflow(f"{what} degree {degree} exceeds limit {limit}")
-
-
-def _limit_memo(memos: dict) -> dict:
-    """The memo in ``memos`` filed under the current degree limit.  Work
-    that multiplies polynomials is read back only under the limit it was
-    computed under, so a hit raises ``DegreeOverflow`` exactly where
-    computing afresh would."""
-    return memos.setdefault(_DEGREE_LIMIT.get(), {})
 
 
 def as_rational(value) -> Rational:
@@ -888,15 +879,17 @@ class PolyMatrix(SparseModule):
     def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
         """Determinant of the ``rows`` x ``cols`` submatrix, expanded
         along its first column over stored entries only.  Memoized by
-        ``(rows, cols)`` in this matrix's memos of minors, one per degree
-        limit (``_limit_memo``)."""
+        ``(rows, cols)`` in this matrix's memo of minors, one memo per
+        degree limit, so a minor is read back only under the limit that
+        expanded it and raises ``DegreeOverflow`` where a fresh
+        expansion would."""
         if not rows:
             return Poly.constant(1, self.coords)
         try:
             memos = self._minors
         except AttributeError:
             memos = self._minors = {}
-        memo = _limit_memo(memos)
+        memo = memos.setdefault(_DEGREE_LIMIT.get(), {})
         minor = memo.get((rows, cols))
         if minor is None:
             minor = Poly.zero(self.coords)

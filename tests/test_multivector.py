@@ -249,12 +249,12 @@ def test_product_matches_oracle_on_rational_coefficients(build, pairs):
         x, y = mv_terms(alg, x), mv_terms(alg, y)
         cases += [(x, y, expected), (y, x, None)]
     for x, y, expected in cases:
-        alg = build()  # a cold memo for every product
+        alg = build()  # a fresh algebroid for every product
         oracle = rule_based_product(alg, x, y)
         assert graded_product(alg, x, y) == oracle
         if expected is not None:
             assert oracle == mv_terms(alg, expected)
-    # one shared memo, warmed by the products and brackets in reverse
+    # one shared algebroid, used by the products and brackets in reverse
     # order before the products are taken again
     alg = build()
     for x, y, _ in reversed(cases):
@@ -293,8 +293,7 @@ def random_multivector(rng, alg) -> Multivector:
 
 def test_products_match_oracles_on_polynomial_coefficients():
     # graded_product against the rule-based expansion, graded_bracket
-    # against the sum over homogeneous components, on a cold memo and
-    # again on the memo the first round warmed
+    # against the sum over homogeneous components
     seen = set()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -305,13 +304,9 @@ def test_products_match_oracles_on_polynomial_coefficients():
         rng = random.Random(seed)
         alg = random_algebroid(rng, *shape)
         x, y = random_multivector(rng, alg), random_multivector(rng, alg)
-        # the oracles run on the same tables with a memo of their own
-        twin = random_algebroid(random.Random(seed), *shape)
-        product = rule_based_product(twin, x, y)
-        bracket = graded_bracket_oracle(twin, x, y)
-        for _ in range(2):
-            assert graded_product(alg, x, y) == product
-            assert graded_bracket(alg, x, y) == bracket
+        assert graded_product(alg, x, y) == rule_based_product(alg, x, y)
+        bracket = graded_bracket_oracle(alg, x, y)
+        assert graded_bracket(alg, x, y) == bracket
         for value in (*x.terms.values(), *y.terms.values()):
             seen.add(("terms", min(len(value.terms), 2)))
             seen.update(("fraction", type(c) is Fraction)
@@ -359,7 +354,7 @@ def _outcomes(alg, pairs, limit: int) -> list:
     return contextvars.copy_context().run(run)
 
 
-def test_reused_product_overflows_with_the_fresh_message():
+def test_reused_algebroid_overflows_with_the_fresh_message():
     # the fresh product first exceeds limit 6 at degree 7 (x^3*y times
     # x*y^2); after a product under limit 16, the same algebroid must
     # raise the same message
@@ -372,6 +367,14 @@ def test_reused_product_overflows_with_the_fresh_message():
     assert _outcomes(alg, [(x, y)], 6) == fresh
     assert _outcomes(alg, [(x, y)], 7) == \
         _outcomes(overflow_algebroid(), [(x, y)], 7)
+    # a coefficient of several terms is multiplied whole: x^3*y + x^4*y
+    # times x*y^2 reaches degree 8
+    x = mv_terms(alg, {(0,): "x^3*y + x^4*y"})
+    fresh = _outcomes(overflow_algebroid(), [(x, y)], 6)
+    assert fresh == ["product degree 8 exceeds limit 6"]
+    assert _outcomes(alg, [(x, y)], 16) == \
+        [mv_terms(alg, {(0,): "x^5*y^3 + x^6*y^3"})]
+    assert _outcomes(alg, [(x, y)], 6) == fresh
 
 
 def test_products_shared_across_threads_at_two_limits():
@@ -536,9 +539,10 @@ def test_graded_properties_ladder_with_coefficients():
 
 
 def reference_graded_check(alg, spec: GradedSampleSpec) -> Report:
-    """The graded check computed naively: every product, bracket and
-    associator is recomputed wherever it occurs.  Oracle for the reuse in
-    check_graded_properties (same checks, witnesses and witness order)."""
+    """The graded check computed naively on the sample: every product and
+    bracket is recomputed wherever it occurs, each associator once.
+    Oracle for check_graded_properties (same checks, witnesses and
+    witness order)."""
     gens = sample_generators(alg, spec)
     report = Report("graded structure")
 
@@ -581,6 +585,7 @@ def reference_graded_check(alg, spec: GradedSampleSpec) -> Report:
         sign = -1 if (sigma[i] * sigma[j]) % 2 else 1
         return cache[(i, j, k)] - cache[(j, i, k)].scale(sign)
 
+    cache = {}
     ci_witnesses = []
     leib_witnesses = []
     jac_witnesses = []
@@ -592,7 +597,6 @@ def reference_graded_check(alg, spec: GradedSampleSpec) -> Report:
             bracket_xy = brk[i][j]
             for k in range(count):
                 z = gens[k]
-                cache = {}
                 d_xyz = defect(i, j, k, cache)
                 d_yzx = defect(j, k, i, cache)
                 d_zxy = defect(k, i, j, cache)
