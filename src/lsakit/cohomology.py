@@ -20,9 +20,9 @@ The structure constants and the representation matrices are then read
 once per call, from their sparse terms, into integer tables over one
 common denominator.  The representation identities are decided on
 those tables by integer products, and each differential is emitted
-from them as sparse integer rows: one row template per omitted argument
-and last index, built with the tables and shared by every degree, plus
-the commutator insertions.  Exact integer elimination to echelon form
+from them as sparse integer rows: the nonzero rows of one template per
+omitted argument and last index, built with the tables and shared by
+every degree, plus the nonzero commutator entries.  Exact integer elimination to echelon form
 gives each rank, hence the cocycle, coboundary and cohomology
 dimensions.  No dense matrix, no polynomial and no kernel basis is
 built on that path; ``assemble_point_differential`` gives the dense
@@ -31,6 +31,7 @@ rational view of the same rows.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -352,10 +353,13 @@ class _PointTables(NamedTuple):
     ``{col: int}``, ``prod[i][j]`` the product e_i.e_j as ``{k: int}``,
     ``comm[i, j]`` the commutator (i < j) as ``{k: int}``.
 
-    ``templates[i][last]`` holds the s rows, as ``{offset: int}`` within
-    one domain block of r * s columns, that an omitted argument e_i adds
-    to the codomain block ending in ``last``: rho_i on the last slot,
-    mu_last on slot i, minus e_i.e_last inserted into the last slot."""
+    ``rho_rows[i]`` and ``mu_rows[i]`` hold the nonzero rows alone, as
+    ``{m: row}``, and ``rho_rho[i][j]`` those of rho_i rho_j (times
+    den^2).  ``templates[i][last]`` holds the nonzero rows ``{m: row}``,
+    at offsets within one domain block of r * s columns, that an omitted
+    argument e_i adds to the codomain block ending in ``last``: rho_i on
+    the last slot, mu_last on slot i, minus e_i.e_last inserted into the
+    last slot."""
     den: int
     rank: int
     s: int
@@ -364,6 +368,9 @@ class _PointTables(NamedTuple):
     prod: list
     comm: dict
     templates: list
+    rho_rows: list
+    mu_rows: list
+    rho_rho: list
 
 
 def _point_tables(alg: LSAlgebroid, rep: Representation) -> _PointTables:
@@ -392,13 +399,14 @@ def _point_tables(alg: LSAlgebroid, rep: Representation) -> _PointTables:
         return v.numerator * (den // v.denominator)
 
     def rows(terms):
-        out = [{} for _ in range(s)]
+        out: dict = {}
         for (m, p), entry in terms.items():
-            out[m][p] = scaled(entry)
+            out.setdefault(m, {})[p] = scaled(entry)
         return out
 
-    rho = [rows(terms) for terms in rho]
-    mu = [rows(terms) for terms in mu]
+    rho_rows, mu_rows = [rows(t) for t in rho], [rows(t) for t in mu]
+    rho, mu = ([[nonzero.get(m, {}) for m in range(s)] for nonzero in mats]
+               for mats in (rho_rows, mu_rows))
     prod = [[{k: scaled(v) for k, v in terms.items()} for terms in row]
             for row in prod]
     comm = {}
@@ -407,101 +415,129 @@ def _point_tables(alg: LSAlgebroid, rep: Representation) -> _PointTables:
         for k, v in prod[j][i].items():
             total[k] = total.get(k, 0) - v
         comm[i, j] = {k: v for k, v in total.items() if v}
-    templates = [[_row_template(rho[i], mu[last], prod[i][last], i, last, s)
+    unit = {m: {m: 1} for m in range(s)}
+    templates = [[_combine([(1, rho_rows[i], last * s),
+                            (1, mu_rows[last], i * s),
+                            *((-v, unit, k * s)
+                              for k, v in prod[i][last].items())], [])
                   for last in range(r)] for i in range(r)]
-    return _PointTables(den, r, s, rho, mu, prod, comm, templates)
+    rho_rho = [[_combine([], [(1, left, right)]) for right in rho]
+               for left in rho_rows]
+    return _PointTables(den, r, s, rho, mu, prod, comm, templates,
+                        rho_rows, mu_rows, rho_rho)
 
 
-def _row_template(rho_i: list, mu_last: list, product: dict, i: int,
-                  last: int, s: int) -> list[dict]:
-    """The rows an omitted argument e_i adds to a codomain block ending
-    in ``last``, at offsets within its domain block (see _PointTables)."""
-    rows = [{last * s + p: v for p, v in entries.items()}
-            for entries in rho_i]
-    for row, entries in zip(rows, mu_last):
-        for p, v in entries.items():
-            row[i * s + p] = row.get(i * s + p, 0) + v
-    for k, v in product.items():
-        for m, row in enumerate(rows):
-            row[k * s + m] = row.get(k * s + m, 0) - v
-    return [{col: v for col, v in row.items() if v} for row in rows]
+def _combine(linear: list, products: list) -> dict:
+    """Nonzero rows ``{m: {col: int}}`` of sum c X + sum c A B, over
+    ``(c, X, shift)`` in ``linear``, with the columns of X moved right
+    by ``shift``, and ``(c, A, B)`` in ``products``, for integer
+    matrices X and A given by their nonzero rows ``{m: row}`` and B by
+    all its rows."""
+    total: dict = {}
+    for c, mat, shift in linear:
+        for m, entries in mat.items():
+            row = total.setdefault(m, {})
+            for p, v in entries.items():
+                row[shift + p] = row.get(shift + p, 0) + c * v
+    for c, left, right in products:
+        for m, entries in left.items():
+            row = total.setdefault(m, {})
+            for q, a in entries.items():
+                for p, b in right[q].items():
+                    row[p] = row.get(p, 0) + c * a * b
+    return {m: nonzero for m, row in total.items()
+            if (nonzero := {p: v for p, v in row.items() if v})}
 
 
 def _is_point_representation(tables: _PointTables) -> bool:
     """The representation identities over a point, decided on the
-    tables: sum_k (c_ij^k - c_ji^k) R_k = [R_i, R_j] for i < j, and
-    R_i M_j - M_j R_i = sum_k c_ij^k M_k - M_j M_i for all i, j (the
-    anchor is zero).  Both sides of each scale by den^2."""
+    tables: sum_k (c_ij^k - c_ji^k) R_k = [R_i, R_j] for i < j, read off
+    the shared products rho_rho, and R_i M_j - M_j R_i = sum_k c_ij^k M_k
+    - M_j M_i for all i, j (the anchor is zero).  Both sides of each
+    scale by den^2."""
     rho, mu, prod = tables.rho, tables.mu, tables.prod
-    for i, j in combinations(range(tables.rank), 2):
-        if not _vanishes(tables.s,
-                         [(v, rho[k]) for k, v in tables.comm[i, j].items()],
-                         [(-1, rho[i], rho[j]), (1, rho[j], rho[i])]):
+    rho_rows, mu_rows, rho_rho = \
+        tables.rho_rows, tables.mu_rows, tables.rho_rho
+    for (i, j), comm in tables.comm.items():
+        if _combine([(v, rho_rows[k], 0) for k, v in comm.items()]
+                    + [(-1, rho_rho[i][j], 0), (1, rho_rho[j][i], 0)], []):
             return False
     for i in range(tables.rank):
         for j in range(tables.rank):
-            if not _vanishes(tables.s,
-                             [(-v, mu[k]) for k, v in prod[i][j].items()],
-                             [(1, rho[i], mu[j]), (-1, mu[j], rho[i]),
-                              (1, mu[j], mu[i])]):
+            if _combine([(-v, mu_rows[k], 0) for k, v in prod[i][j].items()],
+                        [(1, rho_rows[i], mu[j]), (-1, mu_rows[j], rho[i]),
+                         (1, mu_rows[j], mu[i])]):
                 return False
     return True
 
 
-def _vanishes(s: int, linear: list, products: list) -> bool:
-    """Is sum c X + sum c A B zero, over ``(c, X)`` in ``linear`` and
-    ``(c, A, B)`` in ``products``, for s x s integer matrices given by
-    their rows ``{col: int}``?"""
-    for m in range(s):
-        total: dict = {}
-        for c, mat in linear:
-            for p, v in mat[m].items():
-                total[p] = total.get(p, 0) + c * v
-        for c, left, right in products:
-            for q, a in left[m].items():
-                for p, b in right[q].items():
-                    total[p] = total.get(p, 0) + c * a * b
-        if any(total.values()):
-            return False
-    return True
+def _point_rows(tables: _PointTables, degree: int) \
+        -> Iterator[tuple[int, dict]]:
+    """Nonzero rows of the representation differential from degree
+    ``degree`` to ``degree`` + 1, as ``(index, {col: int})`` with the
+    row and column indices in ``cochain_basis`` order, no zero entries
+    (the entries times ``tables.den``) and the indices increasing; a
+    row that is not yielded is zero.
 
-
-def _point_rows(tables: _PointTables, degree: int) -> Iterator[dict]:
-    """Rows of the representation differential from degree ``degree``
-    to ``degree`` + 1, in ``cochain_basis`` order, as ``{col: int}``
-    with no zero entries (the entries times ``tables.den``).
-
-    Each block of rows (one codomain key, all value indices) receives the
-    four terms of :func:`rep_d`: rho on the omitted argument, mu on the
-    last slot and the product inserted into the last slot, scattered
-    together as the template of the omitted argument, and the commutator
-    inserted into the leading slots.  The omitted arguments of one key
-    leave distinct tuples, so their templates fill disjoint columns.
+    Each row receives the four terms of :func:`rep_d`.  The first three
+    (rho on the omitted argument, mu on the last slot and the product
+    inserted into the last slot) are the nonzero template rows of e_i,
+    scattered over the (degree - 1)-tuples not containing i; the
+    omitted arguments of one row leave distinct tuples, so their
+    templates fill disjoint columns.  The fourth, the commutator
+    inserted into the leading slots, scatters each nonzero entry of
+    [e_i, e_j] over the (degree - 2)-tuples disjoint from {i, j}.
     """
-    r, s, templates = tables.rank, tables.s, tables.templates
-    position = {lead: pos
-                for pos, lead in enumerate(combinations(range(r), degree - 1))}
-    for _, omitted, inserted in _coboundary_terms(
-            r, degree, lambda i, j: tables.comm[i, j]):
-        # first column of each domain block (rest, 0, 0)
-        omitted = [(sign, position[rest] * r * s, templates[i_a])
-                   for sign, i_a, rest in omitted]
-        inserted = [(position[key] * r * s, v) for key, v in inserted]
-        for last in range(r):
-            rows = [{} for _ in range(s)]
-            for sign, start, template in omitted:
-                for row, entries in zip(rows, template[last]):
-                    for col, v in entries.items():
-                        row[start + col] = sign * v
-            if not inserted:
-                yield from rows
-                continue
-            for start, v in inserted:
-                base = start + last * s
-                for m2, row in enumerate(rows):
-                    row[base + m2] = row.get(base + m2, 0) + v
-            for row in rows:
-                yield {col: v for col, v in row.items() if v}
+    r, s, block = tables.rank, tables.s, tables.rank * tables.s
+    position = {rest: pos * block
+                for pos, rest in enumerate(combinations(range(r), degree - 1))}
+    target = {lead: pos * block
+              for pos, lead in enumerate(combinations(range(r), degree))}
+    rows: dict[int, dict] = {}
+    for i, templates in enumerate(tables.templates):
+        if not any(templates):
+            continue
+        # (first row, first column, sign (-1)^a) of each tuple without i
+        spots = []
+        for rest, start in position.items():
+            if i not in rest:
+                a = bisect(rest, i)
+                spots.append((target[rest[:a] + (i,) + rest[a:]], start,
+                              -1 if a % 2 else 1))
+        for last, template in enumerate(templates):
+            for m, entries in template.items():
+                for first, start, sign in spots:
+                    shifted = {start + col: sign * v
+                               for col, v in entries.items()}
+                    row = rows.get(first + last * s + m)
+                    if row is None:
+                        rows[first + last * s + m] = shifted
+                    else:
+                        row.update(shifted)
+    for (i, j), comm in tables.comm.items():
+        if not comm or degree < 2:
+            continue
+        for rest in combinations([x for x in range(r) if x not in (i, j)],
+                                 degree - 2):
+            a, b = bisect(rest, i), bisect(rest, j)
+            first = target[rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]]
+            for k, v in comm.items():
+                if k in rest:
+                    continue
+                p = bisect(rest, k)
+                start = position[rest[:p] + (k,) + rest[p:]]
+                # i and j sit at positions a and b + 1 of the lead; k
+                # sorts into the rest at position p
+                coeff = -v if (a + b + 1 + p) % 2 else v
+                for offset in range(block):
+                    row = rows.setdefault(first + offset, {})
+                    total = row.pop(start + offset, 0) + coeff
+                    if total:
+                        row[start + offset] = total
+    for index in sorted(rows):
+        row = rows.pop(index)   # held by the elimination alone from here
+        if row:
+            yield index, row
 
 
 def assemble_point_differential(alg: LSAlgebroid, rep: Representation,
@@ -511,52 +547,38 @@ def assemble_point_differential(alg: LSAlgebroid, rep: Representation,
     ``degree`` to ``degree`` + 1 over a point base, with its bases.
 
     A dense view of the integer rows :func:`point_cohomology_dims`
-    eliminates, built straight from the constant structure constants.
+    eliminates, built straight from the constant structure constants:
+    each nonzero row is placed by its index, every other row is zero.
     """
     if not alg.is_point():
         raise NotPointCase("dense assembly requires a point base")
     tables = _point_tables(alg, rep)
     domain = cochain_basis(alg.rank, rep.s, degree)
     codomain = cochain_basis(alg.rank, rep.s, degree + 1)
-    matrix = []
-    for entries in _point_rows(tables, degree):
-        row = [0] * len(domain)
+    matrix = [[0] * len(domain) for _ in codomain]
+    for index, entries in _point_rows(tables, degree):
+        row = matrix[index]
         for col, v in entries.items():
             row[col] = as_rational(Fraction(v, tables.den))
-        matrix.append(row)
     return matrix, domain, codomain
 
 
 def _c0_rows(tables: _PointTables) -> list[dict]:
-    """Rows of the degree-zero membership condition: for every frame
-    pair, the rows of rho_i rho_j - sum_k c_ij^k rho_k (times den^2)."""
-    rho, r = tables.rho, tables.rank
-    rows = []
-    for i in range(r):
-        for j in range(r):
-            for m2, entries in enumerate(rho[i]):
-                row: dict = {}
-                for q, a in entries.items():
-                    for p, b in rho[j][q].items():
-                        row[p] = row.get(p, 0) + a * b
-                for k, c in tables.prod[i][j].items():
-                    for p, b in rho[k][m2].items():
-                        row[p] = row.get(p, 0) - c * b
-                rows.append({p: v for p, v in row.items() if v})
-    return rows
+    """Nonzero rows of the degree-zero membership condition: for every
+    frame pair, the rows of rho_i rho_j - sum_k c_ij^k rho_k (times
+    den^2)."""
+    return [row for rho_rho, products in zip(tables.rho_rho, tables.prod)
+            for rho_ij, product in zip(rho_rho, products)
+            for row in _combine([(1, rho_ij, 0)] + [
+                (-c, tables.rho_rows[k], 0) for k, c in product.items()],
+                []).values()]
 
 
 def _d0_rows(tables: _PointTables) -> list[dict]:
-    """Rows of the degree-zero differential x -> mu(x)e - rho(x)e, one
-    per degree-1 basis key (times den)."""
-    rows = []
-    for mu_rows, rho_rows in zip(tables.mu, tables.rho):
-        for mu_row, rho_row in zip(mu_rows, rho_rows):
-            row = dict(mu_row)
-            for p, v in rho_row.items():
-                row[p] = row.get(p, 0) - v
-            rows.append({p: v for p, v in row.items() if v})
-    return rows
+    """Nonzero rows of the degree-zero differential x -> mu(x)e - rho(x)e,
+    at most one per degree-1 basis key (times den)."""
+    return [row for mu_i, rho_i in zip(tables.mu_rows, tables.rho_rows)
+            for row in _combine([(1, mu_i, 0), (-1, rho_i, 0)], []).values()]
 
 
 def point_cohomology_dims(alg: LSAlgebroid, rep: Representation,
@@ -585,18 +607,20 @@ def point_cohomology_dims(alg: LSAlgebroid, rep: Representation,
         raise NotARepresentation("(rho, mu) fails the representation identities")
     r, s = alg.rank, rep.s
     # degree 0: C0 is the kernel of the condition rows, its closed part
-    # the kernel of those rows stacked on the rows of d0
-    condition = _c0_rows(tables)
-    condition_rank = len(_forward_pivots(condition, s))
-    closed_rank = len(_forward_pivots(condition + _d0_rows(tables), s))
-    c0_dim = s - condition_rank
+    # the kernel of those rows stacked on the rows of d0; that
+    # elimination continues from the condition's pivot rows
+    condition = _forward_pivots(_c0_rows(tables), s)
+    closed_rank = len(_forward_pivots([*condition.values(),
+                                       *_d0_rows(tables)], s))
+    c0_dim = s - len(condition)
     c0_closed_dim = s - closed_rank
 
     degrees = []
-    previous_rank = closed_rank - condition_rank   # rank of d0 on C0
+    previous_rank = closed_rank - len(condition)   # rank of d0 on C0
     for k in range(1, n_max + 1):
         dim_c = comb(r, k - 1) * r * s
-        rank = len(_forward_pivots(_point_rows(tables, k), dim_c))
+        rank = len(_forward_pivots(
+            (row for _, row in _point_rows(tables, k)), dim_c))
         dim_z = dim_c - rank
         degrees.append(DegreeDims(k, dim_c, dim_z, previous_rank,
                                   dim_z - previous_rank))

@@ -759,8 +759,13 @@ def ideal_restriction_matrices(alg: LSAlgebroid,
         -> tuple[list[PolyMatrix], list[PolyMatrix]]:
     """Matrices of left and right multiplication restricted to the span
     of the kernel frame; raises when the span is not an ideal."""
+    return _ideal_restriction(alg, kernel_frame, _frame_solver(kernel_frame))
+
+
+def _ideal_restriction(alg: LSAlgebroid, kernel_frame: Sequence[Section],
+                       solve) -> tuple[list[PolyMatrix], list[PolyMatrix]]:
+    """:func:`ideal_restriction_matrices` through the frame's solver."""
     coords = alg.coords
-    solve = _frame_solver(kernel_frame)
     left = []
     right = []
     for i in range(alg.rank):
@@ -833,7 +838,7 @@ def kernel_representations(alg: LSAlgebroid,
                    check_representation_lsa(alg, ad_rep))
 
     try:
-        left, right = ideal_restriction_matrices(alg, kernel_frame)
+        left, right = _ideal_restriction(alg, kernel_frame, solve)
     except NotAnIdeal as exc:
         report.add("ideal", "the span of the kernel frame is an ideal",
                    False, [str(exc)])

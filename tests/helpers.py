@@ -740,7 +740,8 @@ def point_tables_oracle(alg, rep) -> tuple:
 
 
 def point_rows_oracle(tables, degree: int):
-    """The rows of cohomology._point_rows from its integer tables."""
+    """The rows of cohomology._point_rows from its integer tables, zero
+    rows included, in cochain_basis order."""
     r, s = tables.rank, tables.s
     rho, mu, prod, comm = tables.rho, tables.mu, tables.prod, tables.comm
     position = {lead: pos

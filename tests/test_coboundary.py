@@ -4,7 +4,9 @@
 follow.  The structures are drawn with no axiom imposed, representations
 are not checked, and multiderivations carry symbols."""
 
+from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from helpers import (
     ladder_instance,
     lie_form_d_oracle,
     nonexample,
+    point_algebra,
     point_e1e2,
     point_rows_oracle,
     point_tables_oracle,
@@ -28,6 +31,7 @@ from lsakit.cohomology import (
     RepCochain,
     _point_rows,
     _point_tables,
+    assemble_point_differential,
     def_d,
     rep_d,
 )
@@ -138,14 +142,52 @@ def test_def_d_matches_its_loops_with_symbols():
     assert bases == {True, False} and symbols == {True, False}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(algebroids(coords=((),)), st.integers(1, 3), st.integers(0, 2),
-       st.randoms(use_true_random=False))
-def test_point_rows_match_their_loop(alg, degree, s, rng):
-    rep = Representation(s, _matrices(rng, alg, s), _matrices(rng, alg, s))
-    tables = _point_tables(alg, rep)
-    assert list(_point_rows(tables, degree)) == \
-        list(point_rows_oracle(tables, degree))
+def _sparse_pair(rng, rank: int, s: int):
+    """A point pair with no axiom imposed whose product, rho and mu
+    entries are mostly zero, so whole template rows and commutators
+    vanish."""
+    def entry():
+        return Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) \
+            if rng.random() < 0.2 else 0
+
+    alg = point_algebra(rank, {(i, j): [entry() for _ in range(rank)]
+                               for i in range(rank) for j in range(rank)})
+    return alg, Representation(s, *([
+        PolyMatrix((), [[entry() for _ in range(s)] for _ in range(s)])
+        for _ in range(rank)] for _ in range(2)))
+
+
+def test_point_rows_match_their_loop():
+    # the builder yields the nonzero rows alone, by index; a row it does
+    # not yield is zero, so comparing with the oracle's nonzero rows and
+    # the dense assembly with all of them checks every row
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(algebroids(coords=((),)), st.integers(1, 3), st.integers(0, 3),
+           st.integers(0, 4), st.booleans(), st.randoms(use_true_random=False))
+    def agree(alg, degree, s, rank, sparse, rng):
+        if sparse:
+            # a plain generator: Hypothesis's random() leans towards 0
+            alg, rep = _sparse_pair(Random(rng.getrandbits(32)), rank, s)
+        else:
+            rep = Representation(s, _matrices(rng, alg, s),
+                                 _matrices(rng, alg, s))
+        tables = _point_tables(alg, rep)
+        want = list(point_rows_oracle(tables, degree))
+        assert list(_point_rows(tables, degree)) == \
+            [(index, row) for index, row in enumerate(want) if row]
+        matrix, domain, _ = assemble_point_differential(alg, rep, degree)
+        assert matrix == [[Fraction(row.get(col, 0), tables.den)
+                           for col in range(len(domain))] for row in want]
+        seen.add((sparse, any(len(t) < s for ts in tables.templates
+                              for t in ts),
+                  any(not c for c in tables.comm.values()) and degree > 1))
+
+    agree()
+    # sparse draws leave zero template rows and empty commutators
+    assert (True, True, True) in seen and \
+        {dense for dense, *_ in seen} == {True, False}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -824,12 +824,13 @@ def test_the_dual_representation_is_checked_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name, searches, inverses", [
-    ("point_e1e2", 2, 3), ("zero_r2", 2, 3), ("ladder", 2, 2)])
+    ("point_e1e2", 1, 2), ("zero_r2", 1, 2), ("ladder", 1, 1)])
 def test_each_kernel_frame_is_solved_once(monkeypatch, name, searches,
                                           inverses):
-    # one solver in kernel_representations, one in
-    # ideal_restriction_matrices; the third inverse on point_e1e2 and
-    # zero_r2 is the contragredient of phi or of the bilinear form
+    # one solver in kernel_representations, which its ideal restriction
+    # shares (ideal_restriction_matrices built a second one); the second
+    # inverse on point_e1e2 and zero_r2 is the contragredient of phi or
+    # of the bilinear form
     found = counted(monkeypatch, constructions,
                     "find_constant_invertible_submatrix")
     inverted = counted(monkeypatch, constructions, "matrix_inverse_adjugate")
@@ -944,13 +945,15 @@ def test_verify_all_expands_the_form_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, expansions", [
-    ("flat", 2), ("point_e1e2", 5), ("riemannian", 1), ("ladder", 2),
-    ("zero_r2", 5)])
+    ("flat", 2), ("point_e1e2", 3), ("riemannian", 1), ("ladder", 1),
+    ("zero_r2", 3)])
 def test_verify_all_full_size_expansions(monkeypatch, name, expansions):
     # one full determinant per matrix inverted or tested: the form's, the
-    # frame solvers' and phi's.  The contragredient of phi is the
+    # frame solver's and phi's.  The contragredient of phi is the
     # transpose of phi's inverse, read off the memo phi.det() filled; as
-    # the inverse of phi^T it took one more on flat and on point_e1e2
+    # the inverse of phi^T it took one more on flat and on point_e1e2.
+    # ideal_restriction_matrices built a second frame solver, with two
+    # more expansions on point_e1e2 and zero_r2 and one more on ladder
     instance = parse_instance(corpus_path(name))
     phi = instance.endomorphisms.get("phi")
     transposes = []
@@ -1093,3 +1096,34 @@ def test_point_cohomology_reads_one_set_of_tables(monkeypatch, valid):
             cohomology.point_cohomology_dims(alg, rep, 3, check=True)
     assert len(tables) == 1
     assert avoided == [[]] * 5
+
+
+@pytest.mark.parametrize("name, left, n_max", [
+    ("point_e1e2", False, 3), ("double_e1e2", True, 3), ("zero_r2", False, 0),
+    ("point_e1e2", True, 2)])
+def test_point_cohomology_eliminates_the_condition_rows_once(
+        monkeypatch, name, left, n_max):
+    # one set of tables and one elimination per degree, plus two in
+    # degree zero: the closed degree-zero rank continues from the
+    # condition's pivot rows (at most s of them) and the rows of d0, in
+    # place of eliminating the condition rows a second time
+    alg = parse_instance(corpus_path(name)).algebroid
+    rep = core.build_left_mult_rep(alg) if left else \
+        parse_instance(corpus_path(name)).representation
+    d0_rows = cohomology._d0_rows(cohomology._point_tables(alg, rep))
+    tables = counted(monkeypatch, cohomology, "_point_tables")
+    calls = []
+    forward_pivots = cohomology._forward_pivots
+
+    def recorded(rows, ncols):
+        rows = list(rows)
+        calls.append((rows, forward_pivots(rows, ncols)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cohomology, "_forward_pivots", recorded)
+    cohomology.point_cohomology_dims(alg, rep, n_max)
+    assert len(tables) == 1
+    assert len(calls) == n_max + 2
+    (_, condition), (closed, _) = calls[:2]
+    assert closed == [*condition.values(), *d0_rows]
+    assert len(closed) <= rep.s + len(d0_rows)
