@@ -583,8 +583,9 @@ def _d0_rows(tables: _PointTables) -> list[dict]:
 
 def point_cohomology_dims(alg: LSAlgebroid, rep: Representation,
                           n_max: int, check: bool = True) -> PointCohomology:
-    """Cocycle, coboundary and cohomology dimensions in degrees 1..n_max
-    over a point base, via exact rank computations.
+    """Cocycle, coboundary and cohomology dimensions in degrees 1 to
+    min(n_max, rank + 1) over a point base, via exact rank computations
+    (every cochain space above degree rank + 1 is zero).
 
     With ``check`` the algebra must pass the axiom gate
     (``NotLeftSymmetric``) and (rho, mu) the representation identities
@@ -617,7 +618,7 @@ def point_cohomology_dims(alg: LSAlgebroid, rep: Representation,
 
     degrees = []
     previous_rank = closed_rank - len(condition)   # rank of d0 on C0
-    for k in range(1, n_max + 1):
+    for k in range(1, min(n_max, r + 1) + 1):
         dim_c = comb(r, k - 1) * r * s
         rank = len(_forward_pivots(
             (row for _, row in _point_rows(tables, k)), dim_c))

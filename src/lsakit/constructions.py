@@ -482,7 +482,7 @@ def _phase_iso(phi: PolyMatrix, phase1: PhaseSpace,
     its source and target."""
     r = phi.rows
     coords = phi.coords
-    # (phi^T)^-1 = (phi^-1)^T, from the minors phi.det() left in phi's memo
+    # (phi^T)^-1 = (phi^-1)^T
     contragredient = matrix_inverse_adjugate(phi).transpose()
     blocks = [[phi.entry(i, j) if i < r and j < r else
                contragredient.entry(i - r, j - r) if i >= r and j >= r else
@@ -544,14 +544,11 @@ def check_quadratic(alg: LSAlgebroid, form) -> Report:
     definiteness is certified through leading principal minors for
     constant forms and reported as uncertified otherwise.  A
     non-constant determinant cannot certify nondegeneracy and raises.
-    The determinant and the leading minors come from the form matrix's
-    memo of minors, where a later inverse of the same matrix reads them.
     """
     matrix = _form_matrix(form)
     if matrix.rows != alg.rank or matrix.cols != alg.rank:
         raise DimensionMismatch("form shape does not match the bundle rank")
-    every = tuple(range(matrix.rows))
-    det = matrix._minor(every, every)
+    det = matrix.det()
     if not det.is_constant():
         raise NonConstantDeterminant(
             f"determinant {det} is not constant; nondegeneracy uncertifiable")
@@ -583,8 +580,11 @@ def check_quadratic(alg: LSAlgebroid, form) -> Report:
                [] if not det.is_zero() else ["det = 0"])
 
     if matrix.is_constant():
-        leading = [matrix._minor(every[:k], every[:k]).constant_value()
-                   for k in range(1, matrix.rows + 1)]
+        # the last leading principal minor is the determinant
+        entries = matrix.entries
+        leading = [PolyMatrix(matrix.coords, [row[:k] for row in entries[:k]])
+                   .det().constant_value() for k in range(1, matrix.rows)]
+        leading.append(det.constant_value())
         positive = all(m > 0 for m in leading)
         report.add("riemannian",
                    "form is positive definite (leading principal minors)",

@@ -22,18 +22,17 @@ it arises.
 
 Determinants, cofactors and the invertible-submatrix search share one
 Laplace expansion over stored entries (``PolyMatrix._minor``), memoized
-on (rows, columns) in the matrix's own memo of minors, one per degree
-limit; ranks and kernels use integer elimination (``_forward_pivots``).
+on (rows, columns) in a memo that one public call makes and drops; ranks
+and kernels use integer elimination (``_forward_pivots``).
 
 Everything here is immutable after construction and safe to share
 between threads.  Public constructors validate their input; arithmetic
 builds its results through the private trusted constructors
 (``Poly._from``, ``SparseModule._from``), since operands that are
 already valid give valid results.  The only writes after construction
-are the cached ``_hash`` and ``_degree`` fields and a matrix's memo of
-minors (``_minors``), each filled on first use with a pure function of
-the value (and, for a minor, of the degree limit it is filed under):
-threads that race on one write equal values.
+are the cached ``_hash`` and ``_degree`` fields, each filled on first
+use with a pure function of the value: threads that race on one write
+equal values.
 """
 
 from __future__ import annotations
@@ -775,7 +774,7 @@ class PolyMatrix(SparseModule):
     """Matrix with polynomial entries over shared coordinates, stored
     sparsely by ``(row, col)``; ``entries`` is the dense view."""
 
-    __slots__ = ("coords", "rows", "cols", "_minors")
+    __slots__ = ("coords", "rows", "cols")
 
     def __init__(self, coords: Sequence[str], entries: Sequence[Sequence]):
         entries = [tuple(row) for row in entries]
@@ -874,22 +873,16 @@ class PolyMatrix(SparseModule):
         if self.rows != self.cols:
             raise NotSquare(f"{self.rows}x{self.cols} matrix has no determinant")
         every = tuple(range(self.rows))
-        return self._minor(every, every)
+        return self._minor(every, every, {})
 
-    def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
+    def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...],
+               memo: dict) -> Poly:
         """Determinant of the ``rows`` x ``cols`` submatrix, expanded
         along its first column over stored entries only.  Memoized by
-        ``(rows, cols)`` in this matrix's memo of minors, one memo per
-        degree limit, so a minor is read back only under the limit that
-        expanded it and raises ``DegreeOverflow`` where a fresh
-        expansion would."""
+        ``(rows, cols)`` in ``memo``, which the public call that asked
+        for the minor owns: no minor outlives that call."""
         if not rows:
             return Poly.constant(1, self.coords)
-        try:
-            memos = self._minors
-        except AttributeError:
-            memos = self._minors = {}
-        memo = memos.setdefault(_DEGREE_LIMIT.get(), {})
         minor = memo.get((rows, cols))
         if minor is None:
             minor = Poly.zero(self.coords)
@@ -897,20 +890,23 @@ class PolyMatrix(SparseModule):
                 entry = self.terms.get((i, cols[0]))
                 if entry is not None:
                     term = entry * self._minor(rows[:pos] + rows[pos + 1:],
-                                               cols[1:])
+                                               cols[1:], memo)
                     minor = minor + term if pos % 2 == 0 else minor - term
             memo[rows, cols] = minor
         return minor
 
     def adjugate(self) -> "PolyMatrix":
-        """Transposed cofactor matrix, from the memo of minors."""
+        """Transposed cofactor matrix."""
         if self.rows != self.cols:
             raise NotSquare("adjugate requires a square matrix")
+        return self._adjugate({})
+
+    def _adjugate(self, memo: dict) -> "PolyMatrix":
         every, out = tuple(range(self.rows)), {}
         for i in every:
             for j in every:
                 minor = self._minor(every[:i] + every[i + 1:],
-                                    every[:j] + every[j + 1:])
+                                    every[:j] + every[j + 1:], memo)
                 _accumulate(out, (j, i), minor if (i + j) % 2 == 0 else -minor)
         return self._like(out)
 
@@ -927,19 +923,19 @@ def matrix_inverse_adjugate(matrix: PolyMatrix) -> PolyMatrix:
 
     Refuses unless the determinant is a nonzero constant, so that the
     inverse stays inside the polynomial ring.  The determinant and the
-    cofactors come from the matrix's memo of minors, so whatever an
-    earlier ``det`` of the same matrix expanded is read, not expanded.
+    cofactors share one memo of minors: the cofactors along the first
+    column are read from the determinant's expansion.
     """
     if matrix.rows != matrix.cols:
         raise NotSquare("inverse requires a square matrix")
-    every = tuple(range(matrix.rows))
-    det = matrix._minor(every, every)
+    every, memo = tuple(range(matrix.rows)), {}
+    det = matrix._minor(every, every, memo)
     if det.is_zero():
         raise SingularMatrix("matrix determinant is zero")
     if not det.is_constant():
         raise NonConstantDeterminant(
             f"determinant {det} is not constant; polynomial inverse refused")
-    return matrix.adjugate().scale(Fraction(1, det.constant_value()))
+    return matrix._adjugate(memo).scale(Fraction(1, det.constant_value()))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,11 +1060,12 @@ def find_constant_invertible_submatrix(matrix: PolyMatrix) \
     """Rows of a square submatrix with nonzero constant determinant.
 
     Searches row subsets of size ``matrix.cols`` in lexicographic order;
-    returns None when no such subset exists.
+    returns None when no such subset exists.  The subsets share one memo
+    of minors.
     """
-    cols = tuple(range(matrix.cols))
+    cols, memo = tuple(range(matrix.cols)), {}
     for rows in combinations(range(matrix.rows), matrix.cols):
-        det = matrix._minor(rows, cols)
+        det = matrix._minor(rows, cols, memo)
         if det.is_constant() and not det.is_zero():
             return rows
     return None

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
+from math import comb, lcm
 
 from lsakit.cohomology import (
     DegreeDims,
@@ -51,7 +51,6 @@ from lsakit.multivector import (
     left_symmetry_defect,
 )
 from lsakit.polyring import (
-    _DEGREE_LIMIT,
     Poly,
     PolyMatrix,
     VectorField,
@@ -554,13 +553,87 @@ def dense_point_dims(alg: LSAlgebroid, rep, n_max: int) -> PointCohomology:
                                                   cols=len(c0_basis))
     degrees = []
     previous_rank = d0_rank
-    for k in range(1, n_max + 1):
+    for k in range(1, min(n_max, alg.rank + 1) + 1):
         matrix, domain, _ = assemble_point_differential(alg, rep, k)
         rank, kernel = rational_kernel_and_rank(matrix, cols=len(domain))
         degrees.append(DegreeDims(k, len(domain), len(kernel), previous_rank,
                                   len(kernel) - previous_rank))
         previous_rank = rank
     return PointCohomology(len(c0_basis), len(d0_kernel), degrees)
+
+
+def ce_point_dims(alg: LSAlgebroid, rep) -> list[int]:
+    """dim H^k(g; W) for k = 0..rank, by the textbook Chevalley-Eilenberg
+    differential of the sub-adjacent Lie algebra g of a point-base
+    algebra with values in W = Hom(E, V), on which e_i acts by
+
+        (e_i.f)(e_b) = rho_i f(e_b) + mu_b f(e_i) - f(e_i.e_b).
+
+    W has the basis f(e_b) = v_m at index b * s + m; each differential
+    is a dense rational matrix ranked by ``rational_kernel_and_rank``.
+    Asserts that W is a g-module, A([e_i, e_j]) = [A_i, A_j] on the rs x
+    rs action matrices A_i, so that the complex is one."""
+    r, s = alg.rank, rep.s
+    w = r * s
+    rho = [m.to_rational() for m in rep.rho_mat]
+    mu = [m.to_rational() for m in rep.mu_mat]
+    prod = [[[comp.constant_value() for comp in alg.c[i][j].components]
+              for j in range(r)] for i in range(r)]
+    bracket = [[[a - b for a, b in zip(prod[i][j], prod[j][i])]
+                for j in range(r)] for i in range(r)]
+
+    def action(i):
+        a = [[Fraction(0)] * w for _ in range(w)]
+        for b in range(r):
+            for m in range(s):
+                row = a[b * s + m]
+                for p in range(s):
+                    row[b * s + p] += rho[i][m][p]
+                    row[i * s + p] += mu[b][m][p]
+                for k in range(r):
+                    row[k * s + m] -= prod[i][b][k]
+        return a
+
+    def times(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(w)) for j in range(w)]
+                for i in range(w)]
+
+    act = [action(i) for i in range(r)]
+    for i, j in combinations(range(r), 2):
+        image = [[sum(c * act[k][y][x] for k, c in enumerate(bracket[i][j]))
+                  for x in range(w)] for y in range(w)]
+        assert image == [[a - b for a, b in zip(*rows)] for rows in
+                         zip(times(act[i], act[j]), times(act[j], act[i]))]
+
+    def rank_of_d(k):
+        """Rank of d: Hom(wedge^k g, W) -> Hom(wedge^(k+1) g, W),
+        (d w)(x_0..x_k) = sum_a (-1)^a x_a.w(.. no x_a ..)
+            + sum_{a<b} (-1)^(a+b) w([x_a, x_b], .. no x_a, x_b ..)."""
+        domain = {key: n * w
+                  for n, key in enumerate(combinations(range(r), k))}
+        codomain = list(combinations(range(r), k + 1))
+        matrix = [[Fraction(0)] * (len(domain) * w)
+                  for _ in range(len(codomain) * w)]
+        for n, lead in enumerate(codomain):
+            top = n * w
+            for a, i in enumerate(lead):
+                start = domain[lead[:a] + lead[a + 1:]]
+                for y in range(w):
+                    for x in range(w):
+                        matrix[top + y][start + x] += (-1) ** a * act[i][y][x]
+            for a, b in combinations(range(k + 1), 2):
+                rest = lead[:a] + lead[a + 1:b] + lead[b + 1:]
+                for c, coeff in enumerate(bracket[lead[a]][lead[b]]):
+                    if coeff and c not in rest:
+                        key, sign = sort_with_sign((c, *rest))
+                        for x in range(w):
+                            matrix[top + x][domain[key] + x] += \
+                                (-1) ** (a + b) * sign * coeff
+        return rational_kernel_and_rank(matrix, cols=len(domain) * w)[0]
+
+    ranks = [rank_of_d(k) for k in range(r + 1)]
+    return [comb(r, k) * w - ranks[k] - (ranks[k - 1] if k else 0)
+            for k in range(r + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -812,22 +885,19 @@ def rational_det_oracle(rows) -> Fraction:
     return det
 
 
-def spy_minors(monkeypatch) -> list:
+def spy_minor_calls(monkeypatch) -> list:
     """Wrap ``PolyMatrix._minor``: each call on a nonempty minor appends
     ``(matrix, rows, cols, memo, expanded)``, with ``memo`` the memo of
-    minors the call read (the matrix's, under the current degree limit)
-    and ``expanded`` whether the minor was missing from it."""
+    minors the call read (the one its public call owns) and ``expanded``
+    whether the minor was missing from it."""
     calls = []
     minor = PolyMatrix._minor
 
-    def memo_of(matrix):
-        return getattr(matrix, "_minors", {}).get(_DEGREE_LIMIT.get())
-
-    def recorded(matrix, rows, cols):
-        expanded = (rows, cols) not in (memo_of(matrix) or {})
-        value = minor(matrix, rows, cols)
+    def recorded(matrix, rows, cols, memo):
+        expanded = (rows, cols) not in memo
+        value = minor(matrix, rows, cols, memo)
         if rows:
-            calls.append((matrix, rows, cols, memo_of(matrix), expanded))
+            calls.append((matrix, rows, cols, memo, expanded))
         return value
 
     monkeypatch.setattr(PolyMatrix, "_minor", recorded)

@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -336,6 +337,20 @@ def test_main_cohomology_point_dims(capsys):
     assert "degree 1: cochains 2, cocycles 2, coboundaries 0, cohomology 2" \
         in dims["witnesses"]
     assert any("cohomology 4" in w for w in dims["witnesses"])
+
+
+def test_main_cohomology_point_stops_at_rank_plus_one(capsys):
+    # every cochain space above degree rank + 1 is zero, so a huge
+    # maximum costs nothing: the rank-2 point_e1e2 stops at degree 3
+    start = time.perf_counter()
+    assert main(["cohomology", "--point", "--max-degree", "1000000",
+                 str(corpus_path("point_e1e2")), "--no-timestamp"]) == 0
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    dims = next(rec for rec in payload["checks"]
+                if rec["name"] == "cohomology/point-dims")
+    assert dims["witnesses"][-2].startswith("degree 3: cochains 4,")
+    assert dims["witnesses"][-1].startswith("degree-0 space")
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ import lsakit
 from helpers import (
     action_instance,
     c0_basis_oracle,
+    ce_point_dims,
     cochain_evaluate_oracle,
     dense_kernel_oracle,
     dense_point_dims,
@@ -28,8 +29,11 @@ from helpers import (
     point_e1e2,
     random_poly,
     random_section,
+    reframed,
     rep_mu_section,
+    right_mult_matrices,
     sum_of_e1e2,
+    unit_point_algebra,
     zero_point_algebra,
 )
 from lsakit.cohomology import (
@@ -47,6 +51,7 @@ from lsakit.cohomology import (
     rep_d0,
 )
 from lsakit.constructions import (
+    check_representation_lsa,
     action_algebroid,
     lsa_from_phase,
     semidirect_lsa,
@@ -67,6 +72,7 @@ from lsakit.errors import (
     ArityError,
     DimensionMismatch,
     InvalidDegree,
+    NotARepresentation,
     NotPointCase,
 )
 from lsakit.instances import CORPUS_NAMES, load_corpus
@@ -552,12 +558,14 @@ def test_point_cohomology_matches_dense_oracle():
         actual, _, _ = assemble_point_differential(alg, rep, degree)
         assert actual == expected
     result = point_cohomology_dims(alg, rep, 3)
-    # frozen from the oracle: C^0 is everything, d0 has rank 1
+    # frozen from the oracle: C^0 is everything, d0 has rank 1; degree 3
+    # is past rank + 1, where every cochain space is zero, so it is not
+    # reported
     assert result.c0_dim == 1
     assert result.c0_closed_dim == 0
     dims = [(d.dim_cocycles, d.dim_coboundaries, d.dim_cohomology)
             for d in result.degrees]
-    assert dims == [(1, 1, 0), (1, 0, 1), (0, 0, 0)]
+    assert dims == [(1, 1, 0), (1, 0, 1)]
 
 
 def test_point_cohomology_oracle_on_rank2():
@@ -765,6 +773,85 @@ def test_sparse_ranks_match_dense_on_random_tables(pair):
     n_max = alg.rank + 1
     assert all_dims(point_cohomology_dims(alg, rep, n_max, check=False)) == \
         all_dims(dense_point_dims(alg, rep, n_max))
+
+
+# The point complex is a Chevalley-Eilenberg complex: C^n = Hom(wedge^(n-1)
+# g, W) for W = Hom(E, V), with the template rows of rep_d as the action
+# of g on W, so dim H^n = dim H^(n-1)(g; W) for n >= 2 and the degree-1
+# cocycles are H^0(g; W)
+
+POINT_ALGEBRAS = (point_e1e2, lambda: point_algebra(1, {(0, 0): [1]}),
+                  lambda: unit_point_algebra(2), lambda: zero_point_algebra(3),
+                  lambda: load_corpus("double_e1e2").algebroid)
+
+
+def point_representation(alg, kind):
+    """Left multiplication (L, 0), the regular pair (L, R), or the zero
+    pair on a plane: representations of every point algebra."""
+    if kind == "zero":
+        return Representation(2, [ZERO2] * alg.rank, [ZERO2] * alg.rank)
+    left = lrep(alg).rho_mat
+    return Representation(alg.rank, left,
+                          right_mult_matrices(alg) if kind == "regular"
+                          else None)
+
+
+def assert_ce_identity(alg, rep):
+    degrees = point_cohomology_dims(alg, rep, alg.rank + 1).degrees
+    ce = ce_point_dims(alg, rep)
+    assert [degrees[0].dim_cocycles] + [d.dim_cohomology
+                                        for d in degrees[1:]] == ce
+
+
+def test_point_cohomology_is_ce_cohomology_on_the_corpus():
+    for name in ("point_e1e2", "zero_r2"):
+        instance = load_corpus(name)
+        assert_ce_identity(instance.algebroid, instance.representation)
+    for make in POINT_ALGEBRAS:
+        alg = make()
+        for kind in ("left", "regular", "zero"):
+            assert_ce_identity(alg, point_representation(alg, kind))
+
+
+@st.composite
+def valid_point_pairs(draw):
+    """A point algebra of POINT_ALGEBRAS in the frame b = P e for P a
+    product of up to three integer shears, with one of the
+    representations of :func:`point_representation`."""
+    alg = draw(st.sampled_from(POINT_ALGEBRAS))()
+    r = alg.rank
+    frame = PolyMatrix.identity(r, ())
+    for _ in range(draw(st.integers(0, 3)) if r > 1 else 0):
+        i, j = draw(st.permutations(range(r)))[:2]
+        c = draw(st.integers(-2, 2))
+        frame = frame @ PolyMatrix((), [[1 if a == b else c if (a, b) == (i, j)
+                                         else 0 for b in range(r)]
+                                        for a in range(r)])
+    alg = reframed(alg, frame)
+    kind = draw(st.sampled_from(("left", "regular", "zero")))
+    return alg, point_representation(alg, kind)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(valid_point_pairs())
+def test_point_cohomology_is_ce_cohomology_on_drawn_pairs(pair):
+    assert_ce_identity(*pair)
+
+
+@pytest.mark.parametrize("products, rho, mu",
+                         [({}, 0, 1), ({(0, 0): [1]}, 1, 2)],
+                         ids=["zero-algebra", "unit-algebra"])
+def test_rank_one_g_module_that_is_no_representation(products, rho, mu):
+    # with one frame index W = Hom(E, V) is a g-module whatever the pair
+    # (ce_point_dims asserts it), but the coupling identity
+    # R M - M R = M(e.e) - M M fails: 0 = 0 - 1 and 0 = 2 - 4
+    alg = point_algebra(1, products)
+    rep = Representation(1, [PolyMatrix((), [[rho]])],
+                         [PolyMatrix((), [[mu]])])
+    ce_point_dims(alg, rep)
+    assert not check_representation_lsa(alg, rep)
+    with pytest.raises(NotARepresentation):
+        point_cohomology_dims(alg, rep, 2)
 
 
 RANK8_DEGREE4 = (4, 4, [(1, 64, 20, 0, 20), (2, 512, 140, 44, 96),

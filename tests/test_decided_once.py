@@ -32,7 +32,7 @@ from helpers import (
     random_algebroid,
     random_esection,
     reframed,
-    spy_minors,
+    spy_minor_calls,
     square_product_oracle,
     unit_point_algebra,
     zero_point_algebra,
@@ -845,10 +845,10 @@ def test_verify_all_shares_its_quadratic_report_phase_space_and_det(
         monkeypatch, name, quadratic, dets):
     # run_suite hands its quadratic report and phase space to the complex
     # structure and the phase isomorphism it builds.  The determinant
-    # left is phi's (in run_suite): check_quadratic reads the form's and
-    # its leading principal minors off one memo of minors, and the
-    # inverses read theirs off the cofactors they compute anyway.  With
-    # a det per minor, flat took 4 and riemannian and zero_r2 took 3.
+    # run_suite takes itself is phi's (dets); check_quadratic takes one
+    # det per leading principal minor of the rank-2 form, the last being
+    # the form's determinant, and the inverses read their determinants
+    # off the cofactors they compute anyway.
     instance = parse_instance(corpus_path(name))
     quads = [counted(monkeypatch, module, "check_quadratic")
              for module in (cli, constructions)]
@@ -866,24 +866,32 @@ def test_verify_all_shares_its_quadratic_report_phase_space_and_det(
     assert report.passed
     assert sum(map(len, quads)) == quadratic
     assert sum(map(len, phases)) == 1
-    assert len(expanded) == dets
+    assert len(expanded) == dets + 2 * quadratic
     phi = instance.endomorphisms.get("phi")
     assert sum(matrix is phi for matrix in expanded) == (phi is not None)
 
 
 @pytest.mark.parametrize("name", ["flat", "riemannian", "zero_r2"])
 def test_check_quadratic_expands_the_form_once(monkeypatch, name):
-    # the determinant and every leading principal minor (the last is the
-    # determinant again) come from the form's memo of minors
+    # one det per leading principal minor, the last of which is the
+    # determinant: the form's determinant is expanded once, and each det
+    # expands every minor of its own memo once
     instance = parse_instance(corpus_path(name))
     form = instance.bilinear_form
     every = tuple(range(form.rows))
-    calls, expanded = spy_minors(monkeypatch), counted(monkeypatch,
-                                                       PolyMatrix, "det")
+    calls = spy_minor_calls(monkeypatch)
+    dets = counted(monkeypatch, PolyMatrix, "det")
     report = constructions.check_quadratic(instance.algebroid, form)
     assert report.record("nondegenerate").status == "pass"
-    assert expanded == []
-    assert calls and all(memo is calls[0][3] for *_, memo, _ in calls)
+    assert [matrix.rows for (matrix,) in dets] == [form.rows,
+                                                   *range(1, form.rows)]
+    by_memo: dict = {}
+    for _, rows, cols, memo, new in calls:
+        by_memo.setdefault(id(memo), []).append((rows, cols, new))
+    assert len(by_memo) == form.rows
+    for minors in by_memo.values():
+        expanded = [(rows, cols) for rows, cols, new in minors if new]
+        assert len(expanded) == len(set(expanded))
     assert sum(matrix is form and rows == cols == every and new
                for matrix, rows, cols, _, new in calls) == 1
 
@@ -930,30 +938,32 @@ def test_verify_all_decides_the_axioms_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["flat", "riemannian", "zero_r2"])
 def test_verify_all_expands_the_form_once(monkeypatch, name):
-    # check_quadratic leaves the form's minors in its memo, where the
-    # inverse of the form in the complex structure reads them
+    # once per call: check_quadratic and the inverse of the form in the
+    # complex structure each expand the form's determinant once, each in
+    # a memo of its own that no later call reads
     instance = parse_instance(corpus_path(name))
     form = instance.bilinear_form
     every = tuple(range(form.rows))
-    calls = spy_minors(monkeypatch)
+    calls = spy_minor_calls(monkeypatch)
     report = cli.run_suite(instance, "all")
     assert report.record("complex/squares-to-minus-id").status == "pass"
-    assert len({id(memo) for matrix, *_, memo, _ in calls
-                if matrix is form}) == 1
-    assert sum(matrix is form and rows == cols == every and new
-               for matrix, rows, cols, _, new in calls) == 1
+    full = [memo for matrix, rows, cols, memo, new in calls
+            if matrix is form and rows == cols == every and new]
+    assert len(full) == 2 and full[0] is not full[1]
+    assert {id(memo) for matrix, *_, memo, _ in calls if matrix is form} \
+        == set(map(id, full))
 
 
 @pytest.mark.parametrize("name, expansions", [
-    ("flat", 2), ("point_e1e2", 3), ("riemannian", 1), ("ladder", 1),
-    ("zero_r2", 3)])
+    ("flat", 5), ("point_e1e2", 4), ("riemannian", 3), ("ladder", 1),
+    ("zero_r2", 5)])
 def test_verify_all_full_size_expansions(monkeypatch, name, expansions):
-    # one full determinant per matrix inverted or tested: the form's, the
-    # frame solver's and phi's.  The contragredient of phi is the
-    # transpose of phi's inverse, read off the memo phi.det() filled; as
-    # the inverse of phi^T it took one more on flat and on point_e1e2.
-    # ideal_restriction_matrices built a second frame solver, with two
-    # more expansions on point_e1e2 and zero_r2 and one more on ladder
+    # one full determinant per call that tests or inverts a matrix: the
+    # form's det and its 1x1 leading principal minor in check_quadratic
+    # and the form's inverse, the frame solver's, and phi's det and its
+    # inverse.  The contragredient of phi is the transpose of phi's
+    # inverse; as the inverse of phi^T it took one more on flat and on
+    # point_e1e2
     instance = parse_instance(corpus_path(name))
     phi = instance.endomorphisms.get("phi")
     transposes = []
@@ -966,14 +976,15 @@ def test_verify_all_full_size_expansions(monkeypatch, name, expansions):
         return result
 
     monkeypatch.setattr(PolyMatrix, "transpose", recorded)
-    calls = spy_minors(monkeypatch)
+    calls = spy_minor_calls(monkeypatch)
     cli.run_suite(instance, "all")
     full = [matrix for matrix, rows, _, _, new in calls
             if new and len(rows) == matrix.rows == matrix.cols]
     assert len(full) == expansions
     if phi is not None:
-        assert sum(any(matrix is m for m in (phi, *transposes))
-                   for matrix in full) == 1
+        # by its det and its inverse, never through a transpose
+        assert sum(matrix is phi for matrix in full) == 2
+        assert not any(matrix is m for m in transposes for matrix in full)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

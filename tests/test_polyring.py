@@ -14,7 +14,7 @@ from helpers import (
     det_oracle,
     random_poly,
     rational_det_oracle,
-    spy_minors,
+    spy_minor_calls,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +29,6 @@ from lsakit.errors import (
     UnknownVariable,
 )
 from lsakit.polyring import (
-    _DEGREE_LIMIT,
     Poly,
     PolyMatrix,
     VectorField,
@@ -387,7 +386,7 @@ def test_symbolic_det_and_adjugate():
 
 
 # ---------------------------------------------------------------------------
-# determinants, cofactors and invertible submatrices from one minor memo
+# determinants, cofactors and invertible submatrices, one minor memo a call
 # ---------------------------------------------------------------------------
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -498,29 +497,35 @@ def test_det_and_adjugate_at_sizes_zero_and_one():
 
 
 def test_cofactors_and_row_subsets_share_one_memo(monkeypatch):
-    # det, the cofactors and the row-subset search read the matrix's own
-    # memo, so no minor is expanded twice, across calls as well
-    calls = spy_minors(monkeypatch)
+    # each public call owns one memo of minors: within det, adjugate,
+    # matrix_inverse_adjugate and the row-subset search no minor is
+    # expanded twice, and no call reads a memo another call filled
+    calls = spy_minor_calls(monkeypatch)
     x = parse_poly("x", XY)
     square = PolyMatrix(XY, [[1, 2, 0], [x, 1, 1], [0, 1, x]])
+    unimodular = PolyMatrix(XY, [[1, x, 0], [x, x * x + 1, 2], [0, 1, 1]])
     tall = PolyMatrix(XY, [[x, 0], [0, x], [1, 1], [2, 1]])
-    for matrix, computations in (
-            (square, (square.det, square.adjugate, square.det)),
-            (tall, (lambda: find_constant_invertible_submatrix(tall),))):
+    memos, expansions = [], []
+    for compute in (square.det, square.adjugate, square.det,
+                    lambda: matrix_inverse_adjugate(unimodular),
+                    lambda: find_constant_invertible_submatrix(tall)):
         del calls[:]
-        for compute in computations:
-            compute()
+        compute()
         assert len(calls) > 1
-        assert {id(memo) for *_, memo, _ in calls} == \
-            {id(matrix._minors[_DEGREE_LIMIT.get()])}
+        assert {id(memo) for *_, memo, _ in calls} == {id(calls[0][3])}
+        memos.append(calls[0][3])
         expanded = [(rows, cols) for _, rows, cols, _, new in calls if new]
         assert len(expanded) == len(set(expanded))
         assert len(calls) > len(expanded)
+        expansions.append(len(expanded))
+    assert len({id(memo) for memo in memos}) == len(memos)
+    # the second det expands what the first did, afresh
+    assert expansions[0] == expansions[2]
 
 
 def test_memoized_minors_keep_the_degree_limit():
-    # a minor stored under one degree limit is not read under another,
-    # so det overflows exactly where a fresh expansion does
+    # no minor outlives its call, so a det under a lowered limit
+    # overflows exactly where a det of a fresh matrix does
     x, y = parse_poly("x", XY), parse_poly("y", XY)
     entries = [[x, y, 0], [y, x, y], [0, y, x]]
     matrix = PolyMatrix(XY, entries)
